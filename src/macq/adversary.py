@@ -19,11 +19,12 @@ from .channel import (
     GameConfig,
     StationSet,
     Transcript,
-    evaluate_query,
     format_station_set,
+    outcome_feedback,
+    split_by_feedback,
 )
-from .errors import BudgetExceeded, CapExceeded, Inconsistent, InvalidQuery
-from .strategies import Strategy
+from .errors import BudgetExceeded, Inconsistent
+from .strategies import Strategy, fold_strategy
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -50,30 +51,20 @@ def initial_state(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGE
     return KnowledgeState(config, tuple(candidates), StationSet())
 
 
-def _feedback_partition(
-    state: KnowledgeState, query: StationSet
-) -> dict[Feedback, tuple[StationSet, ...]]:
-    groups: dict[Feedback, list[StationSet]] = {}
-    for candidate in state.candidates:
-        groups.setdefault(evaluate_query(query, candidate), []).append(candidate)
-    return {feedback: tuple(family) for feedback, family in groups.items()}
+def _masks(state: KnowledgeState) -> list[int]:
+    return [candidate.mask for candidate in state.candidates]
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
     """Filter the candidate family by one observed round."""
-    survivors = tuple(
-        candidate
-        for candidate in state.candidates
-        if evaluate_query(query, candidate) == feedback
+    for outcome, group in split_by_feedback(_masks(state), query.mask):
+        if outcome_feedback(outcome) == feedback:
+            survivors = tuple(map(StationSet, group))
+            revealed = StationSet(outcome) if outcome > 0 else StationSet()
+            return KnowledgeState(state.config, survivors, state.transmitted | revealed)
+    raise Inconsistent(
+        f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
     )
-    if not survivors:
-        raise Inconsistent(
-            f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
-        )
-    transmitted = state.transmitted
-    if feedback.is_single:
-        transmitted = transmitted | StationSet.singleton(feedback.station)  # type: ignore[arg-type]
-    return KnowledgeState(state.config, survivors, transmitted)
 
 
 def _preference(feedback: Feedback) -> tuple[int, int]:
@@ -87,32 +78,19 @@ def _preference(feedback: Feedback) -> tuple[int, int]:
 
 def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
     """Feedback keeping the largest surviving family (ties by preference)."""
-    groups = _feedback_partition(state, query)
-    return min(groups, key=lambda fb: (-len(groups[fb]), _preference(fb)))
+    sizes = {
+        outcome_feedback(outcome): len(survivors)
+        for outcome, survivors in split_by_feedback(_masks(state), query.mask)
+    }
+    return min(sizes, key=lambda fb: (-sizes[fb], _preference(fb)))
 
 
 def _forced_rounds(state: KnowledgeState, strategy: Strategy, transcript: Transcript) -> int:
     """Rounds the strategy can still be forced to play from this position."""
-    config = state.config
-    if len(state.transmitted) >= config.d:
-        return 0
-    action = strategy.next_action(config, transcript)
-    if action is None:
-        return 0
-    if len(transcript.rounds) >= 4 * config.n + 16:
-        raise CapExceeded(f"strategy {strategy.name!r} exceeded {4 * config.n + 16} rounds")
-    if not action.issubset(config.all_stations):
-        raise InvalidQuery(
-            f"strategy {strategy.name!r} queried {format_station_set(action - config.all_stations)} beyond n={config.n}"
-        )
-    worst = 0
-    for feedback, survivors in _feedback_partition(state, action).items():
-        transmitted = state.transmitted
-        if feedback.is_single:
-            transmitted = transmitted | StationSet.singleton(feedback.station)  # type: ignore[arg-type]
-        child = KnowledgeState(config, survivors, transmitted)
-        worst = max(worst, 1 + _forced_rounds(child, strategy, transcript.extend(action, feedback)))
-    return worst
+    return fold_strategy(
+        strategy, state.config, _masks(state), transcript, state.transmitted.mask,
+        lambda family: 0, lambda query, branches: 1 + max(depth for _, depth in branches),
+    )
 
 
 def exact_answer(
@@ -124,20 +102,16 @@ def exact_answer(
     """Feedback maximizing how long the given strategy still has to run.
 
     The strategy's future moves are fixed by replaying it on the extended
-    transcript, so the adversary simply maximizes over feedback branches.
-    ``transcript`` must be the rounds that produced ``state``.
+    transcript, so the adversary simply maximizes over feedback branches
+    (ties by preference).  ``transcript`` must be the rounds that produced
+    ``state``.
     """
-    groups = _feedback_partition(state, query)
-    best_feedback: Feedback | None = None
-    best_length = -1
-    for feedback in sorted(groups, key=_preference):
+    lengths: dict[Feedback, int] = {}
+    for outcome, _ in split_by_feedback(_masks(state), query.mask):
+        feedback = outcome_feedback(outcome)
         child = refine(state, query, feedback)
-        length = 1 + _forced_rounds(child, strategy, transcript.extend(query, feedback))
-        if length > best_length:
-            best_feedback, best_length = feedback, length
-    if best_feedback is None:
-        raise Inconsistent(f"query {format_station_set(query)} admits no feedback at all")
-    return best_feedback
+        lengths[feedback] = 1 + _forced_rounds(child, strategy, transcript.extend(query, feedback))
+    return min(lengths, key=lambda fb: (-lengths[fb], _preference(fb)))
 
 
 # An adversary as the engine sees it: (state, query, transcript) -> feedback.

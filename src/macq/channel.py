@@ -189,6 +189,38 @@ def evaluate_query(query: StationSet, live: StationSet) -> Feedback:
     return COLLISION
 
 
+def split_by_feedback(members: Iterable[int], query: int) -> list[tuple[int, list[int]]]:
+    """Group member masks by the feedback ``query`` draws from each.
+
+    Groups come in ``feedback_order``, each keyed by its outcome: -1 for
+    silence, -2 for collision, or the lone sender's bit for a single.  Members
+    keep their input order within a group; empty groups are left out.
+    """
+    silence: list[int] = []
+    collision: list[int] = []
+    singles: dict[int, list[int]] = {}
+    for member in members:
+        hit = member & query
+        if not hit:
+            silence.append(member)
+        elif hit & (hit - 1):
+            collision.append(member)
+        else:
+            singles.setdefault(hit, []).append(member)
+    groups = [(outcome, group) for outcome, group in ((-1, silence), (-2, collision)) if group]
+    groups.extend(sorted(singles.items()))
+    return groups
+
+
+def outcome_feedback(outcome: int) -> Feedback:
+    """The feedback a ``split_by_feedback`` outcome stands for."""
+    if outcome == -1:
+        return SILENCE
+    if outcome == -2:
+        return COLLISION
+    return single(outcome.bit_length())
+
+
 def feedback_consistent(query: StationSet, feedback: Feedback, candidate: StationSet) -> bool:
     """Would ``candidate`` as the live set produce exactly this feedback?"""
     return evaluate_query(query, candidate) == feedback

@@ -42,6 +42,12 @@ def _live_set(text: str) -> StationSet:
     return StationSet.from_ids(ids)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macq",
@@ -62,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     source = sim.add_mutually_exclusive_group(required=True)
     source.add_argument("--live", type=_live_set, help="fixed live set, e.g. 1,3")
     source.add_argument("--adversary", choices=["greedy", "exact"])
-    sim.add_argument("--round-cap", type=int, default=None)
+    sim.add_argument("--round-cap", type=_positive_int, default=None)
     sim.set_defaults(handler=_cmd_simulate)
 
     worst = sub.add_parser("worst-case", help="max rounds over all live sets, with witness")
     add_common(worst)
     worst.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
-    worst.add_argument("--round-cap", type=int, default=None)
+    worst.add_argument("--round-cap", type=_positive_int, default=None)
     worst.add_argument("--budget", type=int, default=10**6)
     worst.add_argument("--format", choices=["text", "json-lines"], default="text")
     worst.set_defaults(handler=_cmd_worst_case)
@@ -88,16 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact optimal worst-case rounds")
     add_common(oracle)
     oracle.add_argument("--witness", action="store_true", help="also print an optimal tree")
-    oracle.add_argument("--oracle-n-cap", type=int, default=DEFAULT_ORACLE_CAP[0])
-    oracle.add_argument("--oracle-d-cap", type=int, default=DEFAULT_ORACLE_CAP[1])
+    oracle.add_argument("--oracle-n-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[0])
+    oracle.add_argument("--oracle-d-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[1])
     oracle.set_defaults(handler=_cmd_oracle)
 
     report = sub.add_parser("report", help="CSV grid comparing strategies, optima, bounds")
     add_common(report, n_d=False)
     report.add_argument("--n-max", type=int, default=6)
     report.add_argument("--d-max", type=int, default=3)
-    report.add_argument("--oracle-n-cap", type=int, default=DEFAULT_ORACLE_CAP[0])
-    report.add_argument("--oracle-d-cap", type=int, default=DEFAULT_ORACLE_CAP[1])
+    report.add_argument("--oracle-n-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[0])
+    report.add_argument("--oracle-d-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[1])
     report.set_defaults(handler=_cmd_report)
 
     return parser
@@ -150,7 +156,8 @@ def _cmd_tree(args: argparse.Namespace) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
-    n, d = args.n, args.d
+    config = GameConfig(args.n, args.d)
+    n, d = config.n, config.d
     values = {
         "n": n,
         "d": d,
@@ -189,12 +196,12 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         output = args.handler(args)
-    except MacqError as exc:
+        if args.out is not None:
+            args.out.write_text(output, encoding="utf-8")
+    except (MacqError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        args.out.write_text(output, encoding="utf-8")
-    else:
+    if args.out is None:
         sys.stdout.write(output)
     return 0
 

@@ -1,16 +1,15 @@
 """Game engine: run strategies against fixed live sets or adversaries.
 
-The engine owns the stop rule: a game ends as soon as d distinct stations
-have transmitted alone, whether or not the strategy would keep querying, or
-earlier if the strategy itself stops.  A round cap (default 4n + 16) turns
-non-terminating strategies into errors instead of hangs.
+A game ends as soon as d distinct stations have transmitted alone, whether or
+not the strategy would keep querying, or earlier if the strategy itself stops.
+``strategies.checked_query`` applies the round cap (default 4n + 16), which
+turns non-terminating strategies into errors instead of hangs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
 
 from .adversary import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -19,6 +18,7 @@ from .adversary import (
     refine,
 )
 from .channel import (
+    Feedback,
     GameConfig,
     StationSet,
     Transcript,
@@ -27,9 +27,8 @@ from .channel import (
     transcript_to_doc,
     transmitted_set,
 )
-from .errors import BudgetExceeded, CapExceeded, DomainError, Inconsistent, InvalidQuery
-from .errors import AdversaryInconsistent
-from .strategies import Strategy
+from .errors import AdversaryInconsistent, DomainError, Inconsistent
+from .strategies import Strategy, checked_query, default_round_cap, fold_strategy
 
 
 @dataclass(frozen=True)
@@ -40,27 +39,6 @@ class GameResult:
     rounds_used: int
     completed: bool
     witness_live: StationSet
-
-
-def default_round_cap(config: GameConfig) -> int:
-    return 4 * config.n + 16
-
-
-def _checked_query(strategy: Strategy, config: GameConfig, transcript: Transcript,
-                   cap: int) -> StationSet | None:
-    action = strategy.next_action(config, transcript)
-    if action is None:
-        return None
-    if len(transcript.rounds) >= cap:
-        raise CapExceeded(
-            f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
-        )
-    if not action.issubset(config.all_stations):
-        raise InvalidQuery(
-            f"strategy {strategy.name!r} queried stations "
-            f"{format_station_set(action - config.all_stations)} beyond n={config.n}"
-        )
-    return action
 
 
 def run_fixed(
@@ -74,10 +52,9 @@ def run_fixed(
         raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
     if len(live) != config.d:
         raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
-    cap = default_round_cap(config) if round_cap is None else round_cap
     transcript = Transcript(config)
     while len(transmitted_set(transcript)) < config.d:
-        action = _checked_query(strategy, config, transcript, cap)
+        action = checked_query(strategy, config, transcript, round_cap)
         if action is None:
             break
         transcript = transcript.extend(action, evaluate_query(action, live))
@@ -94,22 +71,31 @@ def worst_case_rounds(
 ) -> tuple[int, StationSet]:
     """Maximum rounds_used over every size-d live set, with a witness.
 
-    Live sets are enumerated in ascending id order and the first maximum is
-    kept, so the witness is deterministic.
+    A live set's rounds_used is the depth of its leaf in the strategy's
+    decision tree, so one fold of that tree, never built, gives the maximum.
+    The witness is the first deepest live set in ascending id order, the
+    order of ``itertools.combinations``.
     """
-    total = math.comb(config.n, config.d)
-    if total > budget:
-        raise BudgetExceeded(
-            f"C({config.n},{config.d}) = {total} live sets exceed budget {budget}"
-        )
-    worst = -1
-    witness = StationSet()
-    for ids in combinations(range(1, config.n + 1), config.d):
-        live = StationSet.from_ids(ids)
-        result = run_fixed(strategy, config, live, round_cap)
-        if result.rounds_used > worst:
-            worst, witness = result.rounds_used, live
-    return worst, witness
+
+    def leaf(family: Sequence[int]) -> tuple[int, int]:
+        return 0, min(family, key=_id_order)
+
+    def node(
+        query: StationSet, branches: list[tuple[Feedback, tuple[int, int]]]
+    ) -> tuple[int, int]:
+        deepest = max(depth for _, (depth, _) in branches)
+        witness = min((live for _, (depth, live) in branches if depth == deepest), key=_id_order)
+        return 1 + deepest, witness
+
+    family = [live.mask for live in initial_state(config, budget=budget).candidates]
+    rounds, witness = fold_strategy(
+        strategy, config, family, Transcript(config), 0, leaf, node, round_cap
+    )
+    return rounds, StationSet(witness)
+
+
+def _id_order(mask: int) -> tuple[int, ...]:
+    return StationSet(mask).members
 
 
 def run_adversarial(
@@ -123,11 +109,10 @@ def run_adversarial(
     The witness is the least surviving candidate; replaying it as a fixed
     live set reproduces the same transcript round for round.
     """
-    cap = default_round_cap(config) if round_cap is None else round_cap
     state = initial_state(config)
     transcript = Transcript(config)
     while len(state.transmitted) < config.d:
-        action = _checked_query(strategy, config, transcript, cap)
+        action = checked_query(strategy, config, transcript, round_cap)
         if action is None:
             break
         feedback = adversary(state, action, transcript)

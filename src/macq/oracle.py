@@ -19,23 +19,19 @@ the quantity itself).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .adversary import KnowledgeState, initial_state, refine
 from .channel import (
-    COLLISION,
-    Feedback,
     GameConfig,
-    SILENCE,
     StationSet,
     Transcript,
-    single,
+    split_by_feedback,
 )
 from .errors import BudgetExceeded, CapExceeded
-from .qtree import QNode, QTree
-from .strategies import Strategy
+from .qtree import QTree, build_tree
+from .strategies import Strategy, default_round_cap
 
 DEFAULT_ORACLE_CAP = (6, 3)
 
@@ -54,13 +50,7 @@ def _check_cap(config: GameConfig, cap: tuple[int, int]) -> None:
 
 
 def _initial_family(config: GameConfig) -> tuple[int, ...]:
-    masks = []
-    for ids in combinations(range(config.n), config.d):
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-        masks.append(mask)
-    return tuple(sorted(masks))
+    return tuple(live.mask for live in initial_state(config).candidates)
 
 
 def _submasks_ascending(support: int) -> list[int]:
@@ -76,30 +66,14 @@ def _submasks_ascending(support: int) -> list[int]:
 def _split(fam: tuple[int, ...], query: int) -> list[tuple[int, tuple[int, ...]]]:
     """Partition a residual family by feedback on ``query``.
 
-    Returns (kind, child family) pairs in deterministic order; kind is -1 for
-    silence, -2 for collision, or the single station's bit for a reveal.
-    Reveal children have that bit struck from every member.
+    Returns (outcome, child family) pairs in feedback order, with outcomes as
+    in ``split_by_feedback``.  Reveal children have the revealed bit struck
+    from every member.
     """
-    silence: list[int] = []
-    collision: list[int] = []
-    singles: dict[int, list[int]] = {}
-    for member in fam:
-        hit = member & query
-        count = hit.bit_count()
-        if count == 0:
-            silence.append(member)
-        elif count == 1:
-            singles.setdefault(hit, []).append(member)
-        else:
-            collision.append(member)
-    parts: list[tuple[int, tuple[int, ...]]] = []
-    if silence:
-        parts.append((-1, tuple(silence)))
-    if collision:
-        parts.append((-2, tuple(collision)))
-    for hit in sorted(singles):
-        parts.append((hit, tuple(sorted(member & ~hit for member in singles[hit]))))
-    return parts
+    return [
+        (outcome, tuple(group) if outcome < 0 else tuple(sorted(m & ~outcome for m in group)))
+        for outcome, group in split_by_feedback(fam, query)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +198,7 @@ def exact_optimal_rounds(
     cross-position sharing); it exists so tests can compare both routes.
     """
     _check_cap(config, cap)
-    solver = _Solver(4 * config.n + 16, canonical)
+    solver = _Solver(default_round_cap(config), canonical)
     return solver.value(_initial_family(config), 0)
 
 
@@ -235,28 +209,7 @@ def optimal_strategy_tree(
     canonical: bool = True,
 ) -> QTree:
     """A witness decision tree whose worst path length equals the optimum."""
-    _check_cap(config, cap)
-    solver = _Solver(4 * config.n + 16, canonical)
-
-    def build(transmitted: int, fam: tuple[int, ...]) -> QNode:
-        if fam[0] == 0:
-            return QNode(resolved_live=StationSet(transmitted))
-        query = solver.best_query(fam)
-        children: dict[Feedback, QNode] = {}
-        for kind, child in _split(fam, query):
-            if kind == -1:
-                feedback = SILENCE
-                revealed = transmitted
-            elif kind == -2:
-                feedback = COLLISION
-                revealed = transmitted
-            else:
-                feedback = single(kind.bit_length())
-                revealed = transmitted | kind
-            children[feedback] = build(revealed, child)
-        return QNode(query=StationSet(query), children=children)
-
-    return QTree(config, build(0, _initial_family(config)))
+    return build_tree(optimal_strategy(config, cap=cap, canonical=canonical), config)
 
 
 def optimal_strategy(
@@ -272,7 +225,7 @@ def optimal_strategy(
     makes it a convenient optimal continuation for adversary analysis.
     """
     _check_cap(config, cap)
-    solver = _Solver(4 * config.n + 16, canonical)
+    solver = _Solver(default_round_cap(config), canonical)
 
     def next_action(cfg: GameConfig, transcript: Transcript) -> StationSet | None:
         state = initial_state(cfg)
@@ -329,7 +282,7 @@ def _reference_optimal_rounds(config: GameConfig) -> int:
     """
     d = config.d
     full = (1 << config.n) - 1
-    depth_cap = 4 * config.n + 16
+    depth_cap = default_round_cap(config)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def value(transmitted: int, fam: tuple[int, ...], depth: int) -> int:
@@ -343,6 +296,7 @@ def _reference_optimal_rounds(config: GameConfig) -> int:
             raise CapExceeded(f"reference minimax exceeded the {depth_cap}-round cap")
         best: int | None = None
         for query in range(1, full + 1):
+            # Its own grouping, not split_by_feedback: this is the independent check.
             groups: dict[int, list[int]] = {}
             for member in fam:
                 hit = member & query

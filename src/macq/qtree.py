@@ -17,25 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from typing import Sequence
 
-from .adversary import DEFAULT_ENUMERATION_BUDGET
+from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_state
 from .channel import (
     COLLISION,
     Feedback,
     FeedbackTag,
     GameConfig,
-    SILENCE,
     StationSet,
     Transcript,
     evaluate_query,
     feedback_order,
     format_station_set,
-    single,
-    transmitted_set,
 )
-from .errors import AmbiguousLeaf, BudgetExceeded, CapExceeded, InvalidQuery
-from .strategies import Strategy
+from .errors import AmbiguousLeaf
+from .strategies import Strategy, fold_strategy
 
 
 class EdgeColor:
@@ -80,44 +77,24 @@ def build_tree(
     share the transcript so far; raises CapExceeded when any path outruns the
     round cap (default 4n + 16).
     """
-    total = math.comb(config.n, config.d)
-    if total > budget:
-        raise BudgetExceeded(f"C({config.n},{config.d}) = {total} live sets exceed budget {budget}")
-    cap = (4 * config.n + 16) if round_cap is None else round_cap
-    all_live = tuple(
-        sorted(StationSet.from_ids(ids) for ids in combinations(range(1, config.n + 1), config.d))
-    )
 
-    def grow(family: tuple[StationSet, ...], transcript: Transcript) -> QNode:
-        if len(transmitted_set(transcript)) >= config.d:
-            # All d stations revealed: every consistent live set equals them.
-            return QNode(resolved_live=family[0])
-        action = strategy.next_action(config, transcript)
-        if action is None:
-            if len(family) > 1:
-                raise AmbiguousLeaf(
-                    f"strategy {strategy.name!r} stopped with {len(family)} live sets "
-                    f"sharing the transcript, e.g. {format_station_set(family[0])} and "
-                    f"{format_station_set(family[1])}"
-                )
-            return QNode(resolved_live=family[0])
-        if len(transcript.rounds) >= cap:
-            raise CapExceeded(f"strategy {strategy.name!r} still querying after {cap} rounds")
-        if not action.issubset(config.all_stations):
-            raise InvalidQuery(
-                f"strategy {strategy.name!r} queried "
-                f"{format_station_set(action - config.all_stations)} beyond n={config.n}"
+    def leaf(family: Sequence[int]) -> QNode:
+        if len(family) > 1:
+            raise AmbiguousLeaf(
+                f"strategy {strategy.name!r} stopped with {len(family)} live sets "
+                f"sharing the transcript, e.g. {format_station_set(StationSet(family[0]))} and "
+                f"{format_station_set(StationSet(family[1]))}"
             )
-        groups: dict[Feedback, list[StationSet]] = {}
-        for live in family:
-            groups.setdefault(evaluate_query(action, live), []).append(live)
-        children = {
-            feedback: grow(tuple(groups[feedback]), transcript.extend(action, feedback))
-            for feedback in sorted(groups, key=feedback_order)
-        }
-        return QNode(query=action, children=children)
+        # One live set is left: the strategy stopped on it, or all d are revealed.
+        return QNode(resolved_live=StationSet(family[0]))
 
-    return QTree(config, grow(all_live, Transcript(config)))
+    def node(query: StationSet, branches: list[tuple[Feedback, QNode]]) -> QNode:
+        return QNode(query=query, children=dict(branches))
+
+    family = [live.mask for live in initial_state(config, budget=budget).candidates]
+    return QTree(config, fold_strategy(
+        strategy, config, family, Transcript(config), 0, leaf, node, round_cap
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +106,15 @@ def _lift_feedback(
 ) -> Feedback:
     """Feedback the unreduced query would have produced.
 
-    Revealed stations are always live, so the unreduced round count is the
-    reduced one plus |base_query & revealed|.
+    Revealed stations are always live, so the unreduced query meets the live
+    set in its revealed stations plus whatever the reduced query met.
     """
-    overlap = base_query & revealed
-    extra = len(overlap)
-    if derived.tag is FeedbackTag.SILENCE:
-        if extra == 0:
-            return SILENCE
-        if extra == 1:
-            return single(next(iter(overlap)))
+    if derived.tag is FeedbackTag.COLLISION:
         return COLLISION
-    if derived.tag is FeedbackTag.SINGLE:
-        return derived if extra == 0 else COLLISION
-    return COLLISION
+    sender = StationSet()
+    if derived.is_single:
+        sender = StationSet.singleton(derived.station)  # type: ignore[arg-type]
+    return evaluate_query(base_query, revealed | sender)
 
 
 def normalized_strategy(base: Strategy) -> Strategy:

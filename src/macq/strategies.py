@@ -3,19 +3,32 @@
 A strategy is a pure function of (config, transcript): it returns the next
 query, or None once it has nothing further to ask.  Keeping strategies
 stateless makes replays, decision-tree construction, and adversarial
-analysis straightforward.
+analysis straightforward: ``fold_strategy`` drives one strategy over every
+live set at once, and the tree builder, the worst-case sweep and the exact
+adversary's look-ahead are folds of that one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .channel import FeedbackTag, GameConfig, StationSet, Transcript, transmitted_set
-from .errors import DomainError
+from .channel import (
+    Feedback,
+    FeedbackTag,
+    GameConfig,
+    StationSet,
+    Transcript,
+    format_station_set,
+    outcome_feedback,
+    split_by_feedback,
+    transmitted_set,
+)
+from .errors import CapExceeded, DomainError, InvalidQuery
 
 NextAction = StationSet | None
 StrategyFn = Callable[[GameConfig, Transcript], NextAction]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -27,6 +40,66 @@ class Strategy:
 
     def __call__(self, config: GameConfig, transcript: Transcript) -> NextAction:
         return self.next_action(config, transcript)
+
+
+def default_round_cap(config: GameConfig) -> int:
+    return 4 * config.n + 16
+
+
+def checked_query(strategy: Strategy, config: GameConfig, transcript: Transcript,
+                  round_cap: int | None) -> NextAction:
+    """The strategy's next query, refused past the round cap or beyond n."""
+    action = strategy.next_action(config, transcript)
+    if action is None:
+        return None
+    cap = default_round_cap(config) if round_cap is None else round_cap
+    if len(transcript.rounds) >= cap:
+        raise CapExceeded(
+            f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
+        )
+    if not action.issubset(config.all_stations):
+        raise InvalidQuery(
+            f"strategy {strategy.name!r} queried stations "
+            f"{format_station_set(action - config.all_stations)} beyond n={config.n}"
+        )
+    return action
+
+
+def fold_strategy(
+    strategy: Strategy,
+    config: GameConfig,
+    family: Sequence[int],
+    transcript: Transcript,
+    revealed: int,
+    leaf: Callable[[Sequence[int]], T],
+    node: Callable[[StationSet, list[tuple[Feedback, T]]], T],
+    round_cap: int | None = None,
+) -> T:
+    """Fold the strategy's decision tree below one position.
+
+    A position is the family of live-set masks consistent with the transcript
+    plus the mask of stations its singles revealed.  The game stops once d
+    stations are revealed or the strategy returns None; such a position folds
+    to ``leaf(family)``.  Otherwise its query splits the family by feedback and
+    ``node(query, branches)`` combines the folded children as (feedback, value)
+    pairs in feedback order.
+    """
+
+    def visit(family: Sequence[int], transcript: Transcript, revealed: int) -> T:
+        if revealed.bit_count() >= config.d:
+            return leaf(family)
+        query = checked_query(strategy, config, transcript, round_cap)
+        if query is None:
+            return leaf(family)
+        branches = []  # a loop, not a comprehension: one frame per round of depth
+        for outcome, group in split_by_feedback(family, query.mask):
+            feedback = outcome_feedback(outcome)
+            child = visit(group, transcript.extend(query, feedback),
+                          revealed | outcome if outcome > 0 else revealed)
+            branches.append((feedback, child))
+        return node(query, branches)
+
+    return visit(family, transcript, revealed)
 
 
 def linear_scan(config: GameConfig, transcript: Transcript) -> NextAction:

@@ -1,8 +1,10 @@
 """Command line behavior: outputs, exit codes, files, environment cap."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,11 @@ from macq import (
 from macq.cli import dispatch
 
 S = StationSet.from_ids
+
+# Stdout sha256 of fixed commands, recorded by bench/record_digests.py.
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8")
+)
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +163,43 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8").startswith("n,d,info_lb,")
 
 
+def test_out_to_missing_directory_is_a_runtime_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "bounds.csv"
+    code, out, err = run_cli(capsys, "bounds", "--n", "4", "--d", "2", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError:")
+    assert not target.exists()
+
+
+def test_too_deep_strategy_walk_is_a_runtime_error(capsys, monkeypatch):
+    monkeypatch.setenv("MACQ_MAX_N", "2000")
+    code, out, err = run_cli(
+        capsys, "worst-case", "--strategy", "linear", "--n", "2000", "--d", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: RecursionError:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--strategy", "tree", "--n", "3", "--d", "1", "--live", "1",
+         "--round-cap", "-1"),
+        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--round-cap", "0"),
+        ("oracle", "--n", "3", "--d", "1", "--oracle-n-cap", "0"),
+        ("oracle", "--n", "3", "--d", "1", "--oracle-d-cap", "-2"),
+        ("report", "--n-max", "2", "--oracle-n-cap", "x"),
+    ],
+)
+def test_non_positive_caps_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "positive integer" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys)[0] == 2  # missing subcommand
     assert run_cli(capsys, "simulate", "--strategy", "tree", "--n", "2", "--d", "1")[0] == 2
@@ -188,12 +232,29 @@ def test_station_cap_env_raises_limit(capsys, monkeypatch):
         capsys, "simulate", "--strategy", "linear", "--n", "99", "--d", "1", "--live", "5"
     )
     assert code == 1 and "MACQ_MAX_N" in err
+    code, _, err = run_cli(capsys, "bounds", "--n", "99", "--d", "1")
+    assert code == 1 and "MACQ_MAX_N" in err
+    monkeypatch.setenv("MACQ_MAX_N", "abc")
+    code, out, err = run_cli(capsys, "bounds", "--n", "8", "--d", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: DomainError: MACQ_MAX_N must be an integer")
     monkeypatch.setenv("MACQ_MAX_N", "128")
     code, out, _ = run_cli(
         capsys, "simulate", "--strategy", "linear", "--n", "99", "--d", "1", "--live", "5"
     )
     assert code == 0
     assert json.loads(out)["rounds_used"] == 5
+
+
+@pytest.mark.parametrize(
+    # Raised-cap oracle cells are left to the benchmark: they take seconds each.
+    "command", [command for command in sorted(DIGESTS) if "--oracle-n-cap" not in command]
+)
+def test_recorded_command_stdout_is_byte_identical(capsys, monkeypatch, command):
+    monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
 
 
 def test_module_entry_point_runs():

@@ -70,6 +70,12 @@ def test_early_stop_without_witness_is_incomplete():
     result = run_fixed(strat, GameConfig(3, 1), S([2]))
     assert result.rounds_used == 1
     assert not result.completed
+    # Stopping with {2} and {3} still undistinguished is a short game, not an error.
+    assert worst_case_rounds(strat, GameConfig(3, 1)) == (1, S([1]))
+    forced = run_adversarial(strat, make_exact_adversary(strat), GameConfig(3, 1))
+    assert forced.rounds_used == 1
+    assert not forced.completed
+    assert forced.witness_live == S([2])
 
 
 def test_run_fixed_validates_live_set():
@@ -110,6 +116,8 @@ def _worst_by_enumeration(strategy, n, d):
         (TREE_SPLIT, 4, 1, (1, S([1]))),
         (LINEAR_SCAN, 2, 2, (2, S([1, 2]))),
         (TREE_SPLIT, 3, 2, (5, S([2, 3]))),
+        # First maximum in ascending id order; mask order would pick {2,3,4}.
+        (TREE_SPLIT, 6, 3, (7, S([1, 5, 6]))),
     ],
 )
 def test_worst_case_rounds_pinned(strategy, n, d, expected):
@@ -118,7 +126,7 @@ def test_worst_case_rounds_pinned(strategy, n, d, expected):
 
 def test_worst_case_rounds_matches_enumeration():
     for strategy in (LINEAR_SCAN, TREE_SPLIT):
-        for n in range(1, 6):
+        for n in range(1, 8):
             for d in range(1, n + 1):
                 assert worst_case_rounds(strategy, GameConfig(n, d)) == \
                     _worst_by_enumeration(strategy, n, d)
