@@ -3,24 +3,35 @@
 The game value of a position depends only on the candidate family left after
 striking already-revealed stations out of every candidate: revealed stations
 never need to be scheduled again, and queries over stations appearing in no
-candidate add nothing.  The solver therefore recurses on residual families,
-memoizing each family under a canonical key (support compacted to low bits,
-least encoding over its permutations), so positions differing only by a
-relabeling of the remaining stations are solved once.  The memo is shared
-across instances; values are deterministic, so reuse is safe.
+candidate add nothing.  The solver works on these residual families, each a
+sorted tuple of masks.
 
-Only the trivial admissible bound is used for pruning: a family whose
-residuals hold m stations needs at least m more rounds, one reveal each.
-Branch counts can reach |query| + 2 distinct outcomes, so logarithmic
+It answers decision questions rather than computing full minimax values:
+``solvable(fam, t)`` asks whether ``fam`` can be finished within ``t``
+rounds, and ``value`` asks it for t = m, m + 1, ... where m is the number of
+stations each candidate still has to reveal (one reveal per round at best).
+The memo keeps proven (lower, upper) bounds per family, so each question is
+settled at most once (the null-window idea of MTD(f); Plaat, Schaeffer, Pijls
+and de Bruin, AIJ 1996).  The memo is shared across instances; the bounds
+are facts about the family, so reuse is safe.
+
+Stations i and j are twins when swapping them maps the family onto itself.
+Twinship is an equivalence, and a query's outcome tree depends only on how
+many stations it takes from each twin class, so the search tries one query
+per vector of per-class counts instead of every subset of the support.
+Queries whose largest child is smallest are tried first, and each query
+tests its largest child first, so failing questions fail early.
+
+Only the one-reveal-per-round bound m is used to cut the search.  Branch
+counts can reach |query| + 2 distinct outcomes, so logarithmic
 outcome-counting bounds with base d + 2 are NOT valid lower bounds and are
-never used to cut the search (see info_lower_bound in the bounds module for
-the quantity itself).
+never used (see info_lower_bound in the bounds module for the quantity
+itself).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .adversary import KnowledgeState, initial_state, refine
 from .channel import (
@@ -38,7 +49,8 @@ DEFAULT_ORACLE_CAP = (6, 3)
 # The adversary's knowledge state doubles as the oracle's position type.
 OracleState = KnowledgeState
 
-_SHARED_MEMO: dict[tuple[int, ...], int] = {}
+# Residual family -> (lower, upper) bounds on its value.
+_SHARED_MEMO: dict[tuple[int, ...], tuple[int, int]] = {}
 
 
 def _check_cap(config: GameConfig, cap: tuple[int, int]) -> None:
@@ -53,14 +65,11 @@ def _initial_family(config: GameConfig) -> tuple[int, ...]:
     return tuple(live.mask for live in initial_state(config).candidates)
 
 
-def _submasks_ascending(support: int) -> list[int]:
-    subs = []
-    sub = support
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & support
-    subs.sort()
-    return subs
+def _support(fam: tuple[int, ...]) -> int:
+    support = 0
+    for member in fam:
+        support |= member
+    return support
 
 
 def _split(fam: tuple[int, ...], query: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -76,112 +85,88 @@ def _split(fam: tuple[int, ...], query: int) -> list[tuple[int, tuple[int, ...]]
     ]
 
 
-@lru_cache(maxsize=None)
-def _perm_table(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(k)))
+def _informative(parts: list[tuple[int, tuple[int, ...]]]) -> bool:
+    """False when every candidate draws the same silence or collision."""
+    return len(parts) > 1 or parts[0][0] >= 0
 
 
-def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    position = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[position]
-        mask >>= 1
-        position += 1
-    return out
-
-
-def _canonical_key(fam: tuple[int, ...]) -> tuple[int, ...]:
-    """Least encoding of the family over permutations of its compacted support."""
-    support = 0
-    for member in fam:
-        support |= member
-    positions = []
-    bits = support
+def _twin_classes(fam: tuple[int, ...]) -> list[list[int]]:
+    """The support's stations as bits, grouped into twin classes, ascending."""
+    members = set(fam)
+    classes: list[list[int]] = []
+    bits = _support(fam)
     while bits:
-        low = bits & -bits
-        positions.append(low.bit_length() - 1)
-        bits ^= low
-    compact = []
-    for member in fam:
-        mask = 0
-        for j, pos in enumerate(positions):
-            if (member >> pos) & 1:
-                mask |= 1 << j
-        compact.append(mask)
-    best: tuple[int, ...] | None = None
-    for perm in _perm_table(len(positions)):
-        mapped = tuple(sorted(_apply_perm(mask, perm) for mask in compact))
-        if best is None or mapped < best:
-            best = mapped
-    assert best is not None
-    return best
+        bit = bits & -bits
+        bits ^= bit
+        for cls in classes:
+            pair = cls[0] | bit
+            # Swapping the two stations only moves members holding exactly one.
+            if all(m ^ pair in members for m in fam if m & pair in (cls[0], bit)):
+                cls.append(bit)
+                break
+        else:
+            classes.append([bit])
+    return classes
+
+
+def _class_queries(classes: list[list[int]]) -> list[int]:
+    """One query per vector of per-class counts, the empty query included."""
+    choices = []
+    for bits in classes:
+        prefixes = [0]
+        for bit in bits:
+            prefixes.append(prefixes[-1] | bit)
+        choices.append(prefixes)
+    return [sum(combo) for combo in product(*choices)]
 
 
 class _Solver:
-    """Minimax over residual families with memoization."""
+    """Decision search over residual families with a memo of value bounds."""
 
     def __init__(self, depth_cap: int, canonical: bool) -> None:
         self.depth_cap = depth_cap
-        self.canonical = canonical
-        self.memo: dict[tuple[int, ...], int] = _SHARED_MEMO if canonical else {}
+        self.memo: dict[tuple[int, ...], tuple[int, int]] = _SHARED_MEMO if canonical else {}
 
-    def value(self, fam: tuple[int, ...], depth: int) -> int:
-        if fam[0] == 0:
-            return 0
-        key = _canonical_key(fam) if self.canonical else fam
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        if depth > self.depth_cap:
-            raise CapExceeded(f"minimax recursion exceeded the {self.depth_cap}-round cap")
-        lower = fam[0].bit_count()  # one reveal per round at best
-        support = 0
-        for member in fam:
-            support |= member
-        best: int | None = None
-        for query in _submasks_ascending(support):
+    def value(self, fam: tuple[int, ...]) -> int:
+        for t in range(fam[0].bit_count(), self.depth_cap + 1):
+            if self.solvable(fam, t):
+                return t
+        raise CapExceeded(f"minimax value exceeds the {self.depth_cap}-round cap")
+
+    def solvable(self, fam: tuple[int, ...], t: int) -> bool:
+        """Can ``fam`` be finished within ``t`` rounds against every candidate?"""
+        remaining = fam[0].bit_count()
+        if remaining == 0:
+            return True
+        bounds = self.memo.get(fam)
+        # Probing each support station alone always finishes.
+        lo, hi = bounds if bounds is not None else (remaining, _support(fam).bit_count())
+        if t < lo:
+            return False
+        if t >= hi:
+            return True
+        options = []
+        for query in _class_queries(_twin_classes(fam)):
             parts = _split(fam, query)
-            if len(parts) == 1 and parts[0][0] < 0:
-                continue  # one uninformative branch: the query achieves nothing
-            worst = 0
-            dominated = False
-            for _, child in parts:
-                branch = 1 + self.value(child, depth + 1)
-                if branch > worst:
-                    worst = branch
-                if best is not None and worst >= best:
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            if best is None or worst < best:
-                best = worst
-                if best == lower:
-                    break
-        assert best is not None, "some query always makes progress"
-        self.memo[key] = best
-        return best
+            if _informative(parts):
+                options.append(sorted((child for _, child in parts), key=len, reverse=True))
+        options.sort(key=lambda children: len(children[0]))
+        for children in options:
+            if all(self.solvable(child, t - 1) for child in children):
+                self.memo[fam] = (lo, t)
+                return True
+        self.memo[fam] = (t + 1, hi)
+        return False
 
     def best_query(self, fam: tuple[int, ...]) -> int:
         """First query (ascending mask order) achieving the minimax value."""
-        target = self.value(fam, 0)
-        support = 0
-        for member in fam:
-            support |= member
-        for query in _submasks_ascending(support):
+        target = self.value(fam)
+        # Queries with equal per-class counts are relabelings of each other by
+        # twin swaps, which fix the family, so they reach the same value; the
+        # least mask with given counts takes the lowest stations of each class.
+        for query in sorted(_class_queries(_twin_classes(fam))):
             parts = _split(fam, query)
-            if len(parts) == 1 and parts[0][0] < 0:
-                continue
-            worst = 0
-            usable = True
-            for _, child in parts:
-                worst = max(worst, 1 + self.value(child, 0))
-                if worst > target:
-                    usable = False
-                    break
-            if usable and worst == target:
+            if _informative(parts) and all(self.solvable(child, target - 1) for _, child in parts):
                 return query
         raise AssertionError("no query achieves the computed minimax value")
 
@@ -194,12 +179,14 @@ def exact_optimal_rounds(
 ) -> int:
     """Minimum over strategies of the worst-case rounds to resolve (n, d).
 
-    ``canonical=False`` switches off memo canonicalization (same values, no
-    cross-position sharing); it exists so tests can compare both routes.
+    The value comes from the decision search over residual families, with
+    queries taken up to twin classes.  ``canonical=True`` keeps the bounds in
+    the memo shared by every solve in the process; ``canonical=False`` uses a
+    fresh memo (same values, no sharing), so tests can compare both routes.
     """
     _check_cap(config, cap)
     solver = _Solver(default_round_cap(config), canonical)
-    return solver.value(_initial_family(config), 0)
+    return solver.value(_initial_family(config))
 
 
 def optimal_strategy_tree(

@@ -1,8 +1,12 @@
 """Exact minimax oracle: values, witness trees, optimal play, canonicalization."""
 
-import time
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macq import (
     SILENCE,
@@ -25,7 +29,14 @@ from macq import (
     tree_strategy,
     worst_case_rounds,
 )
-from macq.oracle import _reference_optimal_rounds
+from macq import oracle
+from macq.oracle import (
+    _Solver,
+    _class_queries,
+    _initial_family,
+    _reference_optimal_rounds,
+    _twin_classes,
+)
 
 S = StationSet.from_ids
 
@@ -51,6 +62,10 @@ OPTIMAL_ROUNDS = {
     (6, 2): 4,
     (6, 3): 5,
 }
+
+# Values beyond the default cap, computed by the exhaustive-query solver this
+# search replaced (the (7,3) cell took it about 213 s).
+RAISED_CAP_ROUNDS = {(6, 4): 6, (7, 2): 4, (8, 2): 4, (7, 3): 5}
 
 
 def test_optimal_rounds_table():
@@ -82,9 +97,99 @@ def test_oracle_cap_enforced_and_overridable():
 
 def test_repeat_calls_hit_the_shared_memo():
     exact_optimal_rounds(GameConfig(6, 3))
-    start = time.perf_counter()
-    exact_optimal_rounds(GameConfig(6, 3))
-    assert time.perf_counter() - start < 1.0
+    before = dict(oracle._SHARED_MEMO)
+    # The root's bounds meet, so a repeat call is answered from the memo.
+    assert before[_initial_family(GameConfig(6, 3))] == (5, 5)
+    assert exact_optimal_rounds(GameConfig(6, 3)) == OPTIMAL_ROUNDS[(6, 3)]
+    assert oracle._SHARED_MEMO == before
+    assert exact_optimal_rounds(GameConfig(6, 4), cap=(6, 4), canonical=False) == 6
+    assert oracle._SHARED_MEMO == before
+
+
+@pytest.mark.parametrize("n, d", sorted(RAISED_CAP_ROUNDS))
+def test_raised_cap_values_are_certified(n, d):
+    cfg = GameConfig(n, d)
+    expected = RAISED_CAP_ROUNDS[(n, d)]
+    assert exact_optimal_rounds(cfg, cap=(n, d)) == expected
+    assert exact_optimal_rounds(cfg, cap=(n, d), canonical=False) == expected
+    tree = optimal_strategy_tree(cfg, cap=(n, d))
+    assert max_depth(tree) == expected
+    assert check_normal_form(tree).property_holds
+    worst, _ = worst_case_rounds(tree_strategy(tree), cfg)
+    assert worst == expected
+
+
+def _exhaustive_children(fam, query):
+    """Child families of ``fam`` under ``query``, or None when it is uninformative."""
+    groups = {}
+    for member in fam:
+        hit = member & query
+        if hit == 0:
+            groups.setdefault("silence", []).append(member)
+        elif hit & (hit - 1):
+            groups.setdefault("collision", []).append(member)
+        else:
+            groups.setdefault(hit, []).append(member & ~hit)
+    if len(groups) == 1 and next(iter(groups)) in ("silence", "collision"):
+        return None
+    return [tuple(sorted(group)) for group in groups.values()]
+
+
+@lru_cache(maxsize=None)
+def _exhaustive_value(fam):
+    """Plain minimax over every nonempty query inside the family's support."""
+    if fam == (0,):
+        return 0
+    support = reduce(or_, fam)
+    best = None
+    for query in range(1, support + 1):
+        children = None if query & ~support else _exhaustive_children(fam, query)
+        if children is not None:
+            worst = 1 + max(_exhaustive_value(child) for child in children)
+            best = worst if best is None else min(best, worst)
+    return best
+
+
+@st.composite
+def residual_families(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, min(n, 3)))
+    d_sets = [sum(1 << (i - 1) for i in ids) for ids in combinations(range(1, n + 1), d)]
+    chosen = draw(st.lists(st.sampled_from(d_sets), min_size=1, unique=True))
+    return tuple(sorted(chosen))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(residual_families())
+def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
+    value = _exhaustive_value(fam)
+    assert _Solver(64, canonical=False).value(fam) == value
+    assert _Solver(64, canonical=True).value(fam) == value
+    # The witness query is the least mask inside the support whose children
+    # all finish in time.
+    support = reduce(or_, fam)
+    first = next(
+        query
+        for query in range(1, support + 1)
+        if not query & ~support
+        and (children := _exhaustive_children(fam, query)) is not None
+        and all(_exhaustive_value(child) < value for child in children)
+    )
+    assert _Solver(64, canonical=False).best_query(fam) == first
+
+
+def test_initial_family_is_one_twin_class():
+    for n, d in [(1, 1), (4, 2), (6, 3), (8, 2)]:
+        classes = _twin_classes(_initial_family(GameConfig(n, d)))
+        assert len(classes) == 1
+        assert len(_class_queries(classes)) == n + 1
+
+
+def test_asymmetric_family_splits_into_classes():
+    # Candidates {1,2} and {1,3}: stations 2 and 3 are twins, station 1 is not.
+    fam = (S([1, 2]).mask, S([1, 3]).mask)
+    assert _twin_classes(fam) == [[S([1]).mask], [S([2]).mask, S([3]).mask]]
+    assert sorted(_class_queries(_twin_classes(fam))) == [0, 1, 2, 3, 6, 7]
 
 
 def test_witness_tree_depth_matches_value():
