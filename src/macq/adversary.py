@@ -85,14 +85,6 @@ def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
     return min(sizes, key=lambda fb: (-sizes[fb], _preference(fb)))
 
 
-def _forced_rounds(state: KnowledgeState, strategy: Strategy, transcript: Transcript) -> int:
-    """Rounds the strategy can still be forced to play from this position."""
-    return fold_strategy(
-        strategy, state.config, _masks(state), transcript, state.transmitted.mask,
-        lambda family: 0, lambda query, branches: 1 + max(depth for _, depth in branches),
-    )
-
-
 def exact_answer(
     state: KnowledgeState,
     query: StationSet,
@@ -107,10 +99,15 @@ def exact_answer(
     ``state``.
     """
     lengths: dict[Feedback, int] = {}
-    for outcome, _ in split_by_feedback(_masks(state), query.mask):
+    revealed = state.transmitted.mask
+    for outcome, group in split_by_feedback(_masks(state), query.mask):
         feedback = outcome_feedback(outcome)
-        child = refine(state, query, feedback)
-        lengths[feedback] = 1 + _forced_rounds(child, strategy, transcript.extend(query, feedback))
+        # One round now, plus the rounds the strategy can be forced to play below.
+        lengths[feedback] = 1 + fold_strategy(
+            strategy, state.config, group, transcript.extend(query, feedback),
+            revealed | outcome if outcome > 0 else revealed,
+            lambda family: 0, lambda _, branches: 1 + max(depth for _, depth in branches),
+        )
     return min(lengths, key=lambda fb: (-lengths[fb], _preference(fb)))
 
 

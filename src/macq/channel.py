@@ -285,21 +285,28 @@ def transcript_to_doc(transcript: Transcript, live: StationSet) -> dict[str, obj
 
 
 def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]:
-    """Inverse of transcript_to_doc; validates ids against the config."""
+    """Inverse of transcript_to_doc; validates ids against the config.
+
+    Every malformed document raises DomainError.
+    """
     try:
         config = GameConfig(int(doc["n"]), int(doc["d"]))  # type: ignore[arg-type]
         live = StationSet.from_ids(doc["live"])  # type: ignore[arg-type]
         raw_rounds = doc["rounds"]
+        if not isinstance(raw_rounds, list):
+            raise DomainError(f"rounds must be a list, got {type(raw_rounds).__name__}")
+        if not live.issubset(config.all_stations):
+            raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
+        transcript = Transcript(config)
+        for entry in raw_rounds:
+            query = StationSet.from_ids(entry["query"])
+            if not query.issubset(config.all_stations):
+                raise DomainError(f"query {format_station_set(query)} exceeds n={config.n}")
+            transcript = transcript.extend(query, feedback_from_json(entry["feedback"]))
+    except DomainError:
+        raise
     except KeyError as missing:
         raise DomainError(f"transcript document is missing field {missing}") from None
-    if not isinstance(raw_rounds, list):
-        raise DomainError(f"rounds must be a list, got {type(raw_rounds).__name__}")
-    if not live.issubset(config.all_stations):
-        raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
-    transcript = Transcript(config)
-    for entry in raw_rounds:  # type: ignore[union-attr]
-        query = StationSet.from_ids(entry["query"])
-        if not query.issubset(config.all_stations):
-            raise DomainError(f"query {format_station_set(query)} exceeds n={config.n}")
-        transcript = transcript.extend(query, feedback_from_json(entry["feedback"]))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed transcript document: {exc}") from None
     return transcript, live

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(worst)
     worst.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
     worst.add_argument("--round-cap", type=_positive_int, default=None)
-    worst.add_argument("--budget", type=int, default=10**6)
+    worst.add_argument("--budget", type=_positive_int, default=10**6)
     worst.add_argument("--format", choices=["text", "json-lines"], default="text")
     worst.set_defaults(handler=_cmd_worst_case)
 

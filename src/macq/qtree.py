@@ -5,12 +5,13 @@ shared transcript prefixes, so each node is a query, each edge a feedback,
 and each leaf the unique live set producing that feedback path.  Edges are
 colored by their feedback: black for a single, red for silence or collision.
 
-``normalize`` rewrites a strategy before building its tree: every query drops
-the stations already revealed by earlier singles on the path (re-deriving the
-feedback the reduced query would have produced), and every path is truncated
-right after its d-th single.  The result keeps path lengths at most equal to
-the original, gives every root-to-leaf path exactly d black edges with
-distinct stations, and one leaf per size-d live set.
+``normalize`` builds the same tree in normal form, in the same walk: every
+query drops the stations already revealed by earlier singles on the path,
+while the strategy itself still sees its own queries and the feedback they
+drew, and every path ends right after its d-th single.  The result keeps path
+lengths at most equal to the original, gives every root-to-leaf path exactly
+d black edges with distinct stations, and one leaf per size-d live set.  A
+query that reduces to the empty set stays as a silent round.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from typing import Sequence
 
 from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_state
 from .channel import (
-    COLLISION,
     Feedback,
     FeedbackTag,
     GameConfig,
     StationSet,
     Transcript,
-    evaluate_query,
     feedback_order,
     format_station_set,
 )
@@ -70,12 +69,14 @@ def build_tree(
     *,
     round_cap: int | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
+    normal: bool = False,
 ) -> QTree:
     """Decision tree of a strategy over all C(n,d) live sets.
 
     Raises AmbiguousLeaf when the strategy stops while two or more live sets
     share the transcript so far; raises CapExceeded when any path outruns the
-    round cap (default 4n + 16).
+    round cap (default 4n + 16).  ``normal`` plays every query minus the
+    stations already revealed on its path (see ``fold_strategy``).
     """
 
     def leaf(family: Sequence[int]) -> QNode:
@@ -93,61 +94,13 @@ def build_tree(
 
     family = [live.mask for live in initial_state(config, budget=budget).candidates]
     return QTree(config, fold_strategy(
-        strategy, config, family, Transcript(config), 0, leaf, node, round_cap
+        strategy, config, family, Transcript(config), 0, leaf, node, round_cap, normal
     ))
 
 
 # ---------------------------------------------------------------------------
 # Normal form
 # ---------------------------------------------------------------------------
-
-def _lift_feedback(
-    derived: Feedback, base_query: StationSet, revealed: StationSet
-) -> Feedback:
-    """Feedback the unreduced query would have produced.
-
-    Revealed stations are always live, so the unreduced query meets the live
-    set in its revealed stations plus whatever the reduced query met.
-    """
-    if derived.tag is FeedbackTag.COLLISION:
-        return COLLISION
-    sender = StationSet()
-    if derived.is_single:
-        sender = StationSet.singleton(derived.station)  # type: ignore[arg-type]
-    return evaluate_query(base_query, revealed | sender)
-
-
-def normalized_strategy(base: Strategy) -> Strategy:
-    """Derived strategy: drop revealed stations from queries, stop at d singles.
-
-    Each call replays the derived transcript, reconstructing round by round
-    the transcript the base strategy would have seen, then reduces the base
-    strategy's next query.  A query that reduces to the empty set is kept
-    (its silence round preserves path lengths, never extends them).
-    """
-
-    def next_action(config: GameConfig, transcript: Transcript) -> StationSet | None:
-        revealed = StationSet()
-        base_transcript = Transcript(config)
-        for derived_query, derived_feedback in transcript.rounds:
-            base_action = base.next_action(config, base_transcript)
-            if base_action is None:
-                raise ValueError("derived transcript continues past the base strategy's stop")
-            if derived_query != base_action - revealed:
-                raise ValueError("transcript was not produced by this normalized strategy")
-            base_feedback = _lift_feedback(derived_feedback, base_action, revealed)
-            base_transcript = base_transcript.extend(base_action, base_feedback)
-            if derived_feedback.is_single:
-                revealed = revealed | StationSet.singleton(derived_feedback.station)  # type: ignore[arg-type]
-        if len(revealed) >= config.d:
-            return None
-        base_action = base.next_action(config, base_transcript)
-        if base_action is None:
-            return None
-        return base_action - revealed
-
-    return Strategy(f"{base.name}-normal", next_action)
-
 
 def normalize(
     strategy: Strategy,
@@ -156,8 +109,12 @@ def normalize(
     round_cap: int | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> QTree:
-    """Tree of the normalized (reveal-dropping, d-single-truncated) strategy."""
-    return build_tree(normalized_strategy(strategy), config, round_cap=round_cap, budget=budget)
+    """Normal-form tree: each query drops the revealed stations, stop at d singles.
+
+    Errors name the strategy ``<name>-normal``.
+    """
+    renamed = Strategy(f"{strategy.name}-normal", strategy.next_action)
+    return build_tree(renamed, config, round_cap=round_cap, budget=budget, normal=True)
 
 
 @dataclass(frozen=True)

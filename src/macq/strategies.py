@@ -4,8 +4,10 @@ A strategy is a pure function of (config, transcript): it returns the next
 query, or None once it has nothing further to ask.  Keeping strategies
 stateless makes replays, decision-tree construction, and adversarial
 analysis straightforward: ``fold_strategy`` drives one strategy over every
-live set at once, and the tree builder, the worst-case sweep and the exact
-adversary's look-ahead are folds of that one walk.
+live set at once.  The decision tree and its normal form (the same walk
+with revealed stations dropped from each query), the worst-case sweep, the
+exact adversary's look-ahead and the oracle's witness tree are folds of
+that one walk.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .channel import (
     GameConfig,
     StationSet,
     Transcript,
+    evaluate_query,
     format_station_set,
     outcome_feedback,
     split_by_feedback,
@@ -74,6 +77,7 @@ def fold_strategy(
     leaf: Callable[[Sequence[int]], T],
     node: Callable[[StationSet, list[tuple[Feedback, T]]], T],
     round_cap: int | None = None,
+    normal: bool = False,
 ) -> T:
     """Fold the strategy's decision tree below one position.
 
@@ -83,6 +87,12 @@ def fold_strategy(
     to ``leaf(family)``.  Otherwise its query splits the family by feedback and
     ``node(query, branches)`` combines the folded children as (feedback, value)
     pairs in feedback order.
+
+    With ``normal`` set the walk plays each query minus the revealed
+    stations: that reduced query splits the family and reaches ``node``, while
+    the strategy's transcript keeps its own query and the feedback that query
+    drew.  Every member of a group holds the revealed stations, so any one of
+    them gives that feedback.
     """
 
     def visit(family: Sequence[int], transcript: Transcript, revealed: int) -> T:
@@ -91,13 +101,15 @@ def fold_strategy(
         query = checked_query(strategy, config, transcript, round_cap)
         if query is None:
             return leaf(family)
+        played = StationSet(query.mask & ~revealed) if normal else query
         branches = []  # a loop, not a comprehension: one frame per round of depth
-        for outcome, group in split_by_feedback(family, query.mask):
+        for outcome, group in split_by_feedback(family, played.mask):
             feedback = outcome_feedback(outcome)
-            child = visit(group, transcript.extend(query, feedback),
+            drawn = evaluate_query(query, StationSet(group[0])) if normal else feedback
+            child = visit(group, transcript.extend(query, drawn),
                           revealed | outcome if outcome > 0 else revealed)
             branches.append((feedback, child))
-        return node(query, branches)
+        return node(played, branches)
 
     return visit(family, transcript, revealed)
 
@@ -113,7 +125,7 @@ def linear_scan(config: GameConfig, transcript: Transcript) -> NextAction:
 
 
 def _interval_set(lo: int, hi: int) -> StationSet:
-    return StationSet.from_ids(range(lo, hi + 1))
+    return StationSet((1 << hi) - (1 << (lo - 1)))
 
 
 def _replay_interval_stack(config: GameConfig, transcript: Transcript) -> list[tuple[int, int]]:

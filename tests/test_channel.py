@@ -211,3 +211,17 @@ def test_transcript_from_doc_rejects_malformed():
         transcript_from_doc({"n": 2, "d": 1, "live": [1]})  # no rounds
     with pytest.raises(DomainError):
         transcript_from_doc({"n": 2, "d": 1, "live": [1], "rounds": "oops"})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "d": 1, "live": [1], "rounds": [{"feedback": "silence"}]},  # no query
+        {"n": 2, "d": 1, "live": [1], "rounds": [[1]]},  # round is not a dict
+        {"n": "x", "d": 1, "live": [1], "rounds": []},
+        {"n": 2, "d": 1, "live": [1], "rounds": [{"query": [1], "feedback": {"single": "a"}}]},
+    ],
+)
+def test_transcript_from_doc_raises_only_domain_errors(doc):
+    with pytest.raises(DomainError):
+        transcript_from_doc(doc)

@@ -188,6 +188,8 @@ def test_too_deep_strategy_walk_is_a_runtime_error(capsys, monkeypatch):
         ("simulate", "--strategy", "tree", "--n", "3", "--d", "1", "--live", "1",
          "--round-cap", "-1"),
         ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--round-cap", "0"),
+        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--budget", "0"),
+        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--budget", "-4"),
         ("oracle", "--n", "3", "--d", "1", "--oracle-n-cap", "0"),
         ("oracle", "--n", "3", "--d", "1", "--oracle-d-cap", "-2"),
         ("report", "--n-max", "2", "--oracle-n-cap", "x"),

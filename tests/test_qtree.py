@@ -1,6 +1,7 @@
 """Decision-tree construction, normal form, export, and replay."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -9,18 +10,22 @@ from macq import (
     COLLISION,
     SILENCE,
     AmbiguousLeaf,
+    FeedbackTag,
     GameConfig,
     LINEAR_SCAN,
+    MacqError,
     TREE_SPLIT,
     StationSet,
+    Strategy,
+    Transcript,
     build_tree,
     check_normal_form,
     edge_color,
+    evaluate_query,
     export_graph,
     leaf_count,
     max_depth,
     normalize,
-    normalized_strategy,
     run_fixed,
     scripted,
     single,
@@ -173,8 +178,119 @@ def test_normalization_never_deepens_the_tree():
                 assert max_depth(normalize(strategy, cfg)) <= max_depth(build_tree(strategy, cfg))
 
 
-def test_normalized_strategy_name():
-    assert normalized_strategy(TREE_SPLIT).name == "tree-normal"
+def _lift_feedback(derived, base_query, revealed):
+    """Feedback the unreduced query would have produced (reference only)."""
+    if derived.tag is FeedbackTag.COLLISION:
+        return COLLISION
+    sender = StationSet()
+    if derived.is_single:
+        sender = StationSet.singleton(derived.station)
+    return evaluate_query(base_query, revealed | sender)
+
+
+def reference_normalized_strategy(base):
+    """Normalization as a derived strategy that replays its whole transcript.
+
+    Each call rebuilds, round by round, the transcript the base strategy
+    would have seen, then drops the revealed stations from the base
+    strategy's next query.  Independent of the walk's ``normal`` mode, and
+    slow: it calls the base strategy once per round on every call.
+    """
+
+    def next_action(config, transcript):
+        revealed = StationSet()
+        base_transcript = Transcript(config)
+        for derived_query, derived_feedback in transcript.rounds:
+            base_action = base.next_action(config, base_transcript)
+            assert base_action is not None and derived_query == base_action - revealed
+            base_feedback = _lift_feedback(derived_feedback, base_action, revealed)
+            base_transcript = base_transcript.extend(base_action, base_feedback)
+            if derived_feedback.is_single:
+                revealed = revealed | StationSet.singleton(derived_feedback.station)
+        if len(revealed) >= config.d:
+            return None
+        base_action = base.next_action(config, base_transcript)
+        if base_action is None:
+            return None
+        return base_action - revealed
+
+    return Strategy(f"{base.name}-normal", next_action)
+
+
+def _random_subset(rng, n):
+    # Station n+1 now and then, so some strategies query beyond n.
+    return S(i for i in range(1, n + 2) if rng.random() < (0.4 if i <= n else 0.05))
+
+
+def random_scripted(rng, n):
+    return scripted(f"script-{rng.randrange(10**6)}",
+                    [_random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))])
+
+
+def random_adaptive(seed, n):
+    """Queries drawn from a generator seeded by the transcript so far."""
+
+    def next_action(config, transcript):
+        key = repr([(list(q), f.tag.value, f.station) for q, f in transcript.rounds])
+        rng = random.Random(f"{seed}:{key}")
+        if rng.random() < 0.08:
+            return None
+        return _random_subset(rng, n)
+
+    return Strategy(f"adaptive-{seed}", next_action)
+
+
+def _outcome(build):
+    try:
+        return export_graph(build())
+    except MacqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _normalize_cases():
+    rng = random.Random(20131)
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            cfg = GameConfig(n, d)
+            strategies = [LINEAR_SCAN, TREE_SPLIT]
+            strategies += [random_scripted(rng, n) for _ in range(25)]
+            strategies += [random_adaptive(rng.randrange(10**6), n) for _ in range(5)]
+            for strategy in strategies:
+                yield strategy, cfg, rng.choice([None, None, None, 1, 2, n])
+
+
+def test_normalize_matches_the_replaying_reference():
+    seen = {"graph": 0, "AmbiguousLeaf": 0, "CapExceeded": 0, "InvalidQuery": 0}
+    for strategy, cfg, round_cap in _normalize_cases():
+        got = _outcome(lambda: normalize(strategy, cfg, round_cap=round_cap))
+        want = _outcome(
+            lambda: build_tree(reference_normalized_strategy(strategy), cfg, round_cap=round_cap)
+        )
+        assert got == want, (strategy.name, cfg, round_cap)
+        kind = "graph" if got.startswith("node") or got.startswith("leaf") else got.split(":")[0]
+        seen[kind] += 1
+    # Every outcome occurs, so error messages, which name "<name>-normal", are compared too.
+    assert all(seen.values()), seen
+
+
+def test_normalize_calls_the_strategy_once_per_node():
+    for base in (LINEAR_SCAN, TREE_SPLIT):
+        for n, d in ((6, 3), (8, 3), (10, 4)):
+            calls = 0
+
+            def counted(config, transcript, base=base):
+                nonlocal calls
+                calls += 1
+                return base.next_action(config, transcript)
+
+            tree = normalize(Strategy(base.name, counted), GameConfig(n, d))
+            nodes = 0
+            todo = [tree.root]
+            while todo:
+                node = todo.pop()
+                nodes += 1
+                todo.extend(node.children.values())
+            assert calls <= nodes, (base.name, n, d, calls, nodes)
 
 
 def test_export_graph_is_deterministic():
