@@ -38,17 +38,21 @@ class KnowledgeState:
     transmitted: StationSet
 
 
-def initial_state(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> KnowledgeState:
-    """Knowledge state before any round: every size-d subset of 1..n."""
+def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, ...]:
+    """Masks of every size-d subset of 1..n, ascending."""
     total = math.comb(config.n, config.d)
     if total > budget:
         raise BudgetExceeded(
             f"C({config.n},{config.d}) = {total} candidate live sets exceed budget {budget}"
         )
-    candidates = sorted(
-        StationSet.from_ids(ids) for ids in combinations(range(1, config.n + 1), config.d)
-    )
-    return KnowledgeState(config, tuple(candidates), StationSet())
+    bits = [1 << i for i in range(config.n)]
+    return tuple(sorted(sum(combo) for combo in combinations(bits, config.d)))
+
+
+def initial_state(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> KnowledgeState:
+    """Knowledge state before any round: every size-d subset of 1..n."""
+    candidates = tuple(map(StationSet, initial_family(config, budget=budget)))
+    return KnowledgeState(config, candidates, StationSet())
 
 
 def _masks(state: KnowledgeState) -> list[int]:

@@ -221,11 +221,6 @@ def outcome_feedback(outcome: int) -> Feedback:
     return single(outcome.bit_length())
 
 
-def feedback_consistent(query: StationSet, feedback: Feedback, candidate: StationSet) -> bool:
-    """Would ``candidate`` as the live set produce exactly this feedback?"""
-    return evaluate_query(query, candidate) == feedback
-
-
 @dataclass(frozen=True)
 class Transcript:
     """Ordered record of (query, feedback) rounds for one game."""

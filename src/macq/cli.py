@@ -8,6 +8,7 @@ printed to stderr as ``error: <ErrorName>: <details>``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -143,15 +144,7 @@ def _cmd_tree(args: argparse.Namespace) -> str:
     strategy = STRATEGIES[args.strategy]
     built = normalize(strategy, config) if args.normalize else build_tree(strategy, config)
     if args.check:
-        report = check_normal_form(built)
-        doc = {
-            "max_depth": report.max_depth,
-            "leaf_count": report.leaf_count,
-            "black_per_path": list(report.black_per_path),
-            "repeated_transmitter_paths": report.repeated_transmitter_paths,
-            "property_holds": report.property_holds,
-        }
-        return json.dumps(doc) + "\n"
+        return json.dumps(dataclasses.asdict(check_normal_form(built))) + "\n"
     return export_graph(built)
 
 

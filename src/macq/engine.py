@@ -14,6 +14,7 @@ from typing import Sequence
 from .adversary import (
     DEFAULT_ENUMERATION_BUDGET,
     Adversary,
+    initial_family,
     initial_state,
     refine,
 )
@@ -28,7 +29,7 @@ from .channel import (
     transmitted_set,
 )
 from .errors import AdversaryInconsistent, DomainError, Inconsistent
-from .strategies import Strategy, checked_query, default_round_cap, fold_strategy
+from .strategies import Strategy, checked_query, fold_strategy
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def worst_case_rounds(
         witness = min((live for _, (depth, live) in branches if depth == deepest), key=_id_order)
         return 1 + deepest, witness
 
-    family = [live.mask for live in initial_state(config, budget=budget).candidates]
+    family = initial_family(config, budget=budget)
     rounds, witness = fold_strategy(
         strategy, config, family, Transcript(config), 0, leaf, node, round_cap
     )

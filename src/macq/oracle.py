@@ -31,9 +31,9 @@ itself).
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 
-from .adversary import KnowledgeState, initial_state, refine
+from .adversary import initial_family, initial_state, refine
 from .channel import (
     GameConfig,
     StationSet,
@@ -46,9 +46,6 @@ from .strategies import Strategy, default_round_cap
 
 DEFAULT_ORACLE_CAP = (6, 3)
 
-# The adversary's knowledge state doubles as the oracle's position type.
-OracleState = KnowledgeState
-
 # Residual family -> (lower, upper) bounds on its value.
 _SHARED_MEMO: dict[tuple[int, ...], tuple[int, int]] = {}
 
@@ -59,10 +56,6 @@ def _check_cap(config: GameConfig, cap: tuple[int, int]) -> None:
         raise BudgetExceeded(
             f"instance (n={config.n}, d={config.d}) is beyond the oracle cap (n <= {n_cap}, d <= {d_cap})"
         )
-
-
-def _initial_family(config: GameConfig) -> tuple[int, ...]:
-    return tuple(live.mask for live in initial_state(config).candidates)
 
 
 def _support(fam: tuple[int, ...]) -> int:
@@ -186,7 +179,7 @@ def exact_optimal_rounds(
     """
     _check_cap(config, cap)
     solver = _Solver(default_round_cap(config), canonical)
-    return solver.value(_initial_family(config))
+    return solver.value(initial_family(config))
 
 
 def optimal_strategy_tree(
@@ -204,7 +197,6 @@ def optimal_strategy(
     *,
     cap: tuple[int, int] = DEFAULT_ORACLE_CAP,
     canonical: bool = True,
-    name: str = "minimax",
 ) -> Strategy:
     """Strategy that replays any consistent transcript and answers optimally.
 
@@ -224,41 +216,7 @@ def optimal_strategy(
         fam = tuple(sorted(candidate.mask & ~struck for candidate in state.candidates))
         return StationSet(solver.best_query(fam))
 
-    return Strategy(name, next_action)
-
-
-def canonicalize(state: KnowledgeState) -> KnowledgeState:
-    """Least representative of a state under relabeling untransmitted ids.
-
-    Transmitted stations are fixed points; every bijection on the remaining
-    ids 1..n is tried and the least relabeled candidate family kept.  Two
-    states that differ only by such a relabeling share one representative.
-    """
-    n = state.config.n
-    transmitted = state.transmitted.mask
-    movable = [i for i in range(1, n + 1) if not (transmitted >> (i - 1)) & 1]
-    if len(movable) > 8:
-        raise BudgetExceeded(
-            f"canonicalization over {len(movable)} relabelable stations is too large"
-        )
-    best: tuple[int, ...] | None = None
-    for perm in permutations(movable):
-        relabel = {station: perm[index] for index, station in enumerate(movable)}
-        mapped = tuple(sorted(_relabel_mask(c.mask, relabel) for c in state.candidates))
-        if best is None or mapped < best:
-            best = mapped
-    assert best is not None
-    return KnowledgeState(state.config, tuple(StationSet(m) for m in best), state.transmitted)
-
-
-def _relabel_mask(mask: int, relabel: dict[int, int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        station = low.bit_length()
-        out |= 1 << (relabel.get(station, station) - 1)
-        mask ^= low
-    return out
+    return Strategy("minimax", next_action)
 
 
 def _reference_optimal_rounds(config: GameConfig) -> int:
@@ -311,5 +269,4 @@ def _reference_optimal_rounds(config: GameConfig) -> int:
         memo[key] = best
         return best
 
-    fam = _initial_family(config)
-    return value(0, fam, 0)
+    return value(0, initial_family(config), 0)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_state
+from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_family
 from .channel import (
     Feedback,
     FeedbackTag,
@@ -30,7 +30,7 @@ from .channel import (
     feedback_order,
     format_station_set,
 )
-from .errors import AmbiguousLeaf
+from .errors import AmbiguousLeaf, DomainError
 from .strategies import Strategy, fold_strategy
 
 
@@ -92,7 +92,7 @@ def build_tree(
     def node(query: StationSet, branches: list[tuple[Feedback, QNode]]) -> QNode:
         return QNode(query=query, children=dict(branches))
 
-    family = [live.mask for live in initial_state(config, budget=budget).candidates]
+    family = initial_family(config, budget=budget)
     return QTree(config, fold_strategy(
         strategy, config, family, Transcript(config), 0, leaf, node, round_cap, normal
     ))
@@ -233,10 +233,10 @@ def tree_strategy(tree: QTree, name: str = "tree-replay") -> Strategy:
         node = tree.root
         for query, feedback in transcript.rounds:
             if node.query != query:
-                raise ValueError("transcript diverges from the tree's queries")
+                raise DomainError("transcript diverges from the tree's queries")
             child = node.children.get(feedback)
             if child is None:
-                raise ValueError("transcript follows a feedback edge the tree lacks")
+                raise DomainError("transcript follows a feedback edge the tree lacks")
             node = child
         return node.query
 

@@ -138,10 +138,10 @@ def _replay_interval_stack(config: GameConfig, transcript: Transcript) -> list[t
     stack: list[tuple[int, int]] = [(1, config.n)]
     for query, feedback in transcript.rounds:
         if not stack:
-            raise ValueError("transcript continues past an empty interval stack")
+            raise DomainError("transcript continues past an empty interval stack")
         lo, hi = stack.pop()
         if query != _interval_set(lo, hi):
-            raise ValueError("transcript was not produced by tree_split")
+            raise DomainError("transcript was not produced by tree_split")
         if feedback.tag is FeedbackTag.COLLISION:
             mid = (lo + hi + 1) // 2
             stack.append((mid, hi))
@@ -157,20 +157,6 @@ def tree_split(config: GameConfig, transcript: Transcript) -> NextAction:
     if not stack:
         return None
     return _interval_set(*stack[-1])
-
-
-def worst_case_formula_estimate(n: int, d: int) -> int:
-    """Closed-form round estimate d * (ceil(lg2(max(n/d, 2))) + 2).
-
-    The inner ceiling is computed exactly: the smallest t with d * 2**t >= n,
-    floored at 1 so the max(n/d, 2) clamp never vanishes.
-    """
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
-    t = 0
-    while d << t < n:
-        t += 1
-    return d * (max(t, 1) + 2)
 
 
 def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
@@ -197,11 +183,3 @@ STRATEGIES: dict[str, Strategy] = {
     LINEAR_SCAN.name: LINEAR_SCAN,
     TREE_SPLIT.name: TREE_SPLIT,
 }
-
-
-def get_strategy(name: str) -> Strategy:
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        valid = ", ".join(sorted(STRATEGIES))
-        raise DomainError(f"unknown strategy {name!r}; valid names: {valid}") from None

@@ -23,6 +23,7 @@ from macq import (
     refine,
     single,
 )
+from macq.adversary import initial_family
 
 S = StationSet.from_ids
 
@@ -32,11 +33,21 @@ def test_initial_state_enumerates_all_candidates():
     assert len(state.candidates) == 6
     assert set(state.candidates) == {S(ids) for ids in combinations(range(1, 5), 2)}
     assert state.transmitted == StationSet()
+    # Witness order and tree leaf order follow this ascending mask order.
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            cfg = GameConfig(n, d)
+            masks = sorted(S(ids).mask for ids in combinations(range(1, n + 1), d))
+            assert initial_family(cfg) == tuple(masks)
+            assert initial_state(cfg).candidates == tuple(map(StationSet, masks))
 
 
 def test_initial_state_budget():
     with pytest.raises(BudgetExceeded):
         initial_state(GameConfig(40, 20), budget=1000)
+    with pytest.raises(BudgetExceeded):
+        initial_family(GameConfig(40, 20), budget=1000)
+    assert len(initial_family(GameConfig(10, 3), budget=120)) == 120
 
 
 def test_refine_silence_on_singleton():

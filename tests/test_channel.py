@@ -14,7 +14,6 @@ from macq import (
     StationSet,
     Transcript,
     evaluate_query,
-    feedback_consistent,
     format_station_set,
     single,
     transcript_from_doc,
@@ -137,17 +136,6 @@ def test_evaluate_query_exhaustive_small():
 
 def test_empty_query_is_silence():
     assert evaluate_query(StationSet(), StationSet.from_ids([1, 2])) == SILENCE
-
-
-def test_feedback_consistent_matches_evaluate_query():
-    subsets = [frozenset(c) for r in range(5) for c in combinations(range(1, 5), r)]
-    feedbacks = [SILENCE, COLLISION] + [single(i) for i in range(1, 5)]
-    for query in subsets:
-        q = StationSet.from_ids(query)
-        for cand in subsets:
-            c = StationSet.from_ids(cand)
-            for fb in feedbacks:
-                assert feedback_consistent(q, fb, c) == (evaluate_query(q, c) == fb)
 
 
 def test_transcript_extend_is_persistent():

@@ -205,9 +205,11 @@ def test_non_positive_caps_are_usage_errors(capsys, argv):
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys)[0] == 2  # missing subcommand
     assert run_cli(capsys, "simulate", "--strategy", "tree", "--n", "2", "--d", "1")[0] == 2
-    assert run_cli(
+    code, _, err = run_cli(
         capsys, "simulate", "--strategy", "bogus", "--n", "2", "--d", "1", "--live", "1"
-    )[0] == 2
+    )
+    assert code == 2
+    assert "linear" in err and "tree" in err
 
 
 @pytest.mark.parametrize("bad_live", ["2,1", "0", "a,b", "", "1,,1"])

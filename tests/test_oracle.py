@@ -1,4 +1,4 @@
-"""Exact minimax oracle: values, witness trees, optimal play, canonicalization."""
+"""Exact minimax oracle: values, witness trees, optimal play."""
 
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -9,31 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macq import (
-    SILENCE,
     BudgetExceeded,
     GameConfig,
     StationSet,
     Strategy,
-    single,
     check_normal_form,
     exact_optimal_rounds,
-    canonicalize,
-    initial_state,
     make_exact_adversary,
     max_depth,
     optimal_strategy,
     optimal_strategy_tree,
-    refine,
     run_adversarial,
     run_fixed,
     tree_strategy,
     worst_case_rounds,
 )
 from macq import oracle
+from macq.adversary import initial_family
 from macq.oracle import (
     _Solver,
     _class_queries,
-    _initial_family,
     _reference_optimal_rounds,
     _twin_classes,
 )
@@ -99,7 +94,7 @@ def test_repeat_calls_hit_the_shared_memo():
     exact_optimal_rounds(GameConfig(6, 3))
     before = dict(oracle._SHARED_MEMO)
     # The root's bounds meet, so a repeat call is answered from the memo.
-    assert before[_initial_family(GameConfig(6, 3))] == (5, 5)
+    assert before[initial_family(GameConfig(6, 3))] == (5, 5)
     assert exact_optimal_rounds(GameConfig(6, 3)) == OPTIMAL_ROUNDS[(6, 3)]
     assert oracle._SHARED_MEMO == before
     assert exact_optimal_rounds(GameConfig(6, 4), cap=(6, 4), canonical=False) == 6
@@ -180,7 +175,7 @@ def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
 
 def test_initial_family_is_one_twin_class():
     for n, d in [(1, 1), (4, 2), (6, 3), (8, 2)]:
-        classes = _twin_classes(_initial_family(GameConfig(n, d)))
+        classes = _twin_classes(initial_family(GameConfig(n, d)))
         assert len(classes) == 1
         assert len(_class_queries(classes)) == n + 1
 
@@ -251,23 +246,3 @@ def test_optimal_strategy_recovers_from_any_opening():
             assert result.completed
             assert result.rounds_used <= 1 + OPTIMAL_ROUNDS[(4, 2)]
 
-
-def test_canonicalize_merges_relabelings():
-    cfg = GameConfig(3, 1)
-    state_a = refine(initial_state(cfg), S([1]), SILENCE)  # candidates {2},{3}
-    state_b = refine(initial_state(cfg), S([2]), SILENCE)  # candidates {1},{3}
-    assert canonicalize(state_a).candidates == canonicalize(state_b).candidates
-
-
-def test_canonicalize_is_idempotent_and_keeps_transmitted():
-    cfg = GameConfig(4, 2)
-    state = refine(initial_state(cfg), S([2]), single(2))
-    once = canonicalize(state)
-    assert canonicalize(once) == once
-    assert once.transmitted == state.transmitted
-    assert len(once.candidates) == len(state.candidates)
-
-
-def test_canonicalize_guards_against_large_relabelings():
-    with pytest.raises(BudgetExceeded):
-        canonicalize(initial_state(GameConfig(9, 1)))

@@ -317,8 +317,10 @@ def test_tree_strategy_rejects_divergent_transcripts():
     from macq import Transcript
 
     bad_query = Transcript(cfg).extend(S([1]), SILENCE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         replay.next_action(cfg, bad_query)
+    assert isinstance(err.value, MacqError)
     bad_edge = Transcript(cfg).extend(S([1, 2]), SILENCE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         replay.next_action(cfg, bad_edge)
+    assert isinstance(err.value, MacqError)

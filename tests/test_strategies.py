@@ -5,16 +5,14 @@ import pytest
 from macq import (
     COLLISION,
     SILENCE,
-    DomainError,
+    MacqError,
     GameConfig,
     StationSet,
     Transcript,
-    get_strategy,
     linear_scan,
     scripted,
     single,
     tree_split,
-    worst_case_formula_estimate,
 )
 
 S = StationSet.from_ids
@@ -82,8 +80,9 @@ def test_tree_split_odd_interval_split():
 def test_tree_split_rejects_foreign_transcript():
     cfg = GameConfig(4, 2)
     t = Transcript(cfg).extend(S([2]), SILENCE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         tree_split(cfg, t)
+    assert isinstance(err.value, MacqError)
 
 
 def test_tree_split_rejects_rounds_past_exhausted_stack():
@@ -93,44 +92,9 @@ def test_tree_split_rejects_rounds_past_exhausted_stack():
     t = t.extend(S([1]), single(1))
     t = t.extend(S([2]), SILENCE)  # discharges the last interval
     t = t.extend(S([1]), SILENCE)  # impossible extra round
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         tree_split(cfg, t)
-
-
-def _estimate_oracle(n: int, d: int) -> int:
-    # Direct reading of the formula: d * (ceil(lg2(max(n/d, 2))) + 2), with
-    # the ceiling of lg2(n/d) found by doubling instead of floating point.
-    t = 0
-    while d * 2**t < n:
-        t += 1
-    return d * (max(t, 1) + 2)
-
-
-def test_formula_estimate_pinned_values():
-    assert worst_case_formula_estimate(4, 1) == 4
-    assert worst_case_formula_estimate(2, 2) == 6
-    assert worst_case_formula_estimate(1024, 1) == 12
-
-
-def test_formula_estimate_matches_doubling_oracle():
-    for n in range(1, 40):
-        for d in range(1, n + 1):
-            assert worst_case_formula_estimate(n, d) == _estimate_oracle(n, d)
-
-
-def test_formula_estimate_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        worst_case_formula_estimate(2, 3)
-    with pytest.raises(DomainError):
-        worst_case_formula_estimate(1, 0)
-
-
-def test_get_strategy():
-    assert get_strategy("linear").name == "linear"
-    assert get_strategy("tree").name == "tree"
-    with pytest.raises(DomainError) as err:
-        get_strategy("bogus")
-    assert "linear" in str(err.value) and "tree" in str(err.value)
+    assert isinstance(err.value, MacqError)
 
 
 def test_scripted_plays_list_then_stops():
