@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .channel import (
     Feedback,
@@ -59,16 +59,22 @@ def _masks(state: KnowledgeState) -> list[int]:
     return [candidate.mask for candidate in state.candidates]
 
 
-def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
-    """Filter the candidate family by one observed round."""
-    for outcome, group in split_by_feedback(_masks(state), query.mask):
+def refine_family(masks: Sequence[int], query: StationSet, feedback: Feedback) -> tuple[list[int], int]:
+    """The members that draw ``feedback`` on ``query``, in input order, and
+    the bit that feedback reveals (0 unless it is a single)."""
+    for outcome, group in split_by_feedback(masks, query.mask):
         if outcome_feedback(outcome) == feedback:
-            survivors = tuple(map(StationSet, group))
-            revealed = StationSet(outcome) if outcome > 0 else StationSet()
-            return KnowledgeState(state.config, survivors, state.transmitted | revealed)
+            return group, outcome if outcome > 0 else 0
     raise Inconsistent(
         f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
     )
+
+
+def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
+    """Filter the candidate family by one observed round."""
+    group, revealed = refine_family(_masks(state), query, feedback)
+    survivors = tuple(map(StationSet, group))
+    return KnowledgeState(state.config, survivors, state.transmitted | StationSet(revealed))
 
 
 def _preference(feedback: Feedback) -> tuple[int, int]:
@@ -123,10 +129,45 @@ def greedy_adversary(state: KnowledgeState, query: StationSet, transcript: Trans
     return greedy_answer(state, query)
 
 
+# The line an exact adversary forces below a position: (rounds left, the
+# strategy's query, the answer, the line below that answer), or
+# (0, None, None, None) where the game ends.
+Line = tuple[int, StationSet | None, Feedback | None, "Line | None"]
+
+
 def make_exact_adversary(strategy: Strategy) -> Adversary:
-    """Worst-case foil for one specific strategy."""
+    """Worst-case foil for one specific strategy.
+
+    Every answer equals ``exact_answer``'s, but one fold serves a whole game.
+    The fold keeps only the line the adversary forces below each node, so
+    it holds one path, not the tree.  Each later call follows that line
+    while the game stays on it (the transcript the line starts from, and the
+    line's query), and any other position is folded afresh.
+    """
+    expected: Transcript | None = None  # the position the line starts from
+    line: Line = (0, None, None, None)
+
+    def leaf(family: Sequence[int]) -> Line:
+        return 0, None, None, None
+
+    def node(query: StationSet, branches: list[tuple[Feedback, Line]]) -> Line:
+        feedback, below = min(branches, key=lambda branch: (-branch[1][0], _preference(branch[0])))
+        return 1 + below[0], query, feedback, below
 
     def answer(state: KnowledgeState, query: StationSet, transcript: Transcript) -> Feedback:
-        return exact_answer(state, query, strategy, transcript)
+        nonlocal expected, line
+        if transcript != expected or line[1] != query:
+            revealed = state.transmitted.mask
+            branches = []
+            for outcome, group in split_by_feedback(_masks(state), query.mask):
+                feedback = outcome_feedback(outcome)
+                branches.append((feedback, fold_strategy(
+                    strategy, state.config, group, transcript.extend(query, feedback),
+                    revealed | outcome if outcome > 0 else revealed, leaf, node,
+                )))
+            line = node(query, branches)
+        _, _, feedback, line = line
+        expected = transcript.extend(query, feedback)
+        return feedback
 
     return answer

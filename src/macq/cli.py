@@ -2,7 +2,8 @@
 
 Subcommands: simulate, worst-case, tree, bounds, oracle, report.  Exit codes:
 0 on success, 2 on usage errors (argparse), 1 on runtime errors, which are
-printed to stderr as ``error: <ErrorName>: <details>``.
+printed to stderr as ``error: <ErrorName>: <details>``, and 130 on Ctrl-C,
+printed as ``error: Interrupted: <details>``.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (MacqError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print(f"error: Interrupted: {args.command} stopped by Ctrl-C", file=sys.stderr)
+        return 130
     if args.out is None:
         sys.stdout.write(output)
     return 0

@@ -54,11 +54,14 @@ def run_fixed(
     if len(live) != config.d:
         raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
     transcript = Transcript(config)
+    memory = strategy.start(config)
     while len(transmitted_set(transcript)) < config.d:
-        action = checked_query(strategy, config, transcript, round_cap)
+        action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
         if action is None:
             break
-        transcript = transcript.extend(action, evaluate_query(action, live))
+        feedback = evaluate_query(action, live)
+        transcript = transcript.extend(action, feedback)
+        memory = strategy.step(memory, action, feedback)
     completed = transmitted_set(transcript) == live
     return GameResult(transcript, len(transcript.rounds), completed, live)
 
@@ -79,14 +82,14 @@ def worst_case_rounds(
     """
 
     def leaf(family: Sequence[int]) -> tuple[int, int]:
-        return 0, min(family, key=_id_order)
+        return 0, _first_in_id_order(family)
 
     def node(
         query: StationSet, branches: list[tuple[Feedback, tuple[int, int]]]
     ) -> tuple[int, int]:
         deepest = max(depth for _, (depth, _) in branches)
-        witness = min((live for _, (depth, live) in branches if depth == deepest), key=_id_order)
-        return 1 + deepest, witness
+        return 1 + deepest, _first_in_id_order(
+            [live for _, (depth, live) in branches if depth == deepest])
 
     family = initial_family(config, budget=budget)
     rounds, witness = fold_strategy(
@@ -95,8 +98,18 @@ def worst_case_rounds(
     return rounds, StationSet(witness)
 
 
-def _id_order(mask: int) -> tuple[int, ...]:
-    return StationSet(mask).members
+def _first_in_id_order(masks: Sequence[int]) -> int:
+    """The first of some live sets in ascending id order.
+
+    All have d members, so of two sets the one holding the lowest station
+    where they differ comes first.
+    """
+    first = masks[0]
+    for live in masks[1:]:
+        diff = first ^ live
+        if diff & -diff & live:
+            first = live
+    return first
 
 
 def run_adversarial(
@@ -112,8 +125,9 @@ def run_adversarial(
     """
     state = initial_state(config)
     transcript = Transcript(config)
+    memory = strategy.start(config)
     while len(state.transmitted) < config.d:
-        action = checked_query(strategy, config, transcript, round_cap)
+        action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
         if action is None:
             break
         feedback = adversary(state, action, transcript)
@@ -122,6 +136,7 @@ def run_adversarial(
         except Inconsistent as exc:
             raise AdversaryInconsistent(str(exc)) from exc
         transcript = transcript.extend(action, feedback)
+        memory = strategy.step(memory, action, feedback)
     witness = min(state.candidates)
     completed = transmitted_set(transcript) == witness
     return GameResult(transcript, len(transcript.rounds), completed, witness)

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .adversary import initial_family, initial_state, refine
+from .adversary import initial_family, refine_family
 from .channel import (
+    Feedback,
     GameConfig,
     StationSet,
     Transcript,
@@ -42,7 +43,7 @@ from .channel import (
 )
 from .errors import BudgetExceeded, CapExceeded
 from .qtree import QTree, build_tree
-from .strategies import Strategy, default_round_cap
+from .strategies import Strategy, default_round_cap, replay
 
 DEFAULT_ORACLE_CAP = (6, 3)
 
@@ -198,25 +199,38 @@ def optimal_strategy(
     cap: tuple[int, int] = DEFAULT_ORACLE_CAP,
     canonical: bool = True,
 ) -> Strategy:
-    """Strategy that replays any consistent transcript and answers optimally.
+    """Strategy that answers optimally from any consistent position.
 
     Unlike a replayed witness tree this works from arbitrary openings, which
-    makes it a convenient optimal continuation for adversary analysis.
+    makes it a convenient optimal continuation for adversary analysis.  Its
+    state is the residual family (the surviving candidates with the revealed
+    stations struck) plus the revealed mask, so each round costs one split.
     """
     _check_cap(config, cap)
     solver = _Solver(default_round_cap(config), canonical)
 
-    def next_action(cfg: GameConfig, transcript: Transcript) -> StationSet | None:
-        state = initial_state(cfg)
-        for query, feedback in transcript.rounds:
-            state = refine(state, query, feedback)
-        if len(state.transmitted) >= cfg.d:
+    def start(cfg: GameConfig) -> tuple[tuple[int, ...], int]:
+        return initial_family(cfg), 0
+
+    def step(state: tuple[tuple[int, ...], int], query: StationSet,
+             feedback: Feedback) -> tuple[tuple[int, ...], int]:
+        fam, revealed = state
+        group, bit = refine_family([m | revealed for m in fam], query, feedback)
+        revealed |= bit
+        # Striking stations that every member holds keeps the masks ascending.
+        return tuple(m & ~revealed for m in group), revealed
+
+    def query(cfg: GameConfig, state: tuple[tuple[int, ...], int]) -> StationSet | None:
+        fam, revealed = state
+        if revealed.bit_count() >= cfg.d:
             return None
-        struck = state.transmitted.mask
-        fam = tuple(sorted(candidate.mask & ~struck for candidate in state.candidates))
         return StationSet(solver.best_query(fam))
 
-    return Strategy("minimax", next_action)
+    def next_action(cfg: GameConfig, transcript: Transcript) -> StationSet | None:
+        return query(cfg, replay(minimax, cfg, transcript))
+
+    minimax = Strategy("minimax", next_action, start, step, query)
+    return minimax
 
 
 def _reference_optimal_rounds(config: GameConfig) -> int:

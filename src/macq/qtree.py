@@ -16,6 +16,7 @@ query that reduces to the empty set stays as a silent round.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -113,7 +114,7 @@ def normalize(
 
     Errors name the strategy ``<name>-normal``.
     """
-    renamed = Strategy(f"{strategy.name}-normal", strategy.next_action)
+    renamed = dataclasses.replace(strategy, name=f"{strategy.name}-normal")
     return build_tree(renamed, config, round_cap=round_cap, budget=budget, normal=True)
 
 

@@ -1,19 +1,24 @@
 """Deterministic adaptive strategies for resolving the live stations.
 
-A strategy is a pure function of (config, transcript): it returns the next
-query, or None once it has nothing further to ask.  Keeping strategies
-stateless makes replays, decision-tree construction, and adversarial
-analysis straightforward: ``fold_strategy`` drives one strategy over every
-live set at once.  The decision tree and its normal form (the same walk
-with revealed stations dropped from each query), the worst-case sweep, the
-exact adversary's look-ahead and the oracle's witness tree are folds of
-that one walk.
+A strategy is a small state machine: ``start(config)`` gives its state before
+any round, ``step(state, query, feedback)`` its state after one more round,
+and ``query(config, state)`` the next query, or None once it has nothing
+further to ask.  Each query depends only on the feedback so far, because the
+state is built from nothing else.  A strategy given as a function of
+(config, transcript) alone is the machine whose state is the transcript.
+
+``fold_strategy`` drives one strategy over every live set at once, carrying
+the state down its decision tree, so each node costs one ``query`` and each
+edge one ``step``.  The decision tree and its normal form (the same walk with
+revealed stations dropped from each query), the worst-case sweep, the exact
+adversary's look-ahead and the oracle's witness tree are folds of that one
+walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from .channel import (
     Feedback,
@@ -36,31 +41,52 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class Strategy:
-    """Named strategy wrapper; ``next_action`` does all the work."""
+    """A named strategy as a state machine.
+
+    ``start(config)`` is the state before any round, ``step(state, query,
+    feedback)`` the state after one more round, and ``query(config, state)``
+    the next query or None.  ``next_action(config, transcript)`` is the same
+    strategy as a function of the whole transcript.  Given only
+    ``next_action``, the state is the transcript itself: ``start`` gives an
+    empty ``Transcript``, ``step`` is ``Transcript.extend``, and the query is
+    ``next_action``.
+    """
 
     name: str
     next_action: StrategyFn
+    start: Callable[[GameConfig], Any] = Transcript
+    step: Callable[[Any, StationSet, Feedback], Any] = Transcript.extend
+    query: Callable[[GameConfig, Any], NextAction] | None = None
 
     def __call__(self, config: GameConfig, transcript: Transcript) -> NextAction:
         return self.next_action(config, transcript)
+
+
+def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> Any:
+    """The strategy's state after the transcript's rounds, one ``step`` each."""
+    state = strategy.start(config)
+    for query, feedback in transcript.rounds:
+        state = strategy.step(state, query, feedback)
+    return state
 
 
 def default_round_cap(config: GameConfig) -> int:
     return 4 * config.n + 16
 
 
-def checked_query(strategy: Strategy, config: GameConfig, transcript: Transcript,
+def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int,
                   round_cap: int | None) -> NextAction:
-    """The strategy's next query, refused past the round cap or beyond n."""
-    action = strategy.next_action(config, transcript)
+    """The strategy's next query from ``state`` after ``rounds`` rounds,
+    refused past the round cap or beyond n."""
+    action = (strategy.query or strategy.next_action)(config, state)
     if action is None:
         return None
     cap = default_round_cap(config) if round_cap is None else round_cap
-    if len(transcript.rounds) >= cap:
+    if rounds >= cap:
         raise CapExceeded(
             f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
         )
-    if not action.issubset(config.all_stations):
+    if action.mask >> config.n:
         raise InvalidQuery(
             f"strategy {strategy.name!r} queried stations "
             f"{format_station_set(action - config.all_stations)} beyond n={config.n}"
@@ -86,19 +112,21 @@ def fold_strategy(
     stations are revealed or the strategy returns None; such a position folds
     to ``leaf(family)``.  Otherwise its query splits the family by feedback and
     ``node(query, branches)`` combines the folded children as (feedback, value)
-    pairs in feedback order.
+    pairs in feedback order.  The strategy's state is replayed from the
+    transcript once, then moved one ``step`` down each edge.
 
     With ``normal`` set the walk plays each query minus the revealed
     stations: that reduced query splits the family and reaches ``node``, while
-    the strategy's transcript keeps its own query and the feedback that query
-    drew.  Every member of a group holds the revealed stations, so any one of
-    them gives that feedback.
+    the strategy steps on its own query and the feedback that query drew.
+    Every member of a group holds the revealed stations, so any one of them
+    gives that feedback.
     """
+    step = strategy.step
 
-    def visit(family: Sequence[int], transcript: Transcript, revealed: int) -> T:
+    def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
         if revealed.bit_count() >= config.d:
             return leaf(family)
-        query = checked_query(strategy, config, transcript, round_cap)
+        query = checked_query(strategy, config, state, rounds, round_cap)
         if query is None:
             return leaf(family)
         played = StationSet(query.mask & ~revealed) if normal else query
@@ -106,57 +134,85 @@ def fold_strategy(
         for outcome, group in split_by_feedback(family, played.mask):
             feedback = outcome_feedback(outcome)
             drawn = evaluate_query(query, StationSet(group[0])) if normal else feedback
-            child = visit(group, transcript.extend(query, drawn),
+            child = visit(group, step(state, query, drawn), rounds + 1,
                           revealed | outcome if outcome > 0 else revealed)
             branches.append((feedback, child))
         return node(played, branches)
 
-    return visit(family, transcript, revealed)
+    return visit(family, replay(strategy, config, transcript), len(transcript.rounds), revealed)
+
+
+def _reveal(revealed: int, feedback: Feedback) -> int:
+    return revealed | 1 << (feedback.station - 1) if feedback.is_single else revealed  # type: ignore[operator]
+
+
+# linear_scan's state: (revealed mask, rounds played).
+
+def _linear_step(state: tuple[int, int], query: StationSet, feedback: Feedback) -> tuple[int, int]:
+    revealed, played = state
+    return _reveal(revealed, feedback), played + 1
+
+
+def _linear_query(config: GameConfig, state: tuple[int, int]) -> NextAction:
+    revealed, played = state
+    if revealed.bit_count() >= config.d or played >= config.n:
+        return None
+    return StationSet(1 << played)
 
 
 def linear_scan(config: GameConfig, transcript: Transcript) -> NextAction:
     """Probe singletons {1}, {2}, ... in order; stop after d singles or {n}."""
-    if len(transmitted_set(transcript)) >= config.d:
+    return _linear_query(config, replay(LINEAR_SCAN, config, transcript))
+
+
+# tree_split's state: (revealed mask, pending intervals (lo, hi) with the
+# next one to probe last).  The probe order is root first, then on every
+# collision the interval [lo..hi] splits at mid = ceil((lo+hi)/2) into
+# [lo..mid-1] and [mid..hi], left half probed next.  Silence and single
+# discharge the interval.
+
+Intervals = tuple[tuple[int, int], ...]
+
+
+def _interval_mask(lo: int, hi: int) -> int:
+    return (1 << hi) - (1 << (lo - 1))
+
+
+def _tree_start(config: GameConfig) -> tuple[int, Intervals]:
+    return 0, ((1, config.n),)
+
+
+def _tree_step(state: tuple[int, Intervals], query: StationSet,
+               feedback: Feedback) -> tuple[int, Intervals]:
+    revealed, stack = state
+    if not stack:
+        raise DomainError("transcript continues past an empty interval stack")
+    lo, hi = stack[-1]
+    if query.mask != _interval_mask(lo, hi):
+        raise DomainError("transcript was not produced by tree_split")
+    stack = stack[:-1]
+    if feedback.tag is FeedbackTag.COLLISION:
+        mid = (lo + hi + 1) // 2
+        stack += ((mid, hi), (lo, mid - 1))
+    return _reveal(revealed, feedback), stack
+
+
+def _tree_query(config: GameConfig, state: tuple[int, Intervals]) -> NextAction:
+    revealed, stack = state
+    if revealed.bit_count() >= config.d or not stack:
         return None
-    played = len(transcript.rounds)
-    if played >= config.n:
-        return None
-    return StationSet.singleton(played + 1)
-
-
-def _interval_set(lo: int, hi: int) -> StationSet:
-    return StationSet((1 << hi) - (1 << (lo - 1)))
-
-
-def _replay_interval_stack(config: GameConfig, transcript: Transcript) -> list[tuple[int, int]]:
-    """Recompute the pending interval stack from the transcript alone.
-
-    The probe order is root first, then on every collision the interval
-    [lo..hi] splits at mid = ceil((lo+hi)/2) into [lo..mid-1] and [mid..hi],
-    left half probed next.  Silence and single discharge the interval.
-    """
-    stack: list[tuple[int, int]] = [(1, config.n)]
-    for query, feedback in transcript.rounds:
-        if not stack:
-            raise DomainError("transcript continues past an empty interval stack")
-        lo, hi = stack.pop()
-        if query != _interval_set(lo, hi):
-            raise DomainError("transcript was not produced by tree_split")
-        if feedback.tag is FeedbackTag.COLLISION:
-            mid = (lo + hi + 1) // 2
-            stack.append((mid, hi))
-            stack.append((lo, mid - 1))
-    return stack
+    return StationSet(_interval_mask(*stack[-1]))
 
 
 def tree_split(config: GameConfig, transcript: Transcript) -> NextAction:
-    """Binary interval splitting: probe [1..n], split every collision in half."""
+    """Binary interval splitting: probe [1..n], split every collision in half.
+
+    Raises DomainError on a transcript that tree_split did not produce,
+    unless d stations have already transmitted alone in it.
+    """
     if len(transmitted_set(transcript)) >= config.d:
         return None
-    stack = _replay_interval_stack(config, transcript)
-    if not stack:
-        return None
-    return _interval_set(*stack[-1])
+    return _tree_query(config, replay(TREE_SPLIT, config, transcript))
 
 
 def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
@@ -176,8 +232,8 @@ def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
     return Strategy(name, next_action)
 
 
-LINEAR_SCAN = Strategy("linear", linear_scan)
-TREE_SPLIT = Strategy("tree", tree_split)
+LINEAR_SCAN = Strategy("linear", linear_scan, lambda config: (0, 0), _linear_step, _linear_query)
+TREE_SPLIT = Strategy("tree", tree_split, _tree_start, _tree_step, _tree_query)
 
 STRATEGIES: dict[str, Strategy] = {
     LINEAR_SCAN.name: LINEAR_SCAN,

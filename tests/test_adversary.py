@@ -1,5 +1,6 @@
 """Knowledge-state tracking and the greedy / exact adversaries."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,10 @@ from macq import (
     CapExceeded,
     GameConfig,
     Inconsistent,
+    LINEAR_SCAN,
+    TREE_SPLIT,
     KnowledgeState,
+    MacqError,
     StationSet,
     Strategy,
     Transcript,
@@ -19,8 +23,10 @@ from macq import (
     exact_answer,
     greedy_answer,
     initial_state,
+    make_exact_adversary,
     optimal_strategy,
     refine,
+    scripted,
     single,
 )
 from macq.adversary import initial_family
@@ -156,3 +162,62 @@ def test_exact_answer_caps_non_terminating_strategies():
     stall = Strategy("stall", lambda c, t: StationSet())
     with pytest.raises(CapExceeded):
         exact_answer(initial_state(cfg), StationSet(), stall, Transcript(cfg))
+
+
+def _outcome(answer, *args):
+    try:
+        return answer(*args)
+    except MacqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _play_checked(strategy, adversary, state, transcript):
+    """Play on from a position, checking every answer against exact_answer.
+
+    Returns the (state, query, transcript) positions the game passed.
+    """
+    cfg = state.config
+    positions = []
+    while len(state.transmitted) < cfg.d:
+        query = strategy.next_action(cfg, transcript)
+        if query is None:
+            break
+        positions.append((state, query, transcript))
+        answer = adversary(state, query, transcript)
+        assert answer == exact_answer(state, query, strategy, transcript), (strategy.name, transcript)
+        state = refine(state, query, answer)
+        transcript = transcript.extend(query, answer)
+    return positions
+
+
+def test_exact_adversary_answers_as_exact_answer_every_round():
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for d in range(1, min(n, 3) + 1):
+            cfg = GameConfig(n, d)
+            script = [S(i for i in range(1, n + 1) if rng.random() < 0.4) for _ in range(2 * n)]
+            strategies = [LINEAR_SCAN, TREE_SPLIT, scripted(f"script-{n}-{d}", script),
+                          optimal_strategy(cfg, cap=(7, 3))]
+            for strategy in strategies:
+                adversary = make_exact_adversary(strategy)
+                start = initial_state(cfg)
+                positions = _play_checked(strategy, adversary, start, Transcript(cfg))
+                # The same adversary again, then positions off the line it follows:
+                # other queries at each position, and every sibling position.
+                assert _play_checked(strategy, adversary, start, Transcript(cfg)) == positions
+                for state, query, transcript in positions:
+                    for asked in (S([1]), cfg.all_stations):
+                        assert _outcome(adversary, state, asked, transcript) == _outcome(
+                            exact_answer, state, asked, strategy, transcript)
+                    for feedback in {evaluate_query(query, live) for live in state.candidates}:
+                        adversary(state, query, transcript)  # the line now starts below
+                        sibling = transcript.extend(query, feedback)
+                        _play_checked(strategy, adversary, refine(state, query, feedback), sibling)
+                if not positions:
+                    continue
+                # Games started from a refined, non-initial position.
+                first = positions[0][1]
+                for feedback in {evaluate_query(first, live) for live in start.candidates}:
+                    _play_checked(strategy, make_exact_adversary(strategy),
+                                  refine(start, first, feedback),
+                                  Transcript(cfg).extend(first, feedback))

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -268,3 +270,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_ctrl_c_prints_one_error_line_and_exits_130():
+    # (12,4) runs for minutes, so the signal lands inside the solve.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "macq", "oracle", "--n", "12", "--d", "4",
+         "--oracle-n-cap", "12", "--oracle-d-cap", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(2.0)  # past start-up, which takes a small fraction of that
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert out == ""
+    assert err.startswith("error: Interrupted: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Engine runs: fixed live sets, worst-case sweeps, adversarial games."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from macq import (
     transcript_from_doc,
     worst_case_rounds,
 )
+from macq.engine import _first_in_id_order
 
 S = StationSet.from_ids
 
@@ -185,3 +187,17 @@ def test_game_result_doc_is_json_ready():
     back, live = transcript_from_doc(doc)
     assert back == result.transcript
     assert live == S([1, 3])
+
+
+def test_first_in_id_order_matches_sorting_by_members():
+    rng = random.Random(3)
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            sets = [S(ids) for ids in combinations(range(1, n + 1), d)]
+            for a in sets:
+                for b in sets:
+                    assert _first_in_id_order([a.mask, b.mask]) == min(a, b, key=lambda s: s.members).mask
+            for size in (1, 3, len(sets)):
+                picked = rng.sample(sets, min(size, len(sets)))
+                want = min(picked, key=lambda s: s.members).mask
+                assert _first_in_id_order([s.mask for s in picked]) == want

@@ -9,16 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macq import (
+    COLLISION,
     BudgetExceeded,
     GameConfig,
+    Inconsistent,
     StationSet,
     Strategy,
+    Transcript,
     check_normal_form,
+    default_round_cap,
+    evaluate_query,
     exact_optimal_rounds,
+    initial_state,
     make_exact_adversary,
     max_depth,
     optimal_strategy,
     optimal_strategy_tree,
+    refine,
     run_adversarial,
     run_fixed,
     tree_strategy,
@@ -246,3 +253,29 @@ def test_optimal_strategy_recovers_from_any_opening():
             assert result.completed
             assert result.rounds_used <= 1 + OPTIMAL_ROUNDS[(4, 2)]
 
+
+def test_optimal_strategy_state_is_the_residual_family():
+    # Its state after each round is the refined family with the revealed
+    # stations struck, and its query the solver's answer on that family.
+    for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]:
+        cfg = GameConfig(n, d)
+        strat = optimal_strategy(cfg)
+        solver = _Solver(default_round_cap(cfg), True)
+        for ids in combinations(range(1, n + 1), d):
+            live = StationSet.from_ids(ids)
+            state, memory, transcript = initial_state(cfg), strat.start(cfg), Transcript(cfg)
+            while True:
+                struck = state.transmitted.mask
+                fam = tuple(sorted(c.mask & ~struck for c in state.candidates))
+                assert memory == (fam, struck)
+                query = strat.query(cfg, memory)
+                assert query == strat.next_action(cfg, transcript)
+                if len(state.transmitted) >= d:
+                    assert query is None
+                    break
+                assert query == StationSet(solver.best_query(fam))
+                feedback = evaluate_query(query, live)
+                state, memory = refine(state, query, feedback), strat.step(memory, query, feedback)
+                transcript = transcript.extend(query, feedback)
+    with pytest.raises(Inconsistent):
+        strat.step(strat.start(cfg), StationSet.from_ids([1]), COLLISION)

@@ -1,19 +1,33 @@
-"""Strategy behavior tested directly through next_action on hand-built transcripts."""
+"""Strategy behavior on hand-built transcripts, and the strategies' state machines
+against the replaying functions they replaced."""
+
+import dataclasses
+import random
+from itertools import combinations
 
 import pytest
 
 from macq import (
     COLLISION,
+    LINEAR_SCAN,
     SILENCE,
+    TREE_SPLIT,
+    DomainError,
+    FeedbackTag,
     MacqError,
     GameConfig,
     StationSet,
     Transcript,
+    build_tree,
+    evaluate_query,
     linear_scan,
     scripted,
     single,
+    transmitted_set,
     tree_split,
+    worst_case_rounds,
 )
+from macq.strategies import replay
 
 S = StationSet.from_ids
 
@@ -107,3 +121,147 @@ def test_scripted_plays_list_then_stops():
     t = t.extend(S([3]), SILENCE)
     assert strat.next_action(cfg, t) is None
     assert strat.name == "fixed"
+
+
+# ---------------------------------------------------------------------------
+# The state machines against the replaying strategies they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_linear_scan(config, transcript):
+    """linear_scan as a function of the whole transcript (reference only)."""
+    if len(transmitted_set(transcript)) >= config.d:
+        return None
+    played = len(transcript.rounds)
+    if played >= config.n:
+        return None
+    return StationSet.singleton(played + 1)
+
+
+def _reference_interval_set(lo, hi):
+    return StationSet((1 << hi) - (1 << (lo - 1)))
+
+
+def _reference_interval_stack(config, transcript):
+    stack = [(1, config.n)]
+    for query, feedback in transcript.rounds:
+        if not stack:
+            raise DomainError("transcript continues past an empty interval stack")
+        lo, hi = stack.pop()
+        if query != _reference_interval_set(lo, hi):
+            raise DomainError("transcript was not produced by tree_split")
+        if feedback.tag is FeedbackTag.COLLISION:
+            mid = (lo + hi + 1) // 2
+            stack.append((mid, hi))
+            stack.append((lo, mid - 1))
+    return stack
+
+
+def _reference_tree_split(config, transcript):
+    """tree_split replaying its interval stack on every call (reference only)."""
+    if len(transmitted_set(transcript)) >= config.d:
+        return None
+    stack = _reference_interval_stack(config, transcript)
+    if not stack:
+        return None
+    return _reference_interval_set(*stack[-1])
+
+
+def _answer(fn, config, transcript):
+    try:
+        return fn(config, transcript)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _tree_transcripts(reference, config):
+    """Every transcript on a path of the strategy's decision tree."""
+    seen = set()
+    for ids in combinations(range(1, config.n + 1), config.d):
+        live = S(ids)
+        transcript = Transcript(config)
+        seen.add(transcript)
+        while len(transmitted_set(transcript)) < config.d:
+            query = reference(config, transcript)
+            if query is None:
+                break
+            transcript = transcript.extend(query, evaluate_query(query, live))
+            seen.add(transcript)
+    return seen
+
+
+def _foreign_transcripts(config, rng, tree_transcripts):
+    """Tree transcripts with one or two extra rounds of any query and feedback,
+    consistent or not, so the stack empties early, runs out, or mismatches."""
+    n = config.n
+    feedbacks = [SILENCE, COLLISION, single(1), single(n)]
+    queries = [S([1]), S(range(1, n + 1)), S(range(1, (n + 1) // 2 + 1))]
+    for transcript in sorted(tree_transcripts, key=len):
+        for query in queries:
+            for feedback in feedbacks:
+                extended = transcript.extend(query, feedback)
+                yield extended
+                yield extended.extend(rng.choice(queries), rng.choice(feedbacks))
+
+
+@pytest.mark.parametrize("strategy, reference", [
+    (LINEAR_SCAN, _reference_linear_scan),
+    (TREE_SPLIT, _reference_tree_split),
+], ids=["linear", "tree"])
+def test_state_machines_match_the_replaying_references(strategy, reference):
+    rng = random.Random(7)
+    errors = 0
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            cfg = GameConfig(n, d)
+            on_tree = _tree_transcripts(reference, cfg)
+            for transcript in on_tree:
+                want = reference(cfg, transcript)
+                # The walk's route: one step per round, then one query.
+                assert strategy.query(cfg, replay(strategy, cfg, transcript)) == want
+                assert strategy.next_action(cfg, transcript) == want
+            for transcript in _foreign_transcripts(cfg, rng, on_tree):
+                want = _answer(reference, cfg, transcript)
+                assert _answer(strategy.next_action, cfg, transcript) == want, (cfg, transcript)
+                errors += isinstance(want, str)
+    if strategy is TREE_SPLIT:
+        assert errors > 1000  # both foreign-transcript errors are compared
+
+
+def _counted(strategy):
+    calls = {"query": 0, "step": 0}
+
+    def query(config, state):
+        calls["query"] += 1
+        return strategy.query(config, state)
+
+    def step(state, query, feedback):
+        calls["step"] += 1
+        return strategy.step(state, query, feedback)
+
+    return dataclasses.replace(strategy, query=query, step=step), calls
+
+
+def test_worst_case_sweep_asks_once_per_internal_node():
+    for strategy in (LINEAR_SCAN, TREE_SPLIT):
+        for n, d in ((6, 3), (8, 3), (10, 4)):
+            cfg = GameConfig(n, d)
+            counted, calls = _counted(strategy)
+            assert worst_case_rounds(counted, cfg) == worst_case_rounds(strategy, cfg)
+            internal = edges = 0
+            todo = [build_tree(strategy, cfg).root]
+            while todo:
+                node = todo.pop()
+                internal += not node.is_leaf
+                edges += len(node.children)
+                todo.extend(node.children.values())
+            assert calls["query"] <= internal, (strategy.name, n, d, calls, internal)
+            assert calls["step"] <= edges, (strategy.name, n, d, calls, edges)
+
+
+def test_transcript_strategies_keep_the_transcript_as_state():
+    strat = scripted("fixed", [S([1, 2]), S([3])])
+    cfg = GameConfig(3, 1)
+    assert strat.start(cfg) == Transcript(cfg)
+    t = strat.step(strat.start(cfg), S([1, 2]), COLLISION)
+    assert t == Transcript(cfg).extend(S([1, 2]), COLLISION)
+    assert strat.query is None and strat.next_action(cfg, t) == S([3])
