@@ -1,10 +1,10 @@
 """Adaptive adversaries that choose feedback instead of fixing a live set.
 
-An adversary tracks a knowledge state: the family of live sets still
-consistent with every answer given so far, plus the stations already revealed
-by single transmissions.  Any answer it gives must keep at least one
-candidate alive, so a completed game always has a witness live set that would
-have produced the same transcript verbatim.
+An adversary tracks a knowledge state: the masks of the live sets still
+consistent with every answer given so far, plus the mask of the stations
+revealed by singles.  Any answer it gives must keep at least one candidate
+alive, so a completed game always has a witness live set that would have
+produced the same transcript verbatim.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class KnowledgeState:
-    """Surviving candidate family (sorted by mask) plus revealed stations."""
+    """Surviving live-set masks (ascending) plus the mask of revealed stations."""
 
     config: GameConfig
-    candidates: tuple[StationSet, ...]
-    transmitted: StationSet
+    family: tuple[int, ...]
+    revealed: int
 
 
 def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, ...]:
@@ -51,30 +51,18 @@ def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDG
 
 def initial_state(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> KnowledgeState:
     """Knowledge state before any round: every size-d subset of 1..n."""
-    candidates = tuple(map(StationSet, initial_family(config, budget=budget)))
-    return KnowledgeState(config, candidates, StationSet())
-
-
-def _masks(state: KnowledgeState) -> list[int]:
-    return [candidate.mask for candidate in state.candidates]
-
-
-def refine_family(masks: Sequence[int], query: StationSet, feedback: Feedback) -> tuple[list[int], int]:
-    """The members that draw ``feedback`` on ``query``, in input order, and
-    the bit that feedback reveals (0 unless it is a single)."""
-    for outcome, group in split_by_feedback(masks, query.mask):
-        if outcome_feedback(outcome) == feedback:
-            return group, outcome if outcome > 0 else 0
-    raise Inconsistent(
-        f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
-    )
+    return KnowledgeState(config, initial_family(config, budget=budget), 0)
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
-    """Filter the candidate family by one observed round."""
-    group, revealed = refine_family(_masks(state), query, feedback)
-    survivors = tuple(map(StationSet, group))
-    return KnowledgeState(state.config, survivors, state.transmitted | StationSet(revealed))
+    """Filter the candidate family by one observed round, keeping its order."""
+    for outcome, group in split_by_feedback(state.family, query.mask):
+        if outcome_feedback(outcome) == feedback:
+            revealed = state.revealed | outcome if outcome > 0 else state.revealed
+            return KnowledgeState(state.config, tuple(group), revealed)
+    raise Inconsistent(
+        f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
+    )
 
 
 def _preference(feedback: Feedback) -> tuple[int, int]:
@@ -90,7 +78,7 @@ def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
     """Feedback keeping the largest surviving family (ties by preference)."""
     sizes = {
         outcome_feedback(outcome): len(survivors)
-        for outcome, survivors in split_by_feedback(_masks(state), query.mask)
+        for outcome, survivors in split_by_feedback(state.family, query.mask)
     }
     return min(sizes, key=lambda fb: (-sizes[fb], _preference(fb)))
 
@@ -109,8 +97,8 @@ def exact_answer(
     ``state``.
     """
     lengths: dict[Feedback, int] = {}
-    revealed = state.transmitted.mask
-    for outcome, group in split_by_feedback(_masks(state), query.mask):
+    revealed = state.revealed
+    for outcome, group in split_by_feedback(state.family, query.mask):
         feedback = outcome_feedback(outcome)
         # One round now, plus the rounds the strategy can be forced to play below.
         lengths[feedback] = 1 + fold_strategy(
@@ -157,9 +145,9 @@ def make_exact_adversary(strategy: Strategy) -> Adversary:
     def answer(state: KnowledgeState, query: StationSet, transcript: Transcript) -> Feedback:
         nonlocal expected, line
         if transcript != expected or line[1] != query:
-            revealed = state.transmitted.mask
+            revealed = state.revealed
             branches = []
-            for outcome, group in split_by_feedback(_masks(state), query.mask):
+            for outcome, group in split_by_feedback(state.family, query.mask):
                 feedback = outcome_feedback(outcome)
                 branches.append((feedback, fold_strategy(
                     strategy, state.config, group, transcript.extend(query, feedback),

@@ -1,7 +1,9 @@
 """Game engine: run strategies against fixed live sets or adversaries.
 
-A game ends as soon as d distinct stations have transmitted alone, whether or
-not the strategy would keep querying, or earlier if the strategy itself stops.
+One loop plays every game on a knowledge state; a fixed live set is the state
+holding it alone.  A game ends as soon as d distinct stations have transmitted
+alone, whether or not the strategy would keep querying, or earlier if the
+strategy itself stops.
 ``strategies.checked_query`` applies the round cap (default 4n + 16), which
 turns non-terminating strategies into errors instead of hangs.
 """
@@ -14,6 +16,7 @@ from typing import Sequence
 from .adversary import (
     DEFAULT_ENUMERATION_BUDGET,
     Adversary,
+    KnowledgeState,
     initial_family,
     initial_state,
     refine,
@@ -26,7 +29,6 @@ from .channel import (
     evaluate_query,
     format_station_set,
     transcript_to_doc,
-    transmitted_set,
 )
 from .errors import AdversaryInconsistent, DomainError, Inconsistent
 from .strategies import Strategy, checked_query, fold_strategy
@@ -53,17 +55,8 @@ def run_fixed(
         raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
     if len(live) != config.d:
         raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
-    transcript = Transcript(config)
-    memory = strategy.start(config)
-    while len(transmitted_set(transcript)) < config.d:
-        action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
-        if action is None:
-            break
-        feedback = evaluate_query(action, live)
-        transcript = transcript.extend(action, feedback)
-        memory = strategy.step(memory, action, feedback)
-    completed = transmitted_set(transcript) == live
-    return GameResult(transcript, len(transcript.rounds), completed, live)
+    return _play(strategy, lambda state, query, transcript: evaluate_query(query, live),
+                 KnowledgeState(config, (live.mask,), 0), round_cap)
 
 
 def worst_case_rounds(
@@ -123,23 +116,29 @@ def run_adversarial(
     The witness is the least surviving candidate; replaying it as a fixed
     live set reproduces the same transcript round for round.
     """
-    state = initial_state(config)
+    return _play(strategy, adversary, initial_state(config), round_cap)
+
+
+def _play(strategy: Strategy, answer: Adversary, state: KnowledgeState,
+          round_cap: int | None) -> GameResult:
+    """Play from ``state`` until d stations are revealed or the strategy stops."""
+    config = state.config
     transcript = Transcript(config)
     memory = strategy.start(config)
-    while len(state.transmitted) < config.d:
+    while state.revealed.bit_count() < config.d:
         action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
         if action is None:
             break
-        feedback = adversary(state, action, transcript)
+        feedback = answer(state, action, transcript)
         try:
             state = refine(state, action, feedback)
         except Inconsistent as exc:
             raise AdversaryInconsistent(str(exc)) from exc
         transcript = transcript.extend(action, feedback)
         memory = strategy.step(memory, action, feedback)
-    witness = min(state.candidates)
-    completed = transmitted_set(transcript) == witness
-    return GameResult(transcript, len(transcript.rounds), completed, witness)
+    witness = min(state.family)
+    return GameResult(transcript, len(transcript.rounds), state.revealed == witness,
+                      StationSet(witness))
 
 
 def game_result_to_doc(result: GameResult) -> dict[str, object]:

@@ -33,17 +33,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from .adversary import initial_family, refine_family
-from .channel import (
-    Feedback,
-    GameConfig,
-    StationSet,
-    Transcript,
-    split_by_feedback,
-)
+from .adversary import KnowledgeState, initial_family, initial_state, refine
+from .channel import GameConfig, StationSet, split_by_feedback
 from .errors import BudgetExceeded, CapExceeded
 from .qtree import QTree, build_tree
-from .strategies import Strategy, default_round_cap, replay
+from .strategies import Strategy, default_round_cap
 
 DEFAULT_ORACLE_CAP = (6, 3)
 
@@ -203,34 +197,19 @@ def optimal_strategy(
 
     Unlike a replayed witness tree this works from arbitrary openings, which
     makes it a convenient optimal continuation for adversary analysis.  Its
-    state is the residual family (the surviving candidates with the revealed
-    stations struck) plus the revealed mask, so each round costs one split.
+    state is the knowledge state, so each round costs one split; it asks the
+    solver about the candidates with the revealed stations struck.
     """
     _check_cap(config, cap)
     solver = _Solver(default_round_cap(config), canonical)
 
-    def start(cfg: GameConfig) -> tuple[tuple[int, ...], int]:
-        return initial_family(cfg), 0
-
-    def step(state: tuple[tuple[int, ...], int], query: StationSet,
-             feedback: Feedback) -> tuple[tuple[int, ...], int]:
-        fam, revealed = state
-        group, bit = refine_family([m | revealed for m in fam], query, feedback)
-        revealed |= bit
-        # Striking stations that every member holds keeps the masks ascending.
-        return tuple(m & ~revealed for m in group), revealed
-
-    def query(cfg: GameConfig, state: tuple[tuple[int, ...], int]) -> StationSet | None:
-        fam, revealed = state
-        if revealed.bit_count() >= cfg.d:
+    def query(cfg: GameConfig, state: KnowledgeState) -> StationSet | None:
+        if state.revealed.bit_count() >= cfg.d:
             return None
-        return StationSet(solver.best_query(fam))
+        # Striking stations that every member holds keeps the masks ascending.
+        return StationSet(solver.best_query(tuple(m & ~state.revealed for m in state.family)))
 
-    def next_action(cfg: GameConfig, transcript: Transcript) -> StationSet | None:
-        return query(cfg, replay(minimax, cfg, transcript))
-
-    minimax = Strategy("minimax", next_action, start, step, query)
-    return minimax
+    return Strategy("minimax", query, initial_state, refine)
 
 
 def _reference_optimal_rounds(config: GameConfig) -> int:

@@ -228,17 +228,19 @@ def export_graph(tree: QTree) -> str:
 
 
 def tree_strategy(tree: QTree, name: str = "tree-replay") -> Strategy:
-    """Replay a built tree as a strategy (leaf reached means stop)."""
+    """Replay a built tree as a strategy (leaf reached means stop).  Its state
+    is the current node, or None off the tree, refused only at the next query."""
 
-    def next_action(config: GameConfig, transcript: Transcript) -> StationSet | None:
-        node = tree.root
-        for query, feedback in transcript.rounds:
-            if node.query != query:
-                raise DomainError("transcript diverges from the tree's queries")
-            child = node.children.get(feedback)
-            if child is None:
-                raise DomainError("transcript follows a feedback edge the tree lacks")
-            node = child
+    def step(node: QNode | None, query: StationSet, feedback: Feedback) -> QNode | None:
+        if node is None:
+            return None
+        if node.query != query:
+            raise DomainError("transcript diverges from the tree's queries")
+        return node.children.get(feedback)
+
+    def next_query(config: GameConfig, node: QNode | None) -> StationSet | None:
+        if node is None:
+            raise DomainError("transcript follows a feedback edge the tree lacks")
         return node.query
 
-    return Strategy(name, next_action)
+    return Strategy(name, next_query, lambda config: tree.root, step)

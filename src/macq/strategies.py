@@ -35,7 +35,6 @@ from .channel import (
 from .errors import CapExceeded, DomainError, InvalidQuery
 
 NextAction = StationSet | None
-StrategyFn = Callable[[GameConfig, Transcript], NextAction]
 T = TypeVar("T")
 
 
@@ -45,21 +44,22 @@ class Strategy:
 
     ``start(config)`` is the state before any round, ``step(state, query,
     feedback)`` the state after one more round, and ``query(config, state)``
-    the next query or None.  ``next_action(config, transcript)`` is the same
-    strategy as a function of the whole transcript.  Given only
-    ``next_action``, the state is the transcript itself: ``start`` gives an
-    empty ``Transcript``, ``step`` is ``Transcript.extend``, and the query is
-    ``next_action``.
+    the next query or None.  By default the state is the transcript itself:
+    ``start`` gives an empty ``Transcript`` and ``step`` is
+    ``Transcript.extend``, so ``query`` is a function of the whole transcript.
     """
 
     name: str
-    next_action: StrategyFn
+    query: Callable[[GameConfig, Any], NextAction]
     start: Callable[[GameConfig], Any] = Transcript
     step: Callable[[Any, StationSet, Feedback], Any] = Transcript.extend
-    query: Callable[[GameConfig, Any], NextAction] | None = None
 
-    def __call__(self, config: GameConfig, transcript: Transcript) -> NextAction:
-        return self.next_action(config, transcript)
+    def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
+        """The query after ``transcript``, or None once d stations have
+        transmitted alone in it (the walk's own stop rule)."""
+        if len(transmitted_set(transcript)) >= config.d:
+            return None
+        return self.query(config, replay(self, config, transcript))
 
 
 def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> Any:
@@ -78,7 +78,7 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
                   round_cap: int | None) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds,
     refused past the round cap or beyond n."""
-    action = (strategy.query or strategy.next_action)(config, state)
+    action = strategy.query(config, state)
     if action is None:
         return None
     cap = default_round_cap(config) if round_cap is None else round_cap
@@ -119,7 +119,7 @@ def fold_strategy(
     stations: that reduced query splits the family and reaches ``node``, while
     the strategy steps on its own query and the feedback that query drew.
     Every member of a group holds the revealed stations, so any one of them
-    gives that feedback.
+    gives that feedback; a query holding none of them is played unchanged.
     """
     step = strategy.step
 
@@ -129,11 +129,12 @@ def fold_strategy(
         query = checked_query(strategy, config, state, rounds, round_cap)
         if query is None:
             return leaf(family)
-        played = StationSet(query.mask & ~revealed) if normal else query
+        reduced = normal and query.mask & revealed
+        played = StationSet(query.mask & ~revealed) if reduced else query
         branches = []  # a loop, not a comprehension: one frame per round of depth
         for outcome, group in split_by_feedback(family, played.mask):
             feedback = outcome_feedback(outcome)
-            drawn = evaluate_query(query, StationSet(group[0])) if normal else feedback
+            drawn = evaluate_query(query, StationSet(group[0])) if reduced else feedback
             child = visit(group, step(state, query, drawn), rounds + 1,
                           revealed | outcome if outcome > 0 else revealed)
             branches.append((feedback, child))
@@ -162,7 +163,7 @@ def _linear_query(config: GameConfig, state: tuple[int, int]) -> NextAction:
 
 def linear_scan(config: GameConfig, transcript: Transcript) -> NextAction:
     """Probe singletons {1}, {2}, ... in order; stop after d singles or {n}."""
-    return _linear_query(config, replay(LINEAR_SCAN, config, transcript))
+    return LINEAR_SCAN.next_action(config, transcript)
 
 
 # tree_split's state: (revealed mask, pending intervals (lo, hi) with the
@@ -210,9 +211,7 @@ def tree_split(config: GameConfig, transcript: Transcript) -> NextAction:
     Raises DomainError on a transcript that tree_split did not produce,
     unless d stations have already transmitted alone in it.
     """
-    if len(transmitted_set(transcript)) >= config.d:
-        return None
-    return _tree_query(config, replay(TREE_SPLIT, config, transcript))
+    return TREE_SPLIT.next_action(config, transcript)
 
 
 def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
@@ -223,17 +222,14 @@ def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
     """
     fixed = tuple(queries)
 
-    def next_action(config: GameConfig, transcript: Transcript) -> NextAction:
-        played = len(transcript.rounds)
-        if played >= len(fixed):
-            return None
-        return fixed[played]
+    def query(config: GameConfig, played: int) -> NextAction:
+        return fixed[played] if played < len(fixed) else None
 
-    return Strategy(name, next_action)
+    return Strategy(name, query, lambda config: 0, lambda played, _query, _feedback: played + 1)
 
 
-LINEAR_SCAN = Strategy("linear", linear_scan, lambda config: (0, 0), _linear_step, _linear_query)
-TREE_SPLIT = Strategy("tree", tree_split, _tree_start, _tree_step, _tree_query)
+LINEAR_SCAN = Strategy("linear", _linear_query, lambda config: (0, 0), _linear_step)
+TREE_SPLIT = Strategy("tree", _tree_query, _tree_start, _tree_step)
 
 STRATEGIES: dict[str, Strategy] = {
     LINEAR_SCAN.name: LINEAR_SCAN,

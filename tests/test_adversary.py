@@ -36,16 +36,16 @@ S = StationSet.from_ids
 
 def test_initial_state_enumerates_all_candidates():
     state = initial_state(GameConfig(4, 2))
-    assert len(state.candidates) == 6
-    assert set(state.candidates) == {S(ids) for ids in combinations(range(1, 5), 2)}
-    assert state.transmitted == StationSet()
+    assert len(state.family) == 6
+    assert set(state.family) == {S(ids).mask for ids in combinations(range(1, 5), 2)}
+    assert state.revealed == 0
     # Witness order and tree leaf order follow this ascending mask order.
     for n in range(1, 8):
         for d in range(1, n + 1):
             cfg = GameConfig(n, d)
             masks = sorted(S(ids).mask for ids in combinations(range(1, n + 1), d))
             assert initial_family(cfg) == tuple(masks)
-            assert initial_state(cfg).candidates == tuple(map(StationSet, masks))
+            assert initial_state(cfg).family == tuple(masks)
 
 
 def test_initial_state_budget():
@@ -59,15 +59,15 @@ def test_initial_state_budget():
 def test_refine_silence_on_singleton():
     state = initial_state(GameConfig(3, 2))
     after = refine(state, S([1]), SILENCE)
-    assert after.candidates == (S([2, 3]),)
-    assert after.transmitted == StationSet()
+    assert after.family == (S([2, 3]).mask,)
+    assert after.revealed == 0
 
 
 def test_refine_single_reveals_station():
     state = initial_state(GameConfig(3, 2))
     after = refine(state, S([1]), single(1))
-    assert set(after.candidates) == {S([1, 2]), S([1, 3])}
-    assert after.transmitted == S([1])
+    assert set(after.family) == {S([1, 2]).mask, S([1, 3]).mask}
+    assert after.revealed == S([1]).mask
 
 
 def test_refine_matches_consistency_filter_exhaustively():
@@ -77,12 +77,12 @@ def test_refine_matches_consistency_filter_exhaustively():
     feedbacks = [SILENCE, COLLISION] + [single(i) for i in range(1, 5)]
     for query in queries:
         for fb in feedbacks:
-            survivors = tuple(c for c in state.candidates if evaluate_query(query, c) == fb)
+            survivors = tuple(c for c in state.family if evaluate_query(query, StationSet(c)) == fb)
             if not survivors:
                 with pytest.raises(Inconsistent):
                     refine(state, query, fb)
             else:
-                assert refine(state, query, fb).candidates == survivors
+                assert refine(state, query, fb).family == survivors
 
 
 def test_refine_rejects_impossible_feedback():
@@ -97,8 +97,8 @@ def _greedy_oracle(state: KnowledgeState, query: StationSet):
     # Independent recount with plain dicts: largest surviving family wins,
     # ties broken collision first, then silence, then smallest single id.
     buckets: dict = {}
-    for cand in state.candidates:
-        buckets.setdefault(evaluate_query(query, cand), []).append(cand)
+    for cand in state.family:
+        buckets.setdefault(evaluate_query(query, StationSet(cand)), []).append(cand)
 
     def rank(fb):
         if fb == COLLISION:
@@ -178,7 +178,7 @@ def _play_checked(strategy, adversary, state, transcript):
     """
     cfg = state.config
     positions = []
-    while len(state.transmitted) < cfg.d:
+    while state.revealed.bit_count() < cfg.d:
         query = strategy.next_action(cfg, transcript)
         if query is None:
             break
@@ -209,7 +209,7 @@ def test_exact_adversary_answers_as_exact_answer_every_round():
                     for asked in (S([1]), cfg.all_stations):
                         assert _outcome(adversary, state, asked, transcript) == _outcome(
                             exact_answer, state, asked, strategy, transcript)
-                    for feedback in {evaluate_query(query, live) for live in state.candidates}:
+                    for feedback in {evaluate_query(query, StationSet(live)) for live in state.family}:
                         adversary(state, query, transcript)  # the line now starts below
                         sibling = transcript.extend(query, feedback)
                         _play_checked(strategy, adversary, refine(state, query, feedback), sibling)
@@ -217,7 +217,7 @@ def test_exact_adversary_answers_as_exact_answer_every_round():
                     continue
                 # Games started from a refined, non-initial position.
                 first = positions[0][1]
-                for feedback in {evaluate_query(first, live) for live in start.candidates}:
+                for feedback in {evaluate_query(first, StationSet(live)) for live in start.family}:
                     _play_checked(strategy, make_exact_adversary(strategy),
                                   refine(start, first, feedback),
                                   Transcript(cfg).extend(first, feedback))

@@ -1,5 +1,6 @@
 """Engine runs: fixed live sets, worst-case sweeps, adversarial games."""
 
+import collections
 import json
 import random
 from itertools import combinations
@@ -13,12 +14,18 @@ from macq import (
     CapExceeded,
     DomainError,
     GameConfig,
+    GameResult,
     InvalidQuery,
     LINEAR_SCAN,
+    MacqError,
     TREE_SPLIT,
     StationSet,
     Strategy,
+    Transcript,
+    build_tree,
     default_round_cap,
+    evaluate_query,
+    format_station_set,
     game_result_to_doc,
     greedy_adversary,
     make_exact_adversary,
@@ -27,9 +34,12 @@ from macq import (
     scripted,
     single,
     transcript_from_doc,
+    transmitted_set,
+    tree_strategy,
     worst_case_rounds,
 )
 from macq.engine import _first_in_id_order
+from macq.strategies import checked_query
 
 S = StationSet.from_ids
 
@@ -100,6 +110,107 @@ def test_round_cap_turns_livelock_into_error():
     with pytest.raises(CapExceeded):
         run_fixed(never_done, GameConfig(3, 1), S([2]))  # default cap 4n+16
     assert default_round_cap(GameConfig(3, 1)) == 28
+
+
+def _reference_run_fixed(strategy, config, live, round_cap=None):
+    """run_fixed with its own loop over the transcript (reference only)."""
+    if not live.issubset(config.all_stations):
+        raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
+    if len(live) != config.d:
+        raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
+    transcript = Transcript(config)
+    memory = strategy.start(config)
+    while len(transmitted_set(transcript)) < config.d:
+        action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
+        if action is None:
+            break
+        feedback = evaluate_query(action, live)
+        transcript = transcript.extend(action, feedback)
+        memory = strategy.step(memory, action, feedback)
+    completed = transmitted_set(transcript) == live
+    return GameResult(transcript, len(transcript.rounds), completed, live)
+
+
+def _reference_scripted(queries):
+    """scripted as a function of the whole transcript (reference only)."""
+
+    def next_action(config, transcript):
+        played = len(transcript.rounds)
+        return queries[played] if played < len(queries) else None
+
+    return Strategy("script", next_action)
+
+
+def _reference_tree_strategy(tree):
+    """tree_strategy as a function of the whole transcript (reference only)."""
+
+    def next_action(config, transcript):
+        node = tree.root
+        for query, feedback in transcript.rounds:
+            if node.query != query:
+                raise DomainError("transcript diverges from the tree's queries")
+            child = node.children.get(feedback)
+            if child is None:
+                raise DomainError("transcript follows a feedback edge the tree lacks")
+            node = child
+        return node.query
+
+    return Strategy("tree-replay", next_action)
+
+
+def _random_subset(rng, n):
+    # Station n+1 now and then, so some strategies query beyond n.
+    return S(i for i in range(1, n + 2) if rng.random() < (0.4 if i <= n else 0.05))
+
+
+def _adaptive(seed, n):
+    """Queries drawn from a generator seeded by the transcript so far."""
+
+    def next_action(config, transcript):
+        key = repr([(list(q), f.tag.value, f.station) for q, f in transcript.rounds])
+        rng = random.Random(f"{seed}:{key}")
+        if rng.random() < 0.08:
+            return None
+        return _random_subset(rng, n)
+
+    return Strategy(f"adaptive-{seed}", next_action)
+
+
+def _game(run, strategy, cfg, live, round_cap):
+    try:
+        return run(strategy, cfg, live, round_cap)
+    except MacqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_run_fixed_matches_its_own_loop():
+    # The machines play in run_fixed; the references are transcript functions
+    # where one exists (scripted, tree_strategy), so both forms are compared.
+    rng = random.Random(8)
+    seen = collections.Counter()
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            cfg = GameConfig(n, d)
+            pairs = [(LINEAR_SCAN, LINEAR_SCAN), (TREE_SPLIT, TREE_SPLIT)]
+            for _ in range(3):
+                script = [_random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))]
+                pairs.append((scripted("script", script), _reference_scripted(script)))
+            adaptive = _adaptive(rng.randrange(10**6), n)
+            pairs.append((adaptive, adaptive))
+            # A tree of this instance, and one of a neighbouring d, whose
+            # feedback edges the games here can leave.
+            for tree_d in {d, d % n + 1}:
+                tree = build_tree(TREE_SPLIT, GameConfig(n, tree_d))
+                pairs.append((tree_strategy(tree), _reference_tree_strategy(tree)))
+            for ids in combinations(range(1, n + 1), d):
+                live = S(ids)
+                for strategy, reference in pairs:
+                    for round_cap in (None, 1, 2):
+                        got = _game(run_fixed, strategy, cfg, live, round_cap)
+                        want = _game(_reference_run_fixed, reference, cfg, live, round_cap)
+                        assert got == want, (strategy.name, cfg, live, round_cap)
+                        seen[got.split(":")[0] if isinstance(got, str) else got.completed] += 1
+    assert set(seen) == {True, False, "CapExceeded", "InvalidQuery", "DomainError"}, seen
 
 
 def _worst_by_enumeration(strategy, n, d):

@@ -255,8 +255,8 @@ def test_optimal_strategy_recovers_from_any_opening():
 
 
 def test_optimal_strategy_state_is_the_residual_family():
-    # Its state after each round is the refined family with the revealed
-    # stations struck, and its query the solver's answer on that family.
+    # Its state after each round is the refined knowledge state, and its
+    # query the solver's answer on the family with the revealed stations struck.
     for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         cfg = GameConfig(n, d)
         strat = optimal_strategy(cfg)
@@ -265,12 +265,12 @@ def test_optimal_strategy_state_is_the_residual_family():
             live = StationSet.from_ids(ids)
             state, memory, transcript = initial_state(cfg), strat.start(cfg), Transcript(cfg)
             while True:
-                struck = state.transmitted.mask
-                fam = tuple(sorted(c.mask & ~struck for c in state.candidates))
-                assert memory == (fam, struck)
+                assert memory == state
+                struck = state.revealed
+                fam = tuple(sorted(c & ~struck for c in state.family))
                 query = strat.query(cfg, memory)
                 assert query == strat.next_action(cfg, transcript)
-                if len(state.transmitted) >= d:
+                if struck.bit_count() >= d:
                     assert query is None
                     break
                 assert query == StationSet(solver.best_query(fam))

@@ -1,6 +1,5 @@
 """Decision-tree construction, normal form, export, and replay."""
 
-import dataclasses
 import math
 import random
 from itertools import combinations
@@ -292,21 +291,6 @@ def test_normalize_calls_the_strategy_once_per_node():
                 nodes += 1
                 todo.extend(node.children.values())
             assert calls <= nodes, (base.name, n, d, calls, nodes)
-
-
-def test_normalize_walks_the_state_machine():
-    # A strategy whose transcript form refuses to run: the walk must carry
-    # the state, and normalize must keep the state functions when renaming.
-    def refuse(config, transcript):
-        raise AssertionError("the walk replayed the transcript")
-
-    for base in (LINEAR_SCAN, TREE_SPLIT):
-        machine_only = dataclasses.replace(base, next_action=refuse)
-        for n, d in ((6, 3), (8, 4)):
-            cfg = GameConfig(n, d)
-            assert export_graph(normalize(machine_only, cfg)) == export_graph(normalize(base, cfg))
-            assert export_graph(build_tree(machine_only, cfg)) == export_graph(build_tree(base, cfg))
-            assert worst_case_rounds(machine_only, cfg) == worst_case_rounds(base, cfg)
 
 
 def test_export_graph_is_deterministic():

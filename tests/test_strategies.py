@@ -17,6 +17,7 @@ from macq import (
     MacqError,
     GameConfig,
     StationSet,
+    Strategy,
     Transcript,
     build_tree,
     evaluate_query,
@@ -25,6 +26,7 @@ from macq import (
     single,
     transmitted_set,
     tree_split,
+    tree_strategy,
     worst_case_rounds,
 )
 from macq.strategies import replay
@@ -227,6 +229,71 @@ def test_state_machines_match_the_replaying_references(strategy, reference):
         assert errors > 1000  # both foreign-transcript errors are compared
 
 
+def _reference_scripted(queries):
+    """scripted as a function of the whole transcript (reference only)."""
+    fixed = tuple(queries)
+
+    def next_action(config, transcript):
+        played = len(transcript.rounds)
+        if played >= len(fixed):
+            return None
+        return fixed[played]
+
+    return next_action
+
+
+def _reference_tree_strategy(tree):
+    """tree_strategy walking the tree from its root on every call (reference only)."""
+
+    def next_action(config, transcript):
+        node = tree.root
+        for query, feedback in transcript.rounds:
+            if node.query != query:
+                raise DomainError("transcript diverges from the tree's queries")
+            child = node.children.get(feedback)
+            if child is None:
+                raise DomainError("transcript follows a feedback edge the tree lacks")
+            node = child
+        return node.query
+
+    return next_action
+
+
+def _machine_query(strategy):
+    """The walk's route to a query: one step per round, then one query."""
+    return lambda config, transcript: strategy.query(config, replay(strategy, config, transcript))
+
+
+def test_scripted_and_tree_strategy_machines_match_the_replaying_references():
+    rng = random.Random(11)
+    errors = set()
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            cfg = GameConfig(n, d)
+            script = [S(i for i in range(1, n + 2) if rng.random() < 0.4)
+                      for _ in range(rng.randrange(2 * n + 3))]
+            pairs = [(scripted("script", script), _reference_scripted(script))]
+            for base in (LINEAR_SCAN, TREE_SPLIT):
+                tree = build_tree(base, cfg)
+                pairs.append((tree_strategy(tree), _reference_tree_strategy(tree)))
+            for strategy, reference in pairs:
+                on_tree = _tree_transcripts(reference, cfg)
+                for transcript in on_tree:
+                    want = reference(cfg, transcript)
+                    assert _machine_query(strategy)(cfg, transcript) == want
+                    if len(transmitted_set(transcript)) < d:
+                        assert strategy.next_action(cfg, transcript) == want
+                for transcript in _foreign_transcripts(cfg, rng, on_tree):
+                    want = _answer(reference, cfg, transcript)
+                    assert _answer(_machine_query(strategy), cfg, transcript) == want, (cfg, transcript)
+                    if isinstance(want, str):
+                        errors.add(want)
+    assert errors == {
+        "DomainError: transcript diverges from the tree's queries",
+        "DomainError: transcript follows a feedback edge the tree lacks",
+    }
+
+
 def _counted(strategy):
     calls = {"query": 0, "step": 0}
 
@@ -242,9 +309,10 @@ def _counted(strategy):
 
 
 def test_worst_case_sweep_asks_once_per_internal_node():
-    for strategy in (LINEAR_SCAN, TREE_SPLIT):
-        for n, d in ((6, 3), (8, 3), (10, 4)):
-            cfg = GameConfig(n, d)
+    for n, d in ((6, 3), (8, 3), (10, 4)):
+        cfg = GameConfig(n, d)
+        replays = [tree_strategy(build_tree(base, cfg)) for base in (LINEAR_SCAN, TREE_SPLIT)]
+        for strategy in [LINEAR_SCAN, TREE_SPLIT] + replays:
             counted, calls = _counted(strategy)
             assert worst_case_rounds(counted, cfg) == worst_case_rounds(strategy, cfg)
             internal = edges = 0
@@ -259,9 +327,15 @@ def test_worst_case_sweep_asks_once_per_internal_node():
 
 
 def test_transcript_strategies_keep_the_transcript_as_state():
-    strat = scripted("fixed", [S([1, 2]), S([3])])
+    def fn(config, transcript):
+        return (S([1, 2]), S([3]))[len(transcript.rounds)]  # IndexError if asked a third time
+
+    strat = Strategy("fixed", fn)
     cfg = GameConfig(3, 1)
     assert strat.start(cfg) == Transcript(cfg)
     t = strat.step(strat.start(cfg), S([1, 2]), COLLISION)
     assert t == Transcript(cfg).extend(S([1, 2]), COLLISION)
-    assert strat.query is None and strat.next_action(cfg, t) == S([3])
+    assert strat.query is fn and strat.next_action(cfg, t) == S([3])
+    t = strat.step(t, S([3]), single(3))
+    # Once d stations have transmitted alone, next_action stops without asking fn.
+    assert strat.next_action(cfg, t) is None
