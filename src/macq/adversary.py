@@ -1,41 +1,32 @@
 """Adaptive adversaries that choose feedback instead of fixing a live set.
 
-An adversary tracks a knowledge state: the masks of the live sets still
-consistent with every answer given so far, plus the mask of the stations
-revealed by singles.  Any answer it gives must keep at least one candidate
-alive, so a completed game always has a witness live set that would have
-produced the same transcript verbatim.
+An adversary tracks a ``KnowledgeState`` (defined in the channel module): the
+masks of the live sets still consistent with every answer given so far, plus
+the mask of the stations revealed by singles.  Its answers pick among the
+children ``branches`` gives, so each keeps at least one candidate alive and a
+completed game always has a witness live set that would have produced the
+same transcript verbatim.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
 from .channel import (
     Feedback,
     GameConfig,
+    KnowledgeState,
     StationSet,
     Transcript,
+    branches,
     format_station_set,
-    outcome_feedback,
-    split_by_feedback,
 )
 from .errors import BudgetExceeded, Inconsistent
 from .strategies import Strategy, fold_strategy
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class KnowledgeState:
-    """Surviving live-set masks (ascending) plus the mask of revealed stations."""
-
-    config: GameConfig
-    family: tuple[int, ...]
-    revealed: int
 
 
 def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, ...]:
@@ -56,10 +47,9 @@ def initial_state(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGE
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
     """Filter the candidate family by one observed round, keeping its order."""
-    for outcome, group in split_by_feedback(state.family, query.mask):
-        if outcome_feedback(outcome) == feedback:
-            revealed = state.revealed | outcome if outcome > 0 else state.revealed
-            return KnowledgeState(state.config, tuple(group), revealed)
+    for drawn, child in branches(state, query):
+        if drawn == feedback:
+            return child
     raise Inconsistent(
         f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
     )
@@ -76,10 +66,7 @@ def _preference(feedback: Feedback) -> tuple[int, int]:
 
 def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
     """Feedback keeping the largest surviving family (ties by preference)."""
-    sizes = {
-        outcome_feedback(outcome): len(survivors)
-        for outcome, survivors in split_by_feedback(state.family, query.mask)
-    }
+    sizes = {feedback: len(child.family) for feedback, child in branches(state, query)}
     return min(sizes, key=lambda fb: (-sizes[fb], _preference(fb)))
 
 
@@ -96,16 +83,14 @@ def exact_answer(
     (ties by preference).  ``transcript`` must be the rounds that produced
     ``state``.
     """
-    lengths: dict[Feedback, int] = {}
-    revealed = state.revealed
-    for outcome, group in split_by_feedback(state.family, query.mask):
-        feedback = outcome_feedback(outcome)
+    lengths = {
         # One round now, plus the rounds the strategy can be forced to play below.
-        lengths[feedback] = 1 + fold_strategy(
-            strategy, state.config, group, transcript.extend(query, feedback),
-            revealed | outcome if outcome > 0 else revealed,
-            lambda family: 0, lambda _, branches: 1 + max(depth for _, depth in branches),
+        feedback: 1 + fold_strategy(
+            strategy, child, transcript.extend(query, feedback),
+            lambda family: 0, lambda _, below: 1 + max(depth for _, depth in below),
         )
+        for feedback, child in branches(state, query)
+    }
     return min(lengths, key=lambda fb: (-lengths[fb], _preference(fb)))
 
 
@@ -138,22 +123,16 @@ def make_exact_adversary(strategy: Strategy) -> Adversary:
     def leaf(family: Sequence[int]) -> Line:
         return 0, None, None, None
 
-    def node(query: StationSet, branches: list[tuple[Feedback, Line]]) -> Line:
-        feedback, below = min(branches, key=lambda branch: (-branch[1][0], _preference(branch[0])))
+    def node(query: StationSet, children: list[tuple[Feedback, Line]]) -> Line:
+        feedback, below = min(children, key=lambda branch: (-branch[1][0], _preference(branch[0])))
         return 1 + below[0], query, feedback, below
 
     def answer(state: KnowledgeState, query: StationSet, transcript: Transcript) -> Feedback:
         nonlocal expected, line
         if transcript != expected or line[1] != query:
-            revealed = state.revealed
-            branches = []
-            for outcome, group in split_by_feedback(state.family, query.mask):
-                feedback = outcome_feedback(outcome)
-                branches.append((feedback, fold_strategy(
-                    strategy, state.config, group, transcript.extend(query, feedback),
-                    revealed | outcome if outcome > 0 else revealed, leaf, node,
-                )))
-            line = node(query, branches)
+            line = node(query, [(feedback, fold_strategy(
+                strategy, child, transcript.extend(query, feedback), leaf, node,
+            )) for feedback, child in branches(state, query)])
         _, _, feedback, line = line
         expected = transcript.extend(query, feedback)
         return feedback

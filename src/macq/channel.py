@@ -7,6 +7,10 @@ sender's identity when exactly one is live, and a collision when two or more
 are live.  A hidden set of exactly d live stations must each get one clean
 solo transmission; everything else in this package is built on the three
 value types below and on ``evaluate_query``.
+
+A position is a ``KnowledgeState``: the live sets consistent with the feedback
+so far plus the stations revealed by singles.  ``branches`` moves it one
+round; ``split_edges`` is the same rule on raw masks, for the strategy walk.
 """
 
 from __future__ import annotations
@@ -212,13 +216,28 @@ def split_by_feedback(members: Iterable[int], query: int) -> list[tuple[int, lis
     return groups
 
 
-def outcome_feedback(outcome: int) -> Feedback:
-    """The feedback a ``split_by_feedback`` outcome stands for."""
-    if outcome == -1:
-        return SILENCE
-    if outcome == -2:
-        return COLLISION
-    return single(outcome.bit_length())
+@dataclass(frozen=True)
+class KnowledgeState:
+    """Surviving live-set masks (ascending) plus the mask of revealed stations."""
+
+    config: GameConfig
+    family: tuple[int, ...]
+    revealed: int
+
+
+def split_edges(family: Iterable[int], revealed: int,
+                query: int) -> list[tuple[Feedback, list[int], int]]:
+    """``branches`` on raw masks: (feedback, members, revealed) per
+    ``split_by_feedback`` group, a single adding its sender to ``revealed``."""
+    return [(single(outcome.bit_length()), group, revealed | outcome) if outcome > 0
+            else (SILENCE if outcome == -1 else COLLISION, group, revealed)
+            for outcome, group in split_by_feedback(family, query)]
+
+
+def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, KnowledgeState]]:
+    """The positions one round after ``state``, as (feedback, child) in feedback order."""
+    return [(feedback, KnowledgeState(state.config, tuple(group), revealed))
+            for feedback, group, revealed in split_edges(state.family, state.revealed, query.mask)]
 
 
 @dataclass(frozen=True)
@@ -262,8 +281,14 @@ def feedback_from_json(value: object) -> Feedback:
     if value == "collision":
         return COLLISION
     if isinstance(value, dict) and set(value) == {"single"}:
-        return single(int(value["single"]))
+        return single(_integer(value["single"], "single sender"))
     raise DomainError(f"unrecognized feedback document: {value!r}")
+
+
+def _integer(value: object, what: str) -> int:
+    if type(value) is not int:  # int() would truncate 4.7 and accept True or "4"
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def transcript_to_doc(transcript: Transcript, live: StationSet) -> dict[str, object]:
@@ -285,8 +310,8 @@ def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]
     Every malformed document raises DomainError.
     """
     try:
-        config = GameConfig(int(doc["n"]), int(doc["d"]))  # type: ignore[arg-type]
-        live = StationSet.from_ids(doc["live"])  # type: ignore[arg-type]
+        config = GameConfig(_integer(doc["n"], "n"), _integer(doc["d"], "d"))
+        live = StationSet.from_ids(_integer(i, "station id") for i in doc["live"])  # type: ignore
         raw_rounds = doc["rounds"]
         if not isinstance(raw_rounds, list):
             raise DomainError(f"rounds must be a list, got {type(raw_rounds).__name__}")
@@ -294,10 +319,14 @@ def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]
             raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
         transcript = Transcript(config)
         for entry in raw_rounds:
-            query = StationSet.from_ids(entry["query"])
+            query = StationSet.from_ids(_integer(i, "station id") for i in entry["query"])
             if not query.issubset(config.all_stations):
                 raise DomainError(f"query {format_station_set(query)} exceeds n={config.n}")
-            transcript = transcript.extend(query, feedback_from_json(entry["feedback"]))
+            feedback = feedback_from_json(entry["feedback"])
+            if feedback.is_single and feedback.station not in query:
+                raise DomainError(
+                    f"single sender {feedback.station} is not in query {format_station_set(query)}")
+            transcript = transcript.extend(query, feedback)
     except DomainError:
         raise
     except KeyError as missing:

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import greedy_adversary, make_exact_adversary
+from .adversary import DEFAULT_ENUMERATION_BUDGET, greedy_adversary, make_exact_adversary
 from .bounds import (
     GrowthFactor,
     claimed_bound_analytic,
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(worst)
     worst.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
     worst.add_argument("--round-cap", type=_positive_int, default=None)
-    worst.add_argument("--budget", type=_positive_int, default=10**6)
+    worst.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET)
     worst.add_argument("--format", choices=["text", "json-lines"], default="text")
     worst.set_defaults(handler=_cmd_worst_case)
 

@@ -13,17 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adversary import (
-    DEFAULT_ENUMERATION_BUDGET,
-    Adversary,
-    KnowledgeState,
-    initial_family,
-    initial_state,
-    refine,
-)
+from .adversary import DEFAULT_ENUMERATION_BUDGET, Adversary, initial_state, refine
 from .channel import (
     Feedback,
     GameConfig,
+    KnowledgeState,
     StationSet,
     Transcript,
     evaluate_query,
@@ -84,9 +78,8 @@ def worst_case_rounds(
         return 1 + deepest, _first_in_id_order(
             [live for _, (depth, live) in branches if depth == deepest])
 
-    family = initial_family(config, budget=budget)
     rounds, witness = fold_strategy(
-        strategy, config, family, Transcript(config), 0, leaf, node, round_cap
+        strategy, initial_state(config, budget=budget), Transcript(config), leaf, node, round_cap
     )
     return rounds, StationSet(witness)
 

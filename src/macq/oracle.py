@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .adversary import KnowledgeState, initial_family, initial_state, refine
-from .channel import GameConfig, StationSet, split_by_feedback
+from .adversary import initial_family, initial_state, refine
+from .channel import GameConfig, KnowledgeState, StationSet, split_by_feedback
 from .errors import BudgetExceeded, CapExceeded
 from .qtree import QTree, build_tree
 from .strategies import Strategy, default_round_cap
@@ -203,9 +203,7 @@ def optimal_strategy(
     _check_cap(config, cap)
     solver = _Solver(default_round_cap(config), canonical)
 
-    def query(cfg: GameConfig, state: KnowledgeState) -> StationSet | None:
-        if state.revealed.bit_count() >= cfg.d:
-            return None
+    def query(cfg: GameConfig, state: KnowledgeState) -> StationSet:
         # Striking stations that every member holds keeps the masks ascending.
         return StationSet(solver.best_query(tuple(m & ~state.revealed for m in state.family)))
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_family
+from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_state
 from .channel import (
     Feedback,
     FeedbackTag,
@@ -93,10 +93,8 @@ def build_tree(
     def node(query: StationSet, branches: list[tuple[Feedback, QNode]]) -> QNode:
         return QNode(query=query, children=dict(branches))
 
-    family = initial_family(config, budget=budget)
-    return QTree(config, fold_strategy(
-        strategy, config, family, Transcript(config), 0, leaf, node, round_cap, normal
-    ))
+    return QTree(config, fold_strategy(strategy, initial_state(config, budget=budget),
+                                       Transcript(config), leaf, node, round_cap, normal))
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +158,20 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
     blacks: list[int] = []
     repeated = 0
 
-    def walk(node: QNode, senders: tuple[int, ...]) -> None:
+    def walk(node: QNode, senders: tuple[int, ...]) -> int:
         nonlocal repeated
         if node.is_leaf:
             blacks.append(len(senders))
             if len(set(senders)) != len(senders):
                 repeated += 1
-            return
+            return 0
+        deepest = 0
         for feedback, child in node.children.items():
             extended = senders + (feedback.station,) if feedback.is_single else senders
-            walk(child, extended)
+            deepest = max(deepest, walk(child, extended))
+        return 1 + deepest
 
-    walk(tree.root, ())
+    depth = walk(tree.root, ())
     leaves = len(blacks)
     expected_leaves = math.comb(tree.config.n, d)
     holds = (
@@ -180,7 +180,7 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
         and all(count == d for count in blacks)
     )
     return NormalFormReport(
-        max_depth=max_depth(tree),
+        max_depth=depth,
         leaf_count=leaves,
         black_per_path=tuple(sorted(blacks)),
         repeated_transmitter_paths=repeated,

@@ -6,13 +6,14 @@ and ``query(config, state)`` the next query, or None once it has nothing
 further to ask.  Each query depends only on the feedback so far, because the
 state is built from nothing else.  A strategy given as a function of
 (config, transcript) alone is the machine whose state is the transcript.
+A state need not count reveals to end the game: every game stops once d
+stations have transmitted alone, and ``query`` is never asked past that.
 
-``fold_strategy`` drives one strategy over every live set at once, carrying
-the state down its decision tree, so each node costs one ``query`` and each
-edge one ``step``.  The decision tree and its normal form (the same walk with
-revealed stations dropped from each query), the worst-case sweep, the exact
-adversary's look-ahead and the oracle's witness tree are folds of that one
-walk.
+``fold_strategy`` drives one strategy over every live set at once from one
+``KnowledgeState``, carrying the state down its decision tree, so each node
+costs one ``query`` and each edge one ``step``.  The decision tree and its
+normal form, the worst-case sweep, the exact adversary's look-ahead and the
+oracle's witness tree are folds of that one walk.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .channel import (
     Feedback,
     FeedbackTag,
     GameConfig,
+    KnowledgeState,
     StationSet,
     Transcript,
     evaluate_query,
     format_station_set,
-    outcome_feedback,
-    split_by_feedback,
+    split_edges,
     transmitted_set,
 )
 from .errors import CapExceeded, DomainError, InvalidQuery
@@ -96,10 +97,8 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
 
 def fold_strategy(
     strategy: Strategy,
-    config: GameConfig,
-    family: Sequence[int],
+    position: KnowledgeState,
     transcript: Transcript,
-    revealed: int,
     leaf: Callable[[Sequence[int]], T],
     node: Callable[[StationSet, list[tuple[Feedback, T]]], T],
     round_cap: int | None = None,
@@ -107,13 +106,12 @@ def fold_strategy(
 ) -> T:
     """Fold the strategy's decision tree below one position.
 
-    A position is the family of live-set masks consistent with the transcript
-    plus the mask of stations its singles revealed.  The game stops once d
-    stations are revealed or the strategy returns None; such a position folds
-    to ``leaf(family)``.  Otherwise its query splits the family by feedback and
-    ``node(query, branches)`` combines the folded children as (feedback, value)
-    pairs in feedback order.  The strategy's state is replayed from the
-    transcript once, then moved one ``step`` down each edge.
+    ``position`` is the knowledge state the transcript leads to.  The game
+    stops once d stations are revealed or the strategy returns None; such a
+    position folds to ``leaf(family)``.  Otherwise its query splits the family
+    by feedback and ``node(query, branches)`` combines the folded children as
+    (feedback, value) pairs in feedback order.  The strategy's state is
+    replayed from the transcript once, then moved one ``step`` down each edge.
 
     With ``normal`` set the walk plays each query minus the revealed
     stations: that reduced query splits the family and reaches ``node``, while
@@ -121,7 +119,7 @@ def fold_strategy(
     Every member of a group holds the revealed stations, so any one of them
     gives that feedback; a query holding none of them is played unchanged.
     """
-    step = strategy.step
+    config, step = position.config, strategy.step
 
     def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
         if revealed.bit_count() >= config.d:
@@ -132,33 +130,21 @@ def fold_strategy(
         reduced = normal and query.mask & revealed
         played = StationSet(query.mask & ~revealed) if reduced else query
         branches = []  # a loop, not a comprehension: one frame per round of depth
-        for outcome, group in split_by_feedback(family, played.mask):
-            feedback = outcome_feedback(outcome)
+        for feedback, group, below in split_edges(family, revealed, played.mask):
             drawn = evaluate_query(query, StationSet(group[0])) if reduced else feedback
-            child = visit(group, step(state, query, drawn), rounds + 1,
-                          revealed | outcome if outcome > 0 else revealed)
-            branches.append((feedback, child))
+            branches.append((feedback, visit(group, step(state, query, drawn), rounds + 1, below)))
         return node(played, branches)
 
-    return visit(family, replay(strategy, config, transcript), len(transcript.rounds), revealed)
+    return visit(position.family, replay(strategy, config, transcript), len(transcript.rounds),
+                 position.revealed)
 
 
-def _reveal(revealed: int, feedback: Feedback) -> int:
-    return revealed | 1 << (feedback.station - 1) if feedback.is_single else revealed  # type: ignore[operator]
+def _count(played: int, query: StationSet, feedback: Feedback) -> int:
+    return played + 1
 
 
-# linear_scan's state: (revealed mask, rounds played).
-
-def _linear_step(state: tuple[int, int], query: StationSet, feedback: Feedback) -> tuple[int, int]:
-    revealed, played = state
-    return _reveal(revealed, feedback), played + 1
-
-
-def _linear_query(config: GameConfig, state: tuple[int, int]) -> NextAction:
-    revealed, played = state
-    if revealed.bit_count() >= config.d or played >= config.n:
-        return None
-    return StationSet(1 << played)
+def _linear_query(config: GameConfig, played: int) -> NextAction:
+    return StationSet(1 << played) if played < config.n else None
 
 
 def linear_scan(config: GameConfig, transcript: Transcript) -> NextAction:
@@ -166,11 +152,10 @@ def linear_scan(config: GameConfig, transcript: Transcript) -> NextAction:
     return LINEAR_SCAN.next_action(config, transcript)
 
 
-# tree_split's state: (revealed mask, pending intervals (lo, hi) with the
-# next one to probe last).  The probe order is root first, then on every
-# collision the interval [lo..hi] splits at mid = ceil((lo+hi)/2) into
-# [lo..mid-1] and [mid..hi], left half probed next.  Silence and single
-# discharge the interval.
+# tree_split's state: the pending intervals (lo, hi), the next one to probe
+# last.  The probe order is root first, then on every collision the interval
+# [lo..hi] splits at mid = ceil((lo+hi)/2) into [lo..mid-1] and [mid..hi],
+# left half probed next.  Silence and single discharge the interval.
 
 Intervals = tuple[tuple[int, int], ...]
 
@@ -179,13 +164,7 @@ def _interval_mask(lo: int, hi: int) -> int:
     return (1 << hi) - (1 << (lo - 1))
 
 
-def _tree_start(config: GameConfig) -> tuple[int, Intervals]:
-    return 0, ((1, config.n),)
-
-
-def _tree_step(state: tuple[int, Intervals], query: StationSet,
-               feedback: Feedback) -> tuple[int, Intervals]:
-    revealed, stack = state
+def _tree_step(stack: Intervals, query: StationSet, feedback: Feedback) -> Intervals:
     if not stack:
         raise DomainError("transcript continues past an empty interval stack")
     lo, hi = stack[-1]
@@ -195,14 +174,11 @@ def _tree_step(state: tuple[int, Intervals], query: StationSet,
     if feedback.tag is FeedbackTag.COLLISION:
         mid = (lo + hi + 1) // 2
         stack += ((mid, hi), (lo, mid - 1))
-    return _reveal(revealed, feedback), stack
+    return stack
 
 
-def _tree_query(config: GameConfig, state: tuple[int, Intervals]) -> NextAction:
-    revealed, stack = state
-    if revealed.bit_count() >= config.d or not stack:
-        return None
-    return StationSet(_interval_mask(*stack[-1]))
+def _tree_query(config: GameConfig, stack: Intervals) -> NextAction:
+    return StationSet(_interval_mask(*stack[-1])) if stack else None
 
 
 def tree_split(config: GameConfig, transcript: Transcript) -> NextAction:
@@ -225,11 +201,11 @@ def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
     def query(config: GameConfig, played: int) -> NextAction:
         return fixed[played] if played < len(fixed) else None
 
-    return Strategy(name, query, lambda config: 0, lambda played, _query, _feedback: played + 1)
+    return Strategy(name, query, lambda config: 0, _count)
 
 
-LINEAR_SCAN = Strategy("linear", _linear_query, lambda config: (0, 0), _linear_step)
-TREE_SPLIT = Strategy("tree", _tree_query, _tree_start, _tree_step)
+LINEAR_SCAN = Strategy("linear", _linear_query, lambda config: 0, _count)
+TREE_SPLIT = Strategy("tree", _tree_query, lambda config: ((1, config.n),), _tree_step)
 
 STRATEGIES: dict[str, Strategy] = {
     LINEAR_SCAN.name: LINEAR_SCAN,

@@ -15,12 +15,20 @@ from macq import (
     Transcript,
     evaluate_query,
     format_station_set,
+    initial_state,
+    refine,
     single,
     transcript_from_doc,
     transcript_to_doc,
     transmitted_set,
 )
-from macq.channel import feedback_from_json, feedback_to_json, feedback_order, station_cap
+from macq.channel import (
+    branches,
+    feedback_from_json,
+    feedback_to_json,
+    feedback_order,
+    station_cap,
+)
 
 
 def test_station_set_from_ids_dedups_and_sorts():
@@ -208,8 +216,49 @@ def test_transcript_from_doc_rejects_malformed():
         {"n": 2, "d": 1, "live": [1], "rounds": [[1]]},  # round is not a dict
         {"n": "x", "d": 1, "live": [1], "rounds": []},
         {"n": 2, "d": 1, "live": [1], "rounds": [{"query": [1], "feedback": {"single": "a"}}]},
+        # A single from a station beyond n, or from one outside the query.
+        {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [1], "feedback": {"single": 9}}]},
+        {"n": 4, "d": 2, "live": [1, 2], "rounds": [{"query": [1], "feedback": {"single": 2}}]},
+        # Non-integers, which int() would truncate or coerce.
+        {"n": 4.7, "d": 1, "live": [1], "rounds": []},
+        {"n": 4, "d": 1, "live": [2], "rounds": [{"query": [1, 2], "feedback": {"single": 2.5}}]},
+        {"n": "4", "d": 1, "live": [1], "rounds": []},
+        {"n": 4, "d": True, "live": [1], "rounds": []},
+        {"n": 4, "d": 1, "live": [True], "rounds": []},
+        {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [1.0], "feedback": "silence"}]},
     ],
 )
 def test_transcript_from_doc_raises_only_domain_errors(doc):
     with pytest.raises(DomainError):
         transcript_from_doc(doc)
+
+
+def _positions_near_the_start(n, d):
+    """The initial state and every state one refine away from it."""
+    start = initial_state(GameConfig(n, d))
+    positions = {start}
+    for mask in range(1 << n):
+        query = StationSet(mask)
+        for live in start.family:
+            positions.add(refine(start, query, evaluate_query(query, StationSet(live))))
+    return positions
+
+
+def test_branches_partition_the_family_in_feedback_order():
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            for state in _positions_near_the_start(n, d):
+                for mask in range(1 << n):
+                    query = StationSet(mask)
+                    children = branches(state, query)
+                    feedbacks = [feedback for feedback, _ in children]
+                    assert feedbacks == sorted(set(feedbacks), key=feedback_order)
+                    assert sorted(m for _, child in children for m in child.family) == sorted(state.family)
+                    for feedback, child in children:
+                        assert child.config == state.config and child.family
+                        # Members keep the parent's order.
+                        assert list(child.family) == [m for m in state.family if m in child.family]
+                        assert all(evaluate_query(query, StationSet(m)) == feedback for m in child.family)
+                        sender = 1 << feedback.station - 1 if feedback.is_single else 0
+                        assert child.revealed == state.revealed | sender
+                        assert refine(state, query, feedback) == child

@@ -1,7 +1,9 @@
 """Command line behavior: outputs, exit codes, files, environment cap."""
 
 import hashlib
+import importlib.util
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -25,11 +27,10 @@ from macq import (
 from macq.cli import dispatch
 
 S = StationSet.from_ids
+ROOT = Path(__file__).resolve().parents[1]
 
 # Stdout sha256 of fixed commands, recorded by bench/record_digests.py.
-DIGESTS = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8")
-)
+DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +271,25 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_bench_trace_mode_still_wraps_every_hot_function(tmp_path):
+    # The trace mode finds each function it times by module and name, so a
+    # function moved or renamed in the package breaks it.
+    script = ROOT / "bench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child_names", script)
+    names = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(names)
+    out = tmp_path / "trace.json"
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(out),
+         "simulate", "--strategy", "tree", "--n", "6", "--d", "3", "--adversary", "exact"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(json.loads(out.read_text(encoding="utf-8"))["hot"]) == sorted(names.HOT)
 
 
 def test_ctrl_c_prints_one_error_line_and_exits_130():

@@ -257,6 +257,7 @@ def test_optimal_strategy_recovers_from_any_opening():
 def test_optimal_strategy_state_is_the_residual_family():
     # Its state after each round is the refined knowledge state, and its
     # query the solver's answer on the family with the revealed stations struck.
+    # The game ends through next_action's stop rule once d stations are revealed.
     for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         cfg = GameConfig(n, d)
         strat = optimal_strategy(cfg)
@@ -268,12 +269,11 @@ def test_optimal_strategy_state_is_the_residual_family():
                 assert memory == state
                 struck = state.revealed
                 fam = tuple(sorted(c & ~struck for c in state.family))
-                query = strat.query(cfg, memory)
-                assert query == strat.next_action(cfg, transcript)
+                query = strat.next_action(cfg, transcript)
                 if struck.bit_count() >= d:
                     assert query is None
                     break
-                assert query == StationSet(solver.best_query(fam))
+                assert query == strat.query(cfg, memory) == StationSet(solver.best_query(fam))
                 feedback = evaluate_query(query, live)
                 state, memory = refine(state, query, feedback), strat.step(memory, query, feedback)
                 transcript = transcript.extend(query, feedback)

@@ -95,7 +95,9 @@ def test_max_depth_equals_worst_case_rounds():
             for d in range(1, n + 1):
                 cfg = GameConfig(n, d)
                 worst, _ = worst_case_rounds(strategy, cfg)
-                assert max_depth(build_tree(strategy, cfg)) == worst
+                tree = build_tree(strategy, cfg)
+                assert max_depth(tree) == worst
+                assert check_normal_form(tree).max_depth == worst
 
 
 def test_every_leaf_resolves_its_own_live_set():
