@@ -1,11 +1,10 @@
 """Exact counting quantities and conjectured round bounds.
 
-Everything here is pure integer mathematics except claimed_bound_analytic,
-which compares a transcendental threshold using certified interval
-arithmetic: the inequality is evaluated at 120 bits (about 36 significant
-digits) and the precision doubles until the interval no longer straddles
-zero.  For integer arguments the two sides are never exactly equal, so the
-escalation terminates.
+Everything here is exact integer mathematics.  claimed_bound_analytic's
+threshold holds lg(e); raising 2 to both sides turns it into
+integer * e**d >= integer, decided by bracketing e between two fractions
+over k! and raising k until the bracket falls on one side.  e**d is
+irrational, so the two sides never tie and the loop ends.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from mpmath import iv
-
-from .errors import DomainError, MacqError
-
-_START_PREC_BITS = 120
-_MAX_PREC_BITS = 4000
+from .errors import DomainError
 
 
 def binomial(n: int, k: int) -> int:
@@ -90,8 +84,8 @@ def claimed_bound_combinatorial(n: int, d: int, factor: GrowthFactor) -> int:
 def claimed_bound_analytic(n: int, d: int) -> int:
     """Smallest integer x >= 1 with x + d*lg2(x) >= d*lg2(n/(d*e)) - d + 1.
 
-    The right side is d*lg2(n) - d*lg2(d) - d*lg2(e) - d + 1; both sides are
-    compared with certified interval arithmetic (see module docstring).
+    The right side is d*lg2(n) - d*lg2(d) - d*lg2(e) - d + 1; the comparison
+    is exact (see module docstring).
     """
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
@@ -104,23 +98,14 @@ def claimed_bound_analytic(n: int, d: int) -> int:
 
 
 def _analytic_threshold_holds(n: int, d: int, x: int) -> bool:
-    prec_bits = _START_PREC_BITS
-    saved = iv.prec
-    try:
-        while prec_bits <= _MAX_PREC_BITS:
-            iv.prec = prec_bits
-            lg_two = iv.log(2)
-            rhs = d * iv.log(n) / lg_two - d * iv.log(d) / lg_two - d / lg_two - d + 1
-            lhs = x + d * iv.log(x) / lg_two
-            difference = lhs - rhs
-            if difference.a > 0:
-                return True
-            if difference.b < 0:
-                return False
-            prec_bits *= 2
-        raise MacqError(
-            f"interval comparison failed to resolve at {_MAX_PREC_BITS} bits "
-            f"for n={n} d={d} x={x}"
-        )
-    finally:
-        iv.prec = saved
+    # The threshold is 2**(x+d-1) * (x*d)**d * e**d >= n**d.  With q = k!
+    # and p = sum of k!/i! over i <= k, p/q < e < (p+1)/q for k >= 1.
+    left, right = (x * d) ** d << (x + d - 1), n**d
+    k, p, q = 1, 2, 1
+    while True:
+        if left * p**d >= right * q**d:
+            return True
+        if left * (p + 1) ** d <= right * q**d:
+            return False
+        k += 1
+        p, q = p * k + 1, q * k

@@ -305,9 +305,11 @@ def transcript_to_doc(transcript: Transcript, live: StationSet) -> dict[str, obj
 
 
 def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]:
-    """Inverse of transcript_to_doc; validates ids against the config.
+    """Inverse of transcript_to_doc; validates the document against itself.
 
-    Every malformed document raises DomainError.
+    Ids must lie within n, the live set must hold d stations, and every
+    round's feedback must be what its query draws from the live set.  Every
+    malformed or self-contradicting document raises DomainError.
     """
     try:
         config = GameConfig(_integer(doc["n"], "n"), _integer(doc["d"], "d"))
@@ -317,15 +319,18 @@ def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]
             raise DomainError(f"rounds must be a list, got {type(raw_rounds).__name__}")
         if not live.issubset(config.all_stations):
             raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
+        if len(live) != config.d:
+            raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
         transcript = Transcript(config)
         for entry in raw_rounds:
             query = StationSet.from_ids(_integer(i, "station id") for i in entry["query"])
             if not query.issubset(config.all_stations):
                 raise DomainError(f"query {format_station_set(query)} exceeds n={config.n}")
             feedback = feedback_from_json(entry["feedback"])
-            if feedback.is_single and feedback.station not in query:
+            if feedback != evaluate_query(query, live):
                 raise DomainError(
-                    f"single sender {feedback.station} is not in query {format_station_set(query)}")
+                    f"query {format_station_set(query)} cannot draw {feedback_to_json(feedback)!r} "
+                    f"from live set {format_station_set(live)}")
             transcript = transcript.extend(query, feedback)
     except DomainError:
         raise

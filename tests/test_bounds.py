@@ -17,6 +17,7 @@ from macq import (
     info_lower_bound,
     path_count_bound,
 )
+from macq.bounds import _analytic_threshold_holds
 
 
 def _pascal_table(rows: int) -> list[list[int]]:
@@ -188,6 +189,42 @@ def test_claimed_analytic_matches_float_scan_away_from_ties():
             expected, margin = _analytic_float_oracle(n, d)
             if margin > 1e-9:
                 assert claimed_bound_analytic(n, d) == expected, (n, d)
+
+
+def _analytic_interval_reference(n: int, d: int, x: int) -> bool:
+    # Independent reference in certified interval arithmetic: raise the
+    # precision until the interval of lhs - rhs lies on one side of zero.
+    prec_bits = 120
+    saved = iv.prec
+    try:
+        while True:
+            iv.prec = prec_bits
+            lg_two = iv.log(2)
+            rhs = d * iv.log(n) / lg_two - d * iv.log(d) / lg_two - d / lg_two - d + 1
+            difference = x + d * iv.log(x) / lg_two - rhs
+            if difference.a > 0:
+                return True
+            if difference.b < 0:
+                return False
+            prec_bits *= 2
+    finally:
+        iv.prec = saved
+
+
+def test_analytic_threshold_matches_interval_reference():
+    # Every x within 3 of the threshold, over small n and powers of 10 and
+    # of 2 up to 10**12.  x + d*lg(x) grows with x, so agreement on both
+    # sides of the threshold pins claimed_bound_analytic as well.
+    ns = sorted({*range(2, 60, 3), *(10**k for k in range(1, 13)), *(2**k for k in range(1, 41, 3))})
+    for d in range(1, 9):
+        for n in ns:
+            if n < d:
+                continue
+            t = claimed_bound_analytic(n, d)
+            for x in range(max(1, t - 3), t + 4):
+                expected = _analytic_interval_reference(n, d, x)
+                assert _analytic_threshold_holds(n, d, x) == expected, (n, d, x)
+                assert expected == (x >= t), (n, d, x)
 
 
 def test_claimed_analytic_rejects_n_below_two():

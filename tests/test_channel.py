@@ -226,6 +226,12 @@ def test_transcript_from_doc_rejects_malformed():
         {"n": 4, "d": True, "live": [1], "rounds": []},
         {"n": 4, "d": 1, "live": [True], "rounds": []},
         {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [1.0], "feedback": "silence"}]},
+        # Self-contradicting: a live set of the wrong size, or feedback the
+        # live set cannot draw.
+        {"n": 4, "d": 2, "live": [1], "rounds": [{"query": [1, 2], "feedback": "silence"}]},
+        {"n": 4, "d": 2, "live": [1, 2, 3], "rounds": []},
+        {"n": 4, "d": 2, "live": [1, 3], "rounds": [{"query": [1, 2], "feedback": "silence"}]},
+        {"n": 4, "d": 2, "live": [1, 3], "rounds": [{"query": [1, 3], "feedback": {"single": 1}}]},
     ],
 )
 def test_transcript_from_doc_raises_only_domain_errors(doc):

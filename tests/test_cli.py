@@ -273,6 +273,21 @@ def test_module_entry_point_runs():
     assert proc.stdout == "3\n"
 
 
+@pytest.mark.parametrize("code", [
+    "import macq.cli",
+    "from macq.cli import dispatch; dispatch(['bounds', '--n', '8', '--d', '2'])",
+], ids=["import", "bounds"])
+def test_commands_do_not_import_mpmath(code):
+    # mpmath is only the tests' reference for the analytic threshold;
+    # importing it would add tens of milliseconds to every command.
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}; import sys; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_bench_trace_mode_still_wraps_every_hot_function(tmp_path):
     # The trace mode finds each function it times by module and name, so a
     # function moved or renamed in the package breaks it.
