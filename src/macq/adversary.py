@@ -21,6 +21,7 @@ from .channel import (
     StationSet,
     Transcript,
     branches,
+    feedback_to_json,
     format_station_set,
 )
 from .errors import BudgetExceeded, Inconsistent
@@ -51,7 +52,8 @@ def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> Know
         if drawn == feedback:
             return child
     raise Inconsistent(
-        f"feedback {feedback} on query {format_station_set(query)} eliminates every candidate"
+        f"feedback {feedback_to_json(feedback)!r} on query {format_station_set(query)} "
+        "eliminates every candidate"
     )
 
 

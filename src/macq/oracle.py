@@ -35,9 +35,9 @@ from itertools import product
 
 from .adversary import initial_family, initial_state, refine
 from .channel import GameConfig, KnowledgeState, StationSet, split_by_feedback
-from .errors import BudgetExceeded, CapExceeded
+from .errors import BudgetExceeded
 from .qtree import QTree, build_tree
-from .strategies import Strategy, default_round_cap
+from .strategies import Strategy
 
 DEFAULT_ORACLE_CAP = (6, 3)
 
@@ -111,15 +111,15 @@ def _class_queries(classes: list[list[int]]) -> list[int]:
 class _Solver:
     """Decision search over residual families with a memo of value bounds."""
 
-    def __init__(self, depth_cap: int, canonical: bool) -> None:
-        self.depth_cap = depth_cap
+    def __init__(self, canonical: bool) -> None:
         self.memo: dict[tuple[int, ...], tuple[int, int]] = _SHARED_MEMO if canonical else {}
 
     def value(self, fam: tuple[int, ...]) -> int:
-        for t in range(fam[0].bit_count(), self.depth_cap + 1):
-            if self.solvable(fam, t):
-                return t
-        raise CapExceeded(f"minimax value exceeds the {self.depth_cap}-round cap")
+        # Stops by t = |support|, where solvable answers without a search.
+        t = fam[0].bit_count()
+        while not self.solvable(fam, t):
+            t += 1
+        return t
 
     def solvable(self, fam: tuple[int, ...], t: int) -> bool:
         """Can ``fam`` be finished within ``t`` rounds against every candidate?"""
@@ -173,35 +173,28 @@ def exact_optimal_rounds(
     fresh memo (same values, no sharing), so tests can compare both routes.
     """
     _check_cap(config, cap)
-    solver = _Solver(default_round_cap(config), canonical)
-    return solver.value(initial_family(config))
+    return _Solver(canonical).value(initial_family(config))
 
 
-def optimal_strategy_tree(
-    config: GameConfig,
-    *,
-    cap: tuple[int, int] = DEFAULT_ORACLE_CAP,
-    canonical: bool = True,
-) -> QTree:
-    """A witness decision tree whose worst path length equals the optimum."""
-    return build_tree(optimal_strategy(config, cap=cap, canonical=canonical), config)
+def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> QTree:
+    """A witness decision tree whose worst path length equals the optimum.
+
+    It is ``optimal_strategy``'s tree, so it shares the process-wide memo.
+    """
+    return build_tree(optimal_strategy(config, cap=cap), config)
 
 
-def optimal_strategy(
-    config: GameConfig,
-    *,
-    cap: tuple[int, int] = DEFAULT_ORACLE_CAP,
-    canonical: bool = True,
-) -> Strategy:
+def optimal_strategy(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:
     """Strategy that answers optimally from any consistent position.
 
     Unlike a replayed witness tree this works from arbitrary openings, which
     makes it a convenient optimal continuation for adversary analysis.  Its
     state is the knowledge state, so each round costs one split; it asks the
-    solver about the candidates with the revealed stations struck.
+    solver, on the memo shared by every solve in the process, about the
+    candidates with the revealed stations struck.
     """
     _check_cap(config, cap)
-    solver = _Solver(default_round_cap(config), canonical)
+    solver = _Solver(canonical=True)
 
     def query(cfg: GameConfig, state: KnowledgeState) -> StationSet:
         # Striking stations that every member holds keeps the masks ascending.
@@ -209,55 +202,3 @@ def optimal_strategy(
 
     return Strategy("minimax", query, initial_state, refine)
 
-
-def _reference_optimal_rounds(config: GameConfig) -> int:
-    """Unreduced minimax for cross-checking: queries range over every
-    nonempty subset of 1..n, positions are (transmitted, family) pairs, and
-    no state reduction or canonicalization is applied.  Exponentially slower;
-    intended for n <= 4 only.
-    """
-    d = config.d
-    full = (1 << config.n) - 1
-    depth_cap = default_round_cap(config)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def value(transmitted: int, fam: tuple[int, ...], depth: int) -> int:
-        if transmitted.bit_count() == d:
-            return 0
-        key = (transmitted, fam)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if depth > depth_cap:
-            raise CapExceeded(f"reference minimax exceeded the {depth_cap}-round cap")
-        best: int | None = None
-        for query in range(1, full + 1):
-            # Its own grouping, not split_by_feedback: this is the independent check.
-            groups: dict[int, list[int]] = {}
-            for member in fam:
-                hit = member & query
-                count = hit.bit_count()
-                kind = -1 if count == 0 else (-2 if count >= 2 else hit)
-                groups.setdefault(kind, []).append(member)
-            if len(groups) == 1:
-                kind = next(iter(groups))
-                advanced = transmitted | kind if kind > 0 else transmitted
-                if advanced == transmitted:
-                    continue  # no reveal and no split: useless query
-            worst = 0
-            dominated = False
-            for kind in sorted(groups):
-                child_t = transmitted | kind if kind > 0 else transmitted
-                branch = 1 + value(child_t, tuple(groups[kind]), depth + 1)
-                if branch > worst:
-                    worst = branch
-                if best is not None and worst >= best:
-                    dominated = True
-                    break
-            if not dominated and (best is None or worst < best):
-                best = worst
-        assert best is not None
-        memo[key] = best
-        return best
-
-    return value(0, initial_family(config), 0)

@@ -129,22 +129,11 @@ class NormalFormReport:
 
 def max_depth(tree: QTree) -> int:
     """Length in edges of the longest root-to-leaf path."""
-
-    def depth(node: QNode) -> int:
-        if node.is_leaf:
-            return 0
-        return 1 + max(depth(child) for child in node.children.values())
-
-    return depth(tree.root)
+    return check_normal_form(tree).max_depth
 
 
 def leaf_count(tree: QTree) -> int:
-    def count(node: QNode) -> int:
-        if node.is_leaf:
-            return 1
-        return sum(count(child) for child in node.children.values())
-
-    return count(tree.root)
+    return check_normal_form(tree).leaf_count
 
 
 def check_normal_form(tree: QTree) -> NormalFormReport:

@@ -4,7 +4,7 @@ import math
 from itertools import combinations, permutations, product
 
 import pytest
-from mpmath import iv, mp
+from mpmath import iv
 
 from macq import (
     DomainError,
@@ -232,7 +232,11 @@ def test_claimed_analytic_rejects_n_below_two():
         claimed_bound_analytic(1, 1)
 
 
-def test_analytic_interval_precision_is_restored():
-    before = (mp.prec, iv.prec)
-    claimed_bound_analytic(10**6, 3)
-    assert (mp.prec, iv.prec) == before
+@pytest.mark.parametrize("n, d", [(3, 4), (3, 0)])
+def test_bounds_reject_d_outside_one_to_n(n, d):
+    with pytest.raises(DomainError, match="need 1 <= d <= n"):
+        info_lower_bound(n, d)
+    with pytest.raises(DomainError, match="need 1 <= d <= n"):
+        claimed_bound_combinatorial(n, d, GrowthFactor.FACTORIAL)
+    with pytest.raises(DomainError, match="need 1 <= d <= n"):
+        claimed_bound_analytic(n, d)

@@ -99,6 +99,9 @@ def test_station_cap_env_override(monkeypatch):
     monkeypatch.setenv("MACQ_MAX_N", "not a number")
     with pytest.raises(DomainError):
         station_cap()
+    monkeypatch.setenv("MACQ_MAX_N", "0")
+    with pytest.raises(DomainError, match="must be positive"):
+        station_cap()
 
 
 def test_feedback_validation():
@@ -232,6 +235,9 @@ def test_transcript_from_doc_rejects_malformed():
         {"n": 4, "d": 2, "live": [1, 2, 3], "rounds": []},
         {"n": 4, "d": 2, "live": [1, 3], "rounds": [{"query": [1, 2], "feedback": "silence"}]},
         {"n": 4, "d": 2, "live": [1, 3], "rounds": [{"query": [1, 3], "feedback": {"single": 1}}]},
+        # Ids beyond n, in the live set or in a query.
+        {"n": 4, "d": 2, "live": [1, 9], "rounds": []},
+        {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [5], "feedback": "silence"}]},
     ],
 )
 def test_transcript_from_doc_raises_only_domain_errors(doc):

@@ -10,6 +10,7 @@ import pytest
 from macq import (
     COLLISION,
     SILENCE,
+    AdversaryInconsistent,
     BudgetExceeded,
     CapExceeded,
     DomainError,
@@ -268,6 +269,16 @@ def test_adversarial_witness_replays_identically():
         adversarial = run_adversarial(strategy, adversary, cfg)
         replay = run_fixed(strategy, cfg, adversarial.witness_live)
         assert replay.transcript == adversarial.transcript
+
+
+def test_adversary_answering_impossible_feedback_is_refused():
+    # A singleton query cannot draw a collision from any candidate.
+    def colliding(state, query, transcript):
+        return COLLISION
+
+    with pytest.raises(AdversaryInconsistent) as excinfo:
+        run_adversarial(LINEAR_SCAN, colliding, GameConfig(3, 1))
+    assert str(excinfo.value) == "feedback 'collision' on query {1} eliminates every candidate"
 
 
 def test_exact_adversary_forces_tree_split_worst_case():

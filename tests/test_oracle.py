@@ -17,7 +17,6 @@ from macq import (
     Strategy,
     Transcript,
     check_normal_form,
-    default_round_cap,
     evaluate_query,
     exact_optimal_rounds,
     initial_state,
@@ -36,7 +35,6 @@ from macq.adversary import initial_family
 from macq.oracle import (
     _Solver,
     _class_queries,
-    _reference_optimal_rounds,
     _twin_classes,
 )
 
@@ -45,8 +43,9 @@ S = StationSet.from_ids
 # Minimum worst-case rounds for every instance inside the default cap.
 # Hand anchors: one full probe suffices for d=1; (2,2) needs both
 # singletons; (3,2) resists every opening for two further reveals.  The
-# remaining entries are pinned by the unreduced reference solver below and
-# by the canonical/non-canonical agreement check.
+# remaining entries are pinned by the unreduced minimax of acceptance
+# criterion 3 (tests/test_acceptance.py), by the exhaustive minimax on
+# residual families below, and by the canonical/non-canonical agreement check.
 OPTIMAL_ROUNDS = {
     (1, 1): 1,
     (2, 1): 1,
@@ -83,12 +82,6 @@ def test_one_round_suffices_for_single_live_station():
 def test_canonical_and_plain_memo_agree():
     for (n, d), expected in OPTIMAL_ROUNDS.items():
         assert exact_optimal_rounds(GameConfig(n, d), canonical=False) == expected
-
-
-def test_reference_solver_agrees_up_to_n4():
-    for (n, d), expected in OPTIMAL_ROUNDS.items():
-        if n <= 4:
-            assert _reference_optimal_rounds(GameConfig(n, d)) == expected
 
 
 def test_oracle_cap_enforced_and_overridable():
@@ -165,11 +158,13 @@ def residual_families(draw):
 @given(residual_families())
 def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
     value = _exhaustive_value(fam)
-    assert _Solver(64, canonical=False).value(fam) == value
-    assert _Solver(64, canonical=True).value(fam) == value
+    assert _Solver(canonical=False).value(fam) == value
+    assert _Solver(canonical=True).value(fam) == value
+    # Probing each support station alone finishes, so the search needs no round cap.
+    support = reduce(or_, fam)
+    assert value <= support.bit_count()
     # The witness query is the least mask inside the support whose children
     # all finish in time.
-    support = reduce(or_, fam)
     first = next(
         query
         for query in range(1, support + 1)
@@ -177,7 +172,7 @@ def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
         and (children := _exhaustive_children(fam, query)) is not None
         and all(_exhaustive_value(child) < value for child in children)
     )
-    assert _Solver(64, canonical=False).best_query(fam) == first
+    assert _Solver(canonical=False).best_query(fam) == first
 
 
 def test_initial_family_is_one_twin_class():
@@ -261,7 +256,7 @@ def test_optimal_strategy_state_is_the_residual_family():
     for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         cfg = GameConfig(n, d)
         strat = optimal_strategy(cfg)
-        solver = _Solver(default_round_cap(cfg), True)
+        solver = _Solver(canonical=True)
         for ids in combinations(range(1, n + 1), d):
             live = StationSet.from_ids(ids)
             state, memory, transcript = initial_state(cfg), strat.start(cfg), Transcript(cfg)
