@@ -15,6 +15,8 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .channel import (
+    COLLISION,
+    SILENCE,
     Feedback,
     GameConfig,
     KnowledgeState,
@@ -30,13 +32,18 @@ from .strategies import Strategy, fold_strategy
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
-def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, ...]:
-    """Masks of every size-d subset of 1..n, ascending."""
+def check_enumeration_budget(config: GameConfig, budget: int = DEFAULT_ENUMERATION_BUDGET) -> None:
+    """Refuse an instance whose C(n,d) candidate live sets exceed ``budget``."""
     total = math.comb(config.n, config.d)
     if total > budget:
         raise BudgetExceeded(
             f"C({config.n},{config.d}) = {total} candidate live sets exceed budget {budget}"
         )
+
+
+def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, ...]:
+    """Masks of every size-d subset of 1..n, ascending."""
+    check_enumeration_budget(config, budget)
     bits = [1 << i for i in range(config.n)]
     return tuple(sorted(sum(combo) for combo in combinations(bits, config.d)))
 
@@ -59,9 +66,9 @@ def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> Know
 
 def _preference(feedback: Feedback) -> tuple[int, int]:
     # Fixed tie-break order: collision, then silence, then singles by id.
-    if feedback.tag.value == "collision":
+    if feedback == COLLISION:
         return (0, 0)
-    if feedback.tag.value == "silence":
+    if feedback == SILENCE:
         return (1, 0)
     return (2, feedback.station or 0)
 

@@ -97,6 +97,16 @@ def claimed_bound_analytic(n: int, d: int) -> int:
     return x
 
 
+def counting_columns(n: int, d: int) -> dict[str, int]:
+    """The report's counting columns for (n, d), by name, in column order."""
+    return {
+        "info_lb": info_lower_bound(n, d),
+        "claimed_factorial": claimed_bound_combinatorial(n, d, GrowthFactor.FACTORIAL),
+        "claimed_power": claimed_bound_combinatorial(n, d, GrowthFactor.POWER),
+        "claimed_analytic": claimed_bound_analytic(n, d),
+    }
+
+
 def _analytic_threshold_holds(n: int, d: int, x: int) -> bool:
     # The threshold is 2**(x+d-1) * (x*d)**d * e**d >= n**d.  With q = k!
     # and p = sum of k!/i! over i <= k, p/q < e < (p+1)/q for k >= 1.

@@ -134,6 +134,13 @@ class GameConfig:
     def all_stations(self) -> StationSet:
         return StationSet.full(self.n)
 
+    def check_live_set(self, live: StationSet) -> None:
+        """Refuse a live set with ids beyond n or with other than d stations."""
+        if not live.issubset(self.all_stations):
+            raise DomainError(f"live set {format_station_set(live)} exceeds n={self.n}")
+        if len(live) != self.d:
+            raise DomainError(f"live set must have exactly d={self.d} stations, got {len(live)}")
+
 
 class FeedbackTag(Enum):
     SILENCE = "silence"
@@ -268,12 +275,7 @@ def transmitted_set(transcript: Transcript) -> StationSet:
 # ---------------------------------------------------------------------------
 
 def feedback_to_json(feedback: Feedback) -> str | dict[str, int]:
-    if feedback.tag is FeedbackTag.SILENCE:
-        return "silence"
-    if feedback.tag is FeedbackTag.COLLISION:
-        return "collision"
-    assert feedback.station is not None
-    return {"single": feedback.station}
+    return {"single": feedback.station} if feedback.station else feedback.tag.value
 
 def feedback_from_json(value: object) -> Feedback:
     if value == "silence":
@@ -317,10 +319,7 @@ def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]
         raw_rounds = doc["rounds"]
         if not isinstance(raw_rounds, list):
             raise DomainError(f"rounds must be a list, got {type(raw_rounds).__name__}")
-        if not live.issubset(config.all_stations):
-            raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
-        if len(live) != config.d:
-            raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
+        config.check_live_set(live)
         transcript = Transcript(config)
         for entry in raw_rounds:
             query = StationSet.from_ids(_integer(i, "station id") for i in entry["query"])

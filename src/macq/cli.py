@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from .adversary import DEFAULT_ENUMERATION_BUDGET, greedy_adversary, make_exact_adversary
-from .bounds import (
-    GrowthFactor,
-    claimed_bound_analytic,
-    claimed_bound_combinatorial,
-    info_lower_bound,
-)
+from .bounds import counting_columns
 from .channel import GameConfig, StationSet, format_station_set
 from .engine import game_result_to_doc, run_adversarial, run_fixed, worst_case_rounds
 from .errors import MacqError
@@ -151,15 +146,7 @@ def _cmd_tree(args: argparse.Namespace) -> str:
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
     config = GameConfig(args.n, args.d)
-    n, d = config.n, config.d
-    values = {
-        "n": n,
-        "d": d,
-        "info_lb": info_lower_bound(n, d),
-        "claimed_factorial": claimed_bound_combinatorial(n, d, GrowthFactor.FACTORIAL),
-        "claimed_power": claimed_bound_combinatorial(n, d, GrowthFactor.POWER),
-        "claimed_analytic": claimed_bound_analytic(n, d),
-    }
+    values = {"n": config.n, "d": config.d, **counting_columns(config.n, config.d)}
     if args.format == "json-lines":
         return json.dumps(values) + "\n"
     header = ",".join(values)

@@ -21,10 +21,9 @@ from .channel import (
     StationSet,
     Transcript,
     evaluate_query,
-    format_station_set,
     transcript_to_doc,
 )
-from .errors import AdversaryInconsistent, DomainError, Inconsistent
+from .errors import AdversaryInconsistent, Inconsistent
 from .strategies import Strategy, checked_query, fold_strategy
 
 
@@ -45,10 +44,7 @@ def run_fixed(
     round_cap: int | None = None,
 ) -> GameResult:
     """Play one game against a fixed hidden live set."""
-    if not live.issubset(config.all_stations):
-        raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
-    if len(live) != config.d:
-        raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
+    config.check_live_set(live)
     return _play(strategy, lambda state, query, transcript: evaluate_query(query, live),
                  KnowledgeState(config, (live.mask,), 0), round_cap)
 

@@ -19,8 +19,9 @@ Stations i and j are twins when swapping them maps the family onto itself.
 Twinship is an equivalence, and a query's outcome tree depends only on how
 many stations it takes from each twin class, so the search tries one query
 per vector of per-class counts instead of every subset of the support.
-Queries whose largest child is smallest are tried first, and each query
-tests its largest child first, so failing questions fail early.
+``_options`` expands a family once; ``solvable`` tries queries whose largest
+child is smallest first, ``best_query`` least masks first, both in one loop,
+``_first``, and each query tests its largest child first.
 
 Only the one-reveal-per-round bound m is used to cut the search.  Branch
 counts can reach |query| + 2 distinct outcomes, so logarithmic
@@ -60,24 +61,6 @@ def _support(fam: tuple[int, ...]) -> int:
     return support
 
 
-def _split(fam: tuple[int, ...], query: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Partition a residual family by feedback on ``query``.
-
-    Returns (outcome, child family) pairs in feedback order, with outcomes as
-    in ``split_by_feedback``.  Reveal children have the revealed bit struck
-    from every member.
-    """
-    return [
-        (outcome, tuple(group) if outcome < 0 else tuple(sorted(m & ~outcome for m in group)))
-        for outcome, group in split_by_feedback(fam, query)
-    ]
-
-
-def _informative(parts: list[tuple[int, tuple[int, ...]]]) -> bool:
-    """False when every candidate draws the same silence or collision."""
-    return len(parts) > 1 or parts[0][0] >= 0
-
-
 def _twin_classes(fam: tuple[int, ...]) -> list[list[int]]:
     """The support's stations as bits, grouped into twin classes, ascending."""
     members = set(fam)
@@ -108,6 +91,20 @@ def _class_queries(classes: list[list[int]]) -> list[int]:
     return [sum(combo) for combo in product(*choices)]
 
 
+def _options(fam: tuple[int, ...]) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Informative class queries in ``_class_queries`` order, each with its
+    children largest first.  A single's child strikes the sender, which every
+    member holds, so its members stay ascending."""
+    options = []
+    for query in _class_queries(_twin_classes(fam)):
+        groups = split_by_feedback(fam, query)
+        if len(groups) > 1 or groups[0][0] >= 0:  # not one silence or collision for all
+            children = [tuple(group) if outcome < 0 else tuple(m ^ outcome for m in group)
+                        for outcome, group in groups]
+            options.append((query, sorted(children, key=len, reverse=True)))
+    return options
+
+
 class _Solver:
     """Decision search over residual families with a memo of value bounds."""
 
@@ -123,40 +120,36 @@ class _Solver:
 
     def solvable(self, fam: tuple[int, ...], t: int) -> bool:
         """Can ``fam`` be finished within ``t`` rounds against every candidate?"""
-        remaining = fam[0].bit_count()
-        if remaining == 0:
-            return True
         bounds = self.memo.get(fam)
-        # Probing each support station alone always finishes.
-        lo, hi = bounds if bounds is not None else (remaining, _support(fam).bit_count())
+        # Probing each support station alone always finishes; (0,) gets lo = hi = 0.
+        lo, hi = bounds if bounds is not None else (fam[0].bit_count(), _support(fam).bit_count())
         if t < lo:
             return False
         if t >= hi:
             return True
-        options = []
-        for query in _class_queries(_twin_classes(fam)):
-            parts = _split(fam, query)
-            if _informative(parts):
-                options.append(sorted((child for _, child in parts), key=len, reverse=True))
-        options.sort(key=lambda children: len(children[0]))
-        for children in options:
+        options = sorted(_options(fam), key=lambda option: len(option[1][0]))
+        if self._first(options, t) is None:
+            self.memo[fam] = (t + 1, hi)
+            return False
+        self.memo[fam] = (lo, t)
+        return True
+
+    def _first(self, options: list[tuple[int, list[tuple[int, ...]]]], t: int) -> int | None:
+        """The first query whose children all finish within ``t - 1`` rounds."""
+        for query, children in options:
             if all(self.solvable(child, t - 1) for child in children):
-                self.memo[fam] = (lo, t)
-                return True
-        self.memo[fam] = (t + 1, hi)
-        return False
+                return query
+        return None
 
     def best_query(self, fam: tuple[int, ...]) -> int:
         """First query (ascending mask order) achieving the minimax value."""
-        target = self.value(fam)
         # Queries with equal per-class counts are relabelings of each other by
         # twin swaps, which fix the family, so they reach the same value; the
         # least mask with given counts takes the lowest stations of each class.
-        for query in sorted(_class_queries(_twin_classes(fam))):
-            parts = _split(fam, query)
-            if _informative(parts) and all(self.solvable(child, target - 1) for _, child in parts):
-                return query
-        raise AssertionError("no query achieves the computed minimax value")
+        query = self._first(sorted(_options(fam)), self.value(fam))
+        if query is None:
+            raise AssertionError("no query achieves the computed minimax value")
+        return query
 
 
 def exact_optimal_rounds(

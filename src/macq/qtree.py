@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .adversary import DEFAULT_ENUMERATION_BUDGET, initial_state
+from .adversary import initial_state
 from .channel import (
     Feedback,
-    FeedbackTag,
     GameConfig,
     StationSet,
     Transcript,
@@ -69,7 +68,6 @@ def build_tree(
     config: GameConfig,
     *,
     round_cap: int | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
     normal: bool = False,
 ) -> QTree:
     """Decision tree of a strategy over all C(n,d) live sets.
@@ -93,7 +91,7 @@ def build_tree(
     def node(query: StationSet, branches: list[tuple[Feedback, QNode]]) -> QNode:
         return QNode(query=query, children=dict(branches))
 
-    return QTree(config, fold_strategy(strategy, initial_state(config, budget=budget),
+    return QTree(config, fold_strategy(strategy, initial_state(config),
                                        Transcript(config), leaf, node, round_cap, normal))
 
 
@@ -101,19 +99,13 @@ def build_tree(
 # Normal form
 # ---------------------------------------------------------------------------
 
-def normalize(
-    strategy: Strategy,
-    config: GameConfig,
-    *,
-    round_cap: int | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> QTree:
+def normalize(strategy: Strategy, config: GameConfig, *, round_cap: int | None = None) -> QTree:
     """Normal-form tree: each query drops the revealed stations, stop at d singles.
 
     Errors name the strategy ``<name>-normal``.
     """
     renamed = dataclasses.replace(strategy, name=f"{strategy.name}-normal")
-    return build_tree(renamed, config, round_cap=round_cap, budget=budget, normal=True)
+    return build_tree(renamed, config, round_cap=round_cap, normal=True)
 
 
 @dataclass(frozen=True)
@@ -182,11 +174,7 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
 # ---------------------------------------------------------------------------
 
 def _feedback_label(feedback: Feedback) -> str:
-    if feedback.tag is FeedbackTag.SILENCE:
-        return "silence"
-    if feedback.tag is FeedbackTag.COLLISION:
-        return "collision"
-    return f"single:{feedback.station}"
+    return f"{feedback.tag.value}:{feedback.station}" if feedback.station else feedback.tag.value
 
 
 def export_graph(tree: QTree) -> str:
@@ -216,7 +204,7 @@ def export_graph(tree: QTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_strategy(tree: QTree, name: str = "tree-replay") -> Strategy:
+def tree_strategy(tree: QTree) -> Strategy:
     """Replay a built tree as a strategy (leaf reached means stop).  Its state
     is the current node, or None off the tree, refused only at the next query."""
 
@@ -232,4 +220,4 @@ def tree_strategy(tree: QTree, name: str = "tree-replay") -> Strategy:
             raise DomainError("transcript follows a feedback edge the tree lacks")
         return node.query
 
-    return Strategy(name, next_query, lambda config: tree.root, step)
+    return Strategy("tree-replay", next_query, lambda config: tree.root, step)

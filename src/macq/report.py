@@ -9,12 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import (
-    GrowthFactor,
-    claimed_bound_analytic,
-    claimed_bound_combinatorial,
-    info_lower_bound,
-)
+from .adversary import check_enumeration_budget
+from .bounds import counting_columns
 from .channel import GameConfig
 from .engine import worst_case_rounds
 from .errors import BudgetExceeded, DomainError
@@ -54,30 +50,17 @@ def _build_row(config: GameConfig, oracle_cap: tuple[int, int]) -> ReportRow:
         notes.append(f"oracle_opt absent: BudgetExceeded: {exc}")
     tree_worst = worst_case_rounds(TREE_SPLIT, config)[0]
     linear_worst = worst_case_rounds(LINEAR_SCAN, config)[0]
-    info_lb = info_lower_bound(config.n, config.d)
-    claimed_factorial = claimed_bound_combinatorial(config.n, config.d, GrowthFactor.FACTORIAL)
-    claimed_power = claimed_bound_combinatorial(config.n, config.d, GrowthFactor.POWER)
-    claimed_analytic = claimed_bound_analytic(config.n, config.d)
+    columns = counting_columns(config.n, config.d)
     flags: list[str] = []
     if oracle_opt is not None:
-        claims = (claimed_factorial, claimed_power, claimed_analytic)
+        claims = (columns["claimed_factorial"], columns["claimed_power"],
+                  columns["claimed_analytic"])
         if any(claim > oracle_opt for claim in claims):
             flags.append(FLAG_CLAIM_EXCEEDS_OPT)
-        if info_lb > oracle_opt:
+        if columns["info_lb"] > oracle_opt:
             flags.append(FLAG_LB_VIOLATION)
-    return ReportRow(
-        n=config.n,
-        d=config.d,
-        oracle_opt=oracle_opt,
-        tree_worst=tree_worst,
-        linear_worst=linear_worst,
-        info_lb=info_lb,
-        claimed_factorial=claimed_factorial,
-        claimed_power=claimed_power,
-        claimed_analytic=claimed_analytic,
-        flags=tuple(flags),
-        notes=tuple(notes),
-    )
+    return ReportRow(n=config.n, d=config.d, oracle_opt=oracle_opt, tree_worst=tree_worst,
+                     linear_worst=linear_worst, **columns, flags=tuple(flags), notes=tuple(notes))
 
 
 def generate_report(
@@ -89,17 +72,21 @@ def generate_report(
 
     The grid starts at n = 2 because the analytic threshold is undefined at
     n = 1.  Per-cell oracle failures beyond the cap become absent values with
-    a note; nothing aborts the grid.
+    a note.  Every cell is checked first (n within the station cap, C(n,d)
+    within the enumeration budget), so a grid with a cell out of range fails
+    at once, with that first cell's error.
     """
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max}")
     if d_max < 1:
         raise DomainError(f"d_max must be at least 1, got {d_max}")
-    rows = []
+    configs = []
     for n in range(2, n_max + 1):
         for d in range(1, min(n, d_max) + 1):
-            rows.append(_build_row(GameConfig(n, d), oracle_cap))
-    return rows
+            config = GameConfig(n, d)
+            check_enumeration_budget(config)
+            configs.append(config)
+    return [_build_row(config, oracle_cap) for config in configs]
 
 
 def report_to_csv(rows: list[ReportRow]) -> str:

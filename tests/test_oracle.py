@@ -175,6 +175,70 @@ def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
     assert _Solver(canonical=False).best_query(fam) == first
 
 
+def _reference_split(fam, query):
+    """(outcome, child) pairs in feedback order: silence (-1), collision (-2),
+    then singles by sender bit, each single's child struck and re-sorted."""
+    silence, collision, singles = [], [], {}
+    for member in fam:
+        hit = member & query
+        if not hit:
+            silence.append(member)
+        elif hit & (hit - 1):
+            collision.append(member)
+        else:
+            singles.setdefault(hit, []).append(member & ~hit)
+    parts = [(outcome, tuple(group)) for outcome, group in ((-1, silence), (-2, collision)) if group]
+    return parts + [(bit, tuple(sorted(group))) for bit, group in sorted(singles.items())]
+
+
+class _ReferenceSearch:
+    """The decision search written out in full with its own split and its own
+    informativeness test, trying queries by their largest child, as the solver
+    did before its expansion was shared with the witness search."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def value(self, fam):
+        t = fam[0].bit_count()
+        while not self.solvable(fam, t):
+            t += 1
+        return t
+
+    def solvable(self, fam, t):
+        remaining = fam[0].bit_count()
+        if remaining == 0:
+            return True
+        bounds = self.memo.get(fam)
+        lo, hi = bounds if bounds is not None else (remaining, reduce(or_, fam).bit_count())
+        if t < lo:
+            return False
+        if t >= hi:
+            return True
+        options = []
+        for query in _class_queries(_twin_classes(fam)):
+            parts = _reference_split(fam, query)
+            if len(parts) > 1 or parts[0][0] >= 0:
+                options.append(sorted((child for _, child in parts), key=len, reverse=True))
+        options.sort(key=lambda children: len(children[0]))
+        for children in options:
+            if all(self.solvable(child, t - 1) for child in children):
+                self.memo[fam] = (lo, t)
+                return True
+        self.memo[fam] = (t + 1, hi)
+        return False
+
+
+def test_search_memo_matches_the_reference_search():
+    # The memo records which questions the search asked and how they ended,
+    # so equal memos mean the same queries were tried in the same order.
+    for n, d in [(8, 4), (10, 3), (16, 2)]:
+        fam = initial_family(GameConfig(n, d))
+        reference, solver = _ReferenceSearch(), _Solver(canonical=False)
+        assert solver.value(fam) == reference.value(fam), (n, d)
+        assert solver.memo == reference.memo, (n, d)
+
+
 def test_initial_family_is_one_twin_class():
     for n, d in [(1, 1), (4, 2), (6, 3), (8, 2)]:
         classes = _twin_classes(initial_family(GameConfig(n, d)))

@@ -4,6 +4,7 @@ import pytest
 
 from macq import (
     CSV_HEADER,
+    BudgetExceeded,
     DomainError,
     GameConfig,
     GrowthFactor,
@@ -17,6 +18,7 @@ from macq import (
     report_to_csv,
     worst_case_rounds,
 )
+from macq import report
 
 # Full grid up to (6,3) with the default oracle cap.  Every oracle_opt,
 # worst-case, and bound column is re-derived against its own module in
@@ -105,3 +107,18 @@ def test_report_rejects_tiny_grids():
         generate_report(1, 1)
     with pytest.raises(DomainError):
         generate_report(4, 0)
+
+
+def test_report_checks_the_whole_grid_before_computing_a_row(monkeypatch):
+    # A grid that cannot finish fails before any row is computed, with the
+    # error its first failing cell would raise.
+    def computed(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    monkeypatch.setattr(report, "worst_case_rounds", computed)
+    monkeypatch.setattr(report, "exact_optimal_rounds", computed)
+    with pytest.raises(DomainError, match="got 65"):
+        generate_report(70, 3)
+    with pytest.raises(BudgetExceeded, match=r"C\(44,5\) = 1086008"):
+        generate_report(50, 5)
