@@ -32,25 +32,25 @@ from .strategies import Strategy, fold_strategy
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
-def check_enumeration_budget(config: GameConfig, budget: int = DEFAULT_ENUMERATION_BUDGET) -> None:
-    """Refuse an instance whose C(n,d) candidate live sets exceed ``budget``."""
-    total = math.comb(config.n, config.d)
+def check_enumeration_budget(config: GameConfig) -> None:
+    """Refuse an instance whose C(n,d) candidate live sets exceed the budget of 10**6."""
+    total, budget = math.comb(config.n, config.d), DEFAULT_ENUMERATION_BUDGET
     if total > budget:
         raise BudgetExceeded(
             f"C({config.n},{config.d}) = {total} candidate live sets exceed budget {budget}"
         )
 
 
-def initial_family(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, ...]:
+def initial_family(config: GameConfig) -> tuple[int, ...]:
     """Masks of every size-d subset of 1..n, ascending."""
-    check_enumeration_budget(config, budget)
+    check_enumeration_budget(config)
     bits = [1 << i for i in range(config.n)]
     return tuple(sorted(sum(combo) for combo in combinations(bits, config.d)))
 
 
-def initial_state(config: GameConfig, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> KnowledgeState:
+def initial_state(config: GameConfig) -> KnowledgeState:
     """Knowledge state before any round: every size-d subset of 1..n."""
-    return KnowledgeState(config, initial_family(config, budget=budget), 0)
+    return KnowledgeState(config, initial_family(config), 0)
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:

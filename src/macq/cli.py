@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import DEFAULT_ENUMERATION_BUDGET, greedy_adversary, make_exact_adversary
+from .adversary import greedy_adversary, make_exact_adversary
 from .bounds import counting_columns
 from .channel import GameConfig, StationSet, format_station_set
 from .engine import game_result_to_doc, run_adversarial, run_fixed, worst_case_rounds
@@ -27,11 +27,9 @@ from .strategies import STRATEGIES
 
 def _live_set(text: str) -> StationSet:
     try:
-        ids = [int(part) for part in text.split(",") if part != ""]
+        ids = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"live set must be comma-separated ids, got {text!r}")
-    if not ids:
-        raise argparse.ArgumentTypeError("live set must not be empty")
     if any(b <= a for a, b in zip(ids, ids[1:])):
         raise argparse.ArgumentTypeError(f"live ids must be strictly ascending, got {text!r}")
     if ids[0] < 1:
@@ -65,14 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     source = sim.add_mutually_exclusive_group(required=True)
     source.add_argument("--live", type=_live_set, help="fixed live set, e.g. 1,3")
     source.add_argument("--adversary", choices=["greedy", "exact"])
-    sim.add_argument("--round-cap", type=_positive_int, default=None)
     sim.set_defaults(handler=_cmd_simulate)
 
     worst = sub.add_parser("worst-case", help="max rounds over all live sets, with witness")
     add_common(worst)
     worst.add_argument("--strategy", choices=sorted(STRATEGIES), required=True)
-    worst.add_argument("--round-cap", type=_positive_int, default=None)
-    worst.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET)
     worst.add_argument("--format", choices=["text", "json-lines"], default="text")
     worst.set_defaults(handler=_cmd_worst_case)
 
@@ -110,19 +105,19 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     if args.live is not None:
-        result = run_fixed(strategy, config, args.live, args.round_cap)
+        result = run_fixed(strategy, config, args.live)
     else:
         adversary = (
             greedy_adversary if args.adversary == "greedy" else make_exact_adversary(strategy)
         )
-        result = run_adversarial(strategy, adversary, config, args.round_cap)
+        result = run_adversarial(strategy, adversary, config)
     return json.dumps(game_result_to_doc(result)) + "\n"
 
 
 def _cmd_worst_case(args: argparse.Namespace) -> str:
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
-    rounds, witness = worst_case_rounds(strategy, config, args.round_cap, budget=args.budget)
+    rounds, witness = worst_case_rounds(strategy, config)
     if args.format == "json-lines":
         doc = {
             "n": config.n,

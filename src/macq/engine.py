@@ -4,7 +4,7 @@ One loop plays every game on a knowledge state; a fixed live set is the state
 holding it alone.  A game ends as soon as d distinct stations have transmitted
 alone, whether or not the strategy would keep querying, or earlier if the
 strategy itself stops.
-``strategies.checked_query`` applies the round cap (default 4n + 16), which
+``strategies.checked_query`` applies the fixed round cap of 4n + 16, which
 turns non-terminating strategies into errors instead of hangs.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adversary import DEFAULT_ENUMERATION_BUDGET, Adversary, initial_state, refine
+from .adversary import Adversary, initial_state, refine
 from .channel import (
     Feedback,
     GameConfig,
@@ -37,25 +37,14 @@ class GameResult:
     witness_live: StationSet
 
 
-def run_fixed(
-    strategy: Strategy,
-    config: GameConfig,
-    live: StationSet,
-    round_cap: int | None = None,
-) -> GameResult:
+def run_fixed(strategy: Strategy, config: GameConfig, live: StationSet) -> GameResult:
     """Play one game against a fixed hidden live set."""
     config.check_live_set(live)
     return _play(strategy, lambda state, query, transcript: evaluate_query(query, live),
-                 KnowledgeState(config, (live.mask,), 0), round_cap)
+                 KnowledgeState(config, (live.mask,), 0))
 
 
-def worst_case_rounds(
-    strategy: Strategy,
-    config: GameConfig,
-    round_cap: int | None = None,
-    *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[int, StationSet]:
+def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, StationSet]:
     """Maximum rounds_used over every size-d live set, with a witness.
 
     A live set's rounds_used is the depth of its leaf in the strategy's
@@ -74,9 +63,7 @@ def worst_case_rounds(
         return 1 + deepest, _first_in_id_order(
             [live for _, (depth, live) in branches if depth == deepest])
 
-    rounds, witness = fold_strategy(
-        strategy, initial_state(config, budget=budget), Transcript(config), leaf, node, round_cap
-    )
+    rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config), leaf, node)
     return rounds, StationSet(witness)
 
 
@@ -94,28 +81,22 @@ def _first_in_id_order(masks: Sequence[int]) -> int:
     return first
 
 
-def run_adversarial(
-    strategy: Strategy,
-    adversary: Adversary,
-    config: GameConfig,
-    round_cap: int | None = None,
-) -> GameResult:
+def run_adversarial(strategy: Strategy, adversary: Adversary, config: GameConfig) -> GameResult:
     """Play one game with feedback chosen by an adversary.
 
     The witness is the least surviving candidate; replaying it as a fixed
     live set reproduces the same transcript round for round.
     """
-    return _play(strategy, adversary, initial_state(config), round_cap)
+    return _play(strategy, adversary, initial_state(config))
 
 
-def _play(strategy: Strategy, answer: Adversary, state: KnowledgeState,
-          round_cap: int | None) -> GameResult:
+def _play(strategy: Strategy, answer: Adversary, state: KnowledgeState) -> GameResult:
     """Play from ``state`` until d stations are revealed or the strategy stops."""
     config = state.config
     transcript = Transcript(config)
     memory = strategy.start(config)
     while state.revealed.bit_count() < config.d:
-        action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
+        action = checked_query(strategy, config, memory, len(transcript.rounds))
         if action is None:
             break
         feedback = answer(state, action, transcript)

@@ -24,7 +24,7 @@ class CapExceeded(MacqError):
 
 
 class BudgetExceeded(MacqError):
-    """An enumeration would exceed the configured instance budget."""
+    """An enumeration would exceed the fixed budget of 10**6 candidate live sets."""
 
 
 class Inconsistent(MacqError):

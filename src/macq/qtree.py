@@ -17,11 +17,10 @@ query that reduces to the empty set stays as a silent round.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .adversary import initial_state
+from .adversary import initial_family, initial_state
 from .channel import (
     Feedback,
     GameConfig,
@@ -67,14 +66,13 @@ def build_tree(
     strategy: Strategy,
     config: GameConfig,
     *,
-    round_cap: int | None = None,
     normal: bool = False,
 ) -> QTree:
     """Decision tree of a strategy over all C(n,d) live sets.
 
     Raises AmbiguousLeaf when the strategy stops while two or more live sets
     share the transcript so far; raises CapExceeded when any path outruns the
-    round cap (default 4n + 16).  ``normal`` plays every query minus the
+    round cap of 4n + 16.  ``normal`` plays every query minus the
     stations already revealed on its path (see ``fold_strategy``).
     """
 
@@ -92,20 +90,20 @@ def build_tree(
         return QNode(query=query, children=dict(branches))
 
     return QTree(config, fold_strategy(strategy, initial_state(config),
-                                       Transcript(config), leaf, node, round_cap, normal))
+                                       Transcript(config), leaf, node, normal))
 
 
 # ---------------------------------------------------------------------------
 # Normal form
 # ---------------------------------------------------------------------------
 
-def normalize(strategy: Strategy, config: GameConfig, *, round_cap: int | None = None) -> QTree:
+def normalize(strategy: Strategy, config: GameConfig) -> QTree:
     """Normal-form tree: each query drops the revealed stations, stop at d singles.
 
     Errors name the strategy ``<name>-normal``.
     """
     renamed = dataclasses.replace(strategy, name=f"{strategy.name}-normal")
-    return build_tree(renamed, config, round_cap=round_cap, normal=True)
+    return build_tree(renamed, config, normal=True)
 
 
 @dataclass(frozen=True)
@@ -131,38 +129,34 @@ def leaf_count(tree: QTree) -> int:
 def check_normal_form(tree: QTree) -> NormalFormReport:
     """Measure the normal-form properties of a tree.
 
-    property_holds requires every root-to-leaf path to carry exactly d black
-    edges with pairwise distinct stations, and exactly one leaf per size-d
-    live set.
+    property_holds requires the black edges of every root-to-leaf path to
+    come from pairwise distinct stations that are exactly its leaf's live set,
+    and the leaves' live sets to be the size-d subsets of 1..n, one each.
     """
-    d = tree.config.d
     blacks: list[int] = []
-    repeated = 0
+    lives: list[int] = []
+    repeated = mismatched = 0
 
-    def walk(node: QNode, senders: tuple[int, ...]) -> int:
-        nonlocal repeated
+    def walk(node: QNode, count: int, senders: int) -> int:
+        nonlocal repeated, mismatched
         if node.is_leaf:
-            blacks.append(len(senders))
-            if len(set(senders)) != len(senders):
-                repeated += 1
+            live = node.resolved_live.mask if node.resolved_live else 0
+            blacks.append(count)
+            lives.append(live)
+            repeated += senders.bit_count() != count
+            mismatched += senders != live
             return 0
         deepest = 0
         for feedback, child in node.children.items():
-            extended = senders + (feedback.station,) if feedback.is_single else senders
-            deepest = max(deepest, walk(child, extended))
+            sender = 1 << (feedback.station - 1) if feedback.is_single else 0
+            deepest = max(deepest, walk(child, count + feedback.is_single, senders | sender))
         return 1 + deepest
 
-    depth = walk(tree.root, ())
-    leaves = len(blacks)
-    expected_leaves = math.comb(tree.config.n, d)
-    holds = (
-        repeated == 0
-        and leaves == expected_leaves
-        and all(count == d for count in blacks)
-    )
+    depth = walk(tree.root, 0, 0)
+    holds = repeated == mismatched == 0 and tuple(sorted(lives)) == initial_family(tree.config)
     return NormalFormReport(
         max_depth=depth,
-        leaf_count=leaves,
+        leaf_count=len(blacks),
         black_per_path=tuple(sorted(blacks)),
         repeated_transmitter_paths=repeated,
         property_holds=holds,

@@ -75,14 +75,13 @@ def default_round_cap(config: GameConfig) -> int:
     return 4 * config.n + 16
 
 
-def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int,
-                  round_cap: int | None) -> NextAction:
+def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds,
-    refused past the round cap or beyond n."""
+    refused past the round cap of 4n + 16 or beyond n."""
     action = strategy.query(config, state)
     if action is None:
         return None
-    cap = default_round_cap(config) if round_cap is None else round_cap
+    cap = default_round_cap(config)
     if rounds >= cap:
         raise CapExceeded(
             f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
@@ -101,7 +100,6 @@ def fold_strategy(
     transcript: Transcript,
     leaf: Callable[[Sequence[int]], T],
     node: Callable[[StationSet, list[tuple[Feedback, T]]], T],
-    round_cap: int | None = None,
     normal: bool = False,
 ) -> T:
     """Fold the strategy's decision tree below one position.
@@ -124,7 +122,7 @@ def fold_strategy(
     def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
         if revealed.bit_count() >= config.d:
             return leaf(family)
-        query = checked_query(strategy, config, state, rounds, round_cap)
+        query = checked_query(strategy, config, state, rounds)
         if query is None:
             return leaf(family)
         reduced = normal and query.mask & revealed

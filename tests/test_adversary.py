@@ -29,6 +29,7 @@ from macq import (
     scripted,
     single,
 )
+from macq import adversary
 from macq.adversary import initial_family
 
 S = StationSet.from_ids
@@ -48,12 +49,17 @@ def test_initial_state_enumerates_all_candidates():
             assert initial_state(cfg).family == tuple(masks)
 
 
-def test_initial_state_budget():
+def test_initial_state_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
-        initial_state(GameConfig(40, 20), budget=1000)
+        initial_state(GameConfig(40, 20))
     with pytest.raises(BudgetExceeded):
-        initial_family(GameConfig(40, 20), budget=1000)
-    assert len(initial_family(GameConfig(10, 3), budget=120)) == 120
+        initial_family(GameConfig(40, 20))
+    # The budget is read at call time, so the boundary can be pinned: C(10,3) = 120.
+    monkeypatch.setattr(adversary, "DEFAULT_ENUMERATION_BUDGET", 120)
+    assert len(initial_family(GameConfig(10, 3))) == 120
+    monkeypatch.setattr(adversary, "DEFAULT_ENUMERATION_BUDGET", 119)
+    with pytest.raises(BudgetExceeded, match=r"^C\(10,3\) = 120 candidate live sets exceed budget 119$"):
+        initial_family(GameConfig(10, 3))
 
 
 def test_refine_silence_on_singleton():

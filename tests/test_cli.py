@@ -14,7 +14,6 @@ import pytest
 
 from macq import (
     GameConfig,
-    LINEAR_SCAN,
     StationSet,
     TREE_SPLIT,
     build_tree,
@@ -188,11 +187,6 @@ def test_too_deep_strategy_walk_is_a_runtime_error(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("simulate", "--strategy", "tree", "--n", "3", "--d", "1", "--live", "1",
-         "--round-cap", "-1"),
-        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--round-cap", "0"),
-        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--budget", "0"),
-        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--budget", "-4"),
         ("oracle", "--n", "3", "--d", "1", "--oracle-n-cap", "0"),
         ("oracle", "--n", "3", "--d", "1", "--oracle-d-cap", "-2"),
         ("report", "--n-max", "2", "--oracle-n-cap", "x"),
@@ -205,6 +199,23 @@ def test_non_positive_caps_are_usage_errors(capsys, argv):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--strategy", "tree", "--n", "3", "--d", "1", "--live", "1",
+         "--round-cap", "3"),
+        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--round-cap", "3"),
+        ("worst-case", "--strategy", "linear", "--n", "3", "--d", "1", "--budget", "5"),
+    ],
+)
+def test_round_cap_and_budget_are_not_options(capsys, argv):
+    # Both limits are fixed: 4n + 16 rounds and 10**6 candidate live sets.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys)[0] == 2  # missing subcommand
     assert run_cli(capsys, "simulate", "--strategy", "tree", "--n", "2", "--d", "1")[0] == 2
@@ -215,7 +226,7 @@ def test_usage_errors_exit_2(capsys):
     assert "linear" in err and "tree" in err
 
 
-@pytest.mark.parametrize("bad_live", ["2,1", "0", "a,b", "", "1,,1"])
+@pytest.mark.parametrize("bad_live", ["2,1", "0", "a,b", "", "1,,1", "1,,3", "1,3,"])
 def test_malformed_live_set_exits_2(capsys, bad_live):
     code, _, err = run_cli(
         capsys, "simulate", "--strategy", "tree", "--n", "4", "--d", "2", "--live", bad_live

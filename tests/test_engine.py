@@ -104,16 +104,28 @@ def test_run_fixed_rejects_query_beyond_n():
         run_fixed(strat, GameConfig(3, 1), S([1]))
 
 
+# Queries the empty set forever: every game hits the round cap.
+STALL = Strategy("stall", lambda config, transcript: StationSet())
+
+
 def test_round_cap_turns_livelock_into_error():
-    never_done = Strategy("stall", lambda cfg, t: StationSet())
-    with pytest.raises(CapExceeded):
-        run_fixed(never_done, GameConfig(3, 1), S([2]), round_cap=5)
-    with pytest.raises(CapExceeded):
-        run_fixed(never_done, GameConfig(3, 1), S([2]))  # default cap 4n+16
-    assert default_round_cap(GameConfig(3, 1)) == 28
+    cfg = GameConfig(3, 1)
+    assert default_round_cap(cfg) == 28
+    # The exact adversary's look-ahead and the worst-case fold stop at the same cap.
+    games = [
+        lambda: run_fixed(STALL, cfg, S([2])),
+        lambda: run_adversarial(STALL, greedy_adversary, cfg),
+        lambda: run_adversarial(STALL, make_exact_adversary(STALL), cfg),
+        lambda: worst_case_rounds(STALL, cfg),
+        lambda: build_tree(STALL, cfg),
+    ]
+    for game in games:
+        with pytest.raises(CapExceeded) as raised:
+            game()
+        assert str(raised.value) == "strategy 'stall' still querying after 28 rounds (n=3, d=1)"
 
 
-def _reference_run_fixed(strategy, config, live, round_cap=None):
+def _reference_run_fixed(strategy, config, live):
     """run_fixed with its own loop over the transcript (reference only)."""
     if not live.issubset(config.all_stations):
         raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
@@ -122,7 +134,7 @@ def _reference_run_fixed(strategy, config, live, round_cap=None):
     transcript = Transcript(config)
     memory = strategy.start(config)
     while len(transmitted_set(transcript)) < config.d:
-        action = checked_query(strategy, config, memory, len(transcript.rounds), round_cap)
+        action = checked_query(strategy, config, memory, len(transcript.rounds))
         if action is None:
             break
         feedback = evaluate_query(action, live)
@@ -177,9 +189,9 @@ def _adaptive(seed, n):
     return Strategy(f"adaptive-{seed}", next_action)
 
 
-def _game(run, strategy, cfg, live, round_cap):
+def _game(run, strategy, cfg, live):
     try:
-        return run(strategy, cfg, live, round_cap)
+        return run(strategy, cfg, live)
     except MacqError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -192,7 +204,7 @@ def test_run_fixed_matches_its_own_loop():
     for n in range(1, 8):
         for d in range(1, n + 1):
             cfg = GameConfig(n, d)
-            pairs = [(LINEAR_SCAN, LINEAR_SCAN), (TREE_SPLIT, TREE_SPLIT)]
+            pairs = [(LINEAR_SCAN, LINEAR_SCAN), (TREE_SPLIT, TREE_SPLIT), (STALL, STALL)]
             for _ in range(3):
                 script = [_random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))]
                 pairs.append((scripted("script", script), _reference_scripted(script)))
@@ -206,11 +218,10 @@ def test_run_fixed_matches_its_own_loop():
             for ids in combinations(range(1, n + 1), d):
                 live = S(ids)
                 for strategy, reference in pairs:
-                    for round_cap in (None, 1, 2):
-                        got = _game(run_fixed, strategy, cfg, live, round_cap)
-                        want = _game(_reference_run_fixed, reference, cfg, live, round_cap)
-                        assert got == want, (strategy.name, cfg, live, round_cap)
-                        seen[got.split(":")[0] if isinstance(got, str) else got.completed] += 1
+                    got = _game(run_fixed, strategy, cfg, live)
+                    want = _game(_reference_run_fixed, reference, cfg, live)
+                    assert got == want, (strategy.name, cfg, live)
+                    seen[got.split(":")[0] if isinstance(got, str) else got.completed] += 1
     assert set(seen) == {True, False, "CapExceeded", "InvalidQuery", "DomainError"}, seen
 
 
@@ -247,8 +258,9 @@ def test_worst_case_rounds_matches_enumeration():
 
 
 def test_worst_case_rounds_budget():
-    with pytest.raises(BudgetExceeded):
-        worst_case_rounds(LINEAR_SCAN, GameConfig(30, 15), budget=10**6)
+    with pytest.raises(BudgetExceeded, match=r"^C\(30,15\) = 155117520 candidate live sets "
+                       r"exceed budget 1000000$"):
+        worst_case_rounds(LINEAR_SCAN, GameConfig(30, 15))
 
 
 def test_greedy_adversary_forces_full_linear_scan():

@@ -14,6 +14,8 @@ from macq import (
     GameConfig,
     LINEAR_SCAN,
     MacqError,
+    QNode,
+    QTree,
     TREE_SPLIT,
     StationSet,
     Strategy,
@@ -153,6 +155,31 @@ def test_repeated_probe_breaks_normal_form_until_normalized():
     assert max_depth(normal) == 3
 
 
+def test_normal_form_needs_one_leaf_per_live_set():
+    # (3,2): three leaves, each reached through two distinct black edges,
+    # but {1,2} twice and {2,3} nowhere.
+    def leaf(*ids):
+        return QNode(resolved_live=S(ids))
+
+    def probe(station, child):
+        return QNode(query=S([station]), children={single(station): child})
+
+    root = QNode(query=S([1]), children={
+        single(1): QNode(query=S([2]), children={
+            single(2): leaf(1, 2),
+            SILENCE: probe(3, leaf(1, 3)),
+        }),
+        SILENCE: probe(2, probe(1, leaf(1, 2))),
+    })
+    report = check_normal_form(QTree(GameConfig(3, 2), root))
+    assert (report.leaf_count, report.black_per_path, report.repeated_transmitter_paths) == \
+        (3, (2, 2, 2), 0)
+    assert not report.property_holds
+    # A leaf whose black senders are not its live set breaks the form too.
+    wrong = QNode(query=S([1]), children={single(1): leaf(2), SILENCE: probe(2, leaf(1))})
+    assert not check_normal_form(QTree(GameConfig(2, 1), wrong)).property_holds
+
+
 def test_normalizing_linear_scan_changes_nothing():
     # linear_scan never queries a revealed station, so its tree is already
     # in normal form and normalization must reproduce it verbatim.
@@ -242,6 +269,11 @@ def random_adaptive(seed, n):
     return Strategy(f"adaptive-{seed}", next_action)
 
 
+# Probes station 1 forever: once it is revealed, or if it is not live, every
+# path runs into the round cap.
+STALL = Strategy("stall", lambda config, transcript: S([1]))
+
+
 def _outcome(build):
     try:
         return export_graph(build())
@@ -254,21 +286,19 @@ def _normalize_cases():
     for n in range(1, 7):
         for d in range(1, n + 1):
             cfg = GameConfig(n, d)
-            strategies = [LINEAR_SCAN, TREE_SPLIT]
+            strategies = [LINEAR_SCAN, TREE_SPLIT, STALL]
             strategies += [random_scripted(rng, n) for _ in range(25)]
             strategies += [random_adaptive(rng.randrange(10**6), n) for _ in range(5)]
             for strategy in strategies:
-                yield strategy, cfg, rng.choice([None, None, None, 1, 2, n])
+                yield strategy, cfg
 
 
 def test_normalize_matches_the_replaying_reference():
     seen = {"graph": 0, "AmbiguousLeaf": 0, "CapExceeded": 0, "InvalidQuery": 0}
-    for strategy, cfg, round_cap in _normalize_cases():
-        got = _outcome(lambda: normalize(strategy, cfg, round_cap=round_cap))
-        want = _outcome(
-            lambda: build_tree(reference_normalized_strategy(strategy), cfg, round_cap=round_cap)
-        )
-        assert got == want, (strategy.name, cfg, round_cap)
+    for strategy, cfg in _normalize_cases():
+        got = _outcome(lambda: normalize(strategy, cfg))
+        want = _outcome(lambda: build_tree(reference_normalized_strategy(strategy), cfg))
+        assert got == want, (strategy.name, cfg)
         kind = "graph" if got.startswith("node") or got.startswith("leaf") else got.split(":")[0]
         seen[kind] += 1
     # Every outcome occurs, so error messages, which name "<name>-normal", are compared too.
