@@ -187,6 +187,10 @@ def test_too_deep_strategy_walk_is_a_runtime_error(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("oracle", "--n", "3", "--d", "1", "--oracle-n-cap", "-1"),
+        ("oracle", "--n", "3", "--d", "1", "--oracle-d-cap", "0"),
+        ("report", "--n-max", "2", "--oracle-n-cap", "0"),
+        ("report", "--n-max", "2", "--oracle-d-cap", "-3"),
         ("oracle", "--n", "3", "--d", "1", "--oracle-n-cap", "0"),
         ("oracle", "--n", "3", "--d", "1", "--oracle-d-cap", "-2"),
         ("report", "--n-max", "2", "--oracle-n-cap", "x"),
