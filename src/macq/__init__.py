@@ -9,162 +9,62 @@ minimax solver for small instances, counting bounds, and a report that puts
 them side by side.
 """
 
-from .adversary import (
-    exact_answer,
-    greedy_adversary,
-    greedy_answer,
-    initial_state,
-    make_exact_adversary,
-    refine,
-)
-from .bounds import (
-    GrowthFactor,
-    binomial,
-    claimed_bound_analytic,
-    claimed_bound_combinatorial,
-    info_lower_bound,
-    path_count_bound,
-)
-from .channel import (
-    COLLISION,
-    Feedback,
-    FeedbackTag,
-    GameConfig,
-    KnowledgeState,
-    SILENCE,
-    StationSet,
-    Transcript,
-    evaluate_query,
-    format_station_set,
-    single,
-    transcript_from_doc,
-    transcript_to_doc,
-    transmitted_set,
-)
-from .engine import (
-    GameResult,
-    game_result_to_doc,
-    run_adversarial,
-    run_fixed,
-    worst_case_rounds,
-)
-from .errors import (
-    AdversaryInconsistent,
-    AmbiguousLeaf,
-    BudgetExceeded,
-    CapExceeded,
-    DomainError,
-    Inconsistent,
-    InvalidQuery,
-    MacqError,
-)
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    exact_optimal_rounds,
-    optimal_strategy,
-    optimal_strategy_tree,
-)
-from .qtree import (
-    NormalFormReport,
-    QNode,
-    QTree,
-    build_tree,
-    check_normal_form,
-    edge_color,
-    export_graph,
-    leaf_count,
-    max_depth,
-    normalize,
-    tree_strategy,
-)
-from .report import (
-    CSV_HEADER,
-    FLAG_CLAIM_EXCEEDS_OPT,
-    FLAG_LB_VIOLATION,
-    ReportRow,
-    generate_report,
-    report_to_csv,
-)
-from .strategies import (
-    LINEAR_SCAN,
-    STRATEGIES,
-    TREE_SPLIT,
-    Strategy,
-    default_round_cap,
-    linear_scan,
-    scripted,
-    tree_split,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdversaryInconsistent",
-    "AmbiguousLeaf",
-    "BudgetExceeded",
-    "CapExceeded",
-    "COLLISION",
-    "CSV_HEADER",
-    "DEFAULT_ORACLE_CAP",
-    "FLAG_CLAIM_EXCEEDS_OPT",
-    "FLAG_LB_VIOLATION",
-    "DomainError",
-    "Feedback",
-    "FeedbackTag",
-    "GameConfig",
-    "GameResult",
-    "GrowthFactor",
-    "Inconsistent",
-    "InvalidQuery",
-    "KnowledgeState",
-    "LINEAR_SCAN",
-    "MacqError",
-    "NormalFormReport",
-    "QNode",
-    "QTree",
-    "ReportRow",
-    "SILENCE",
-    "STRATEGIES",
-    "StationSet",
-    "Strategy",
-    "TREE_SPLIT",
-    "Transcript",
-    "binomial",
-    "build_tree",
-    "check_normal_form",
-    "claimed_bound_analytic",
-    "claimed_bound_combinatorial",
-    "default_round_cap",
-    "edge_color",
-    "evaluate_query",
-    "exact_answer",
-    "exact_optimal_rounds",
-    "export_graph",
-    "format_station_set",
-    "game_result_to_doc",
-    "generate_report",
-    "greedy_adversary",
-    "greedy_answer",
-    "info_lower_bound",
-    "initial_state",
-    "leaf_count",
-    "linear_scan",
-    "make_exact_adversary",
-    "max_depth",
-    "normalize",
-    "optimal_strategy",
-    "optimal_strategy_tree",
-    "path_count_bound",
-    "refine",
-    "report_to_csv",
-    "run_adversarial",
-    "run_fixed",
-    "scripted",
-    "single",
-    "transcript_from_doc",
-    "transcript_to_doc",
-    "transmitted_set",
-    "tree_split",
-    "tree_strategy",
-    "worst_case_rounds",
-]
+# Every public name, under the module that defines it.  Names and submodules
+# are imported on first use (PEP 562), so a command loads only what it runs.
+_EXPORTS = {
+    "adversary": (
+        "exact_answer", "greedy_adversary", "greedy_answer", "initial_state",
+        "make_exact_adversary", "refine",
+    ),
+    "bounds": (
+        "GrowthFactor", "binomial", "claimed_bound_analytic", "claimed_bound_combinatorial",
+        "info_lower_bound", "path_count_bound",
+    ),
+    "channel": (
+        "COLLISION", "DEFAULT_ORACLE_CAP", "Feedback", "FeedbackTag", "GameConfig",
+        "KnowledgeState", "SILENCE", "StationSet", "Transcript", "evaluate_query",
+        "format_station_set", "single", "transcript_from_doc", "transcript_to_doc",
+        "transmitted_set",
+    ),
+    "engine": (
+        "GameResult", "game_result_to_doc", "run_adversarial", "run_fixed", "worst_case_rounds",
+    ),
+    "errors": (
+        "AdversaryInconsistent", "AmbiguousLeaf", "BudgetExceeded", "CapExceeded",
+        "DomainError", "Inconsistent", "InvalidQuery", "MacqError",
+    ),
+    "oracle": ("exact_optimal_rounds", "optimal_strategy", "optimal_strategy_tree"),
+    "qtree": (
+        "NormalFormReport", "QNode", "QTree", "build_tree", "check_normal_form", "edge_color",
+        "export_graph", "leaf_count", "max_depth", "normalize", "tree_strategy",
+    ),
+    "report": (
+        "CSV_HEADER", "FLAG_CLAIM_EXCEEDS_OPT", "FLAG_LB_VIOLATION", "ReportRow",
+        "generate_report", "report_to_csv",
+    ),
+    "strategies": (
+        "LINEAR_SCAN", "STRATEGIES", "TREE_SPLIT", "Strategy", "default_round_cap",
+        "linear_scan", "scripted", "tree_split",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -16,14 +16,57 @@ round; ``split_edges`` is the same rule on raw masks, for the strategy walk.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError
 
 DEFAULT_STATION_CAP = 64
 STATION_CAP_ENV = "MACQ_MAX_N"
+DEFAULT_ORACLE_CAP = (6, 3)  # largest (n, d) the exact oracle solves unless raised
+
+set_field = object.__setattr__  # how a Frozen subclass's __init__ sets each field once
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets each once in its
+    own ``__init__`` through ``set_field``.  Instances compare and hash by their
+    fields in slot order, print as ``Name(field=value, ...)``, refuse
+    assignment, and copy and pickle by calling the class with the fields in
+    slot order.  The fields are fetched by one ``attrgetter`` per class,
+    which keeps ``==`` on hot types as fast as a generated method.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def station_cap() -> int:
@@ -40,16 +83,19 @@ def station_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True, order=True)
-class StationSet:
+class StationSet(Frozen):
     """Immutable set of 1-based station ids, stored as a bitmask.
 
     Bit i-1 of ``mask`` is set when station i belongs to the set.  Python
     integers are unbounded, so sets work unchanged past the default 64-station
-    cap when the cap is raised.
+    cap when the cap is raised.  Sets order by mask.
     """
 
-    mask: int = 0
+    __slots__ = ("mask",)
+    mask: int
+
+    def __init__(self, mask: int = 0) -> None:
+        set_field(self, "mask", mask)
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> StationSet:
@@ -105,6 +151,18 @@ class StationSet:
     def isdisjoint(self, other: StationSet) -> bool:
         return self.mask & other.mask == 0
 
+    def __lt__(self, other: StationSet) -> bool:
+        return self.mask < other.mask if other.__class__ is StationSet else NotImplemented
+
+    def __le__(self, other: StationSet) -> bool:
+        return self.mask <= other.mask if other.__class__ is StationSet else NotImplemented
+
+    def __gt__(self, other: StationSet) -> bool:
+        return self.mask > other.mask if other.__class__ is StationSet else NotImplemented
+
+    def __ge__(self, other: StationSet) -> bool:
+        return self.mask >= other.mask if other.__class__ is StationSet else NotImplemented
+
     def __repr__(self) -> str:
         return f"StationSet({{{', '.join(map(str, self))}}})"
 
@@ -114,21 +172,23 @@ def format_station_set(stations: StationSet) -> str:
     return "{" + ",".join(map(str, stations)) + "}"
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(Frozen):
     """Instance parameters: n stations, exactly d of them live."""
 
+    __slots__ = ("n", "d")
     n: int
     d: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, d: int) -> None:
         cap = station_cap()
-        if not 1 <= self.n <= cap:
+        if not 1 <= n <= cap:
             raise DomainError(
-                f"n must satisfy 1 <= n <= {cap} (raise {STATION_CAP_ENV} for more), got {self.n}"
+                f"n must satisfy 1 <= n <= {cap} (raise {STATION_CAP_ENV} for more), got {n}"
             )
-        if not 1 <= self.d <= self.n:
-            raise DomainError(f"d must satisfy 1 <= d <= n={self.n}, got {self.d}")
+        if not 1 <= d <= n:
+            raise DomainError(f"d must satisfy 1 <= d <= n={n}, got {d}")
+        set_field(self, "n", n)
+        set_field(self, "d", d)
 
     @property
     def all_stations(self) -> StationSet:
@@ -148,19 +208,21 @@ class FeedbackTag(Enum):
     SINGLE = "single"
 
 
-@dataclass(frozen=True)
-class Feedback:
+class Feedback(Frozen):
     """Channel outcome for one round; SINGLE carries the sender's identity."""
 
+    __slots__ = ("tag", "station")
     tag: FeedbackTag
-    station: int | None = None
+    station: int | None
 
-    def __post_init__(self) -> None:
-        if self.tag is FeedbackTag.SINGLE:
-            if self.station is None or self.station < 1:
+    def __init__(self, tag: FeedbackTag, station: int | None = None) -> None:
+        if tag is FeedbackTag.SINGLE:
+            if station is None or station < 1:
                 raise DomainError("single feedback needs a station id >= 1")
-        elif self.station is not None:
-            raise DomainError(f"{self.tag.value} feedback carries no station id")
+        elif station is not None:
+            raise DomainError(f"{tag.value} feedback carries no station id")
+        set_field(self, "tag", tag)
+        set_field(self, "station", station)
 
     @property
     def is_single(self) -> bool:
@@ -223,13 +285,18 @@ def split_by_feedback(members: Iterable[int], query: int) -> list[tuple[int, lis
     return groups
 
 
-@dataclass(frozen=True)
-class KnowledgeState:
+class KnowledgeState(Frozen):
     """Surviving live-set masks (ascending) plus the mask of revealed stations."""
 
+    __slots__ = ("config", "family", "revealed")
     config: GameConfig
     family: tuple[int, ...]
     revealed: int
+
+    def __init__(self, config: GameConfig, family: tuple[int, ...], revealed: int) -> None:
+        set_field(self, "config", config)
+        set_field(self, "family", family)
+        set_field(self, "revealed", revealed)
 
 
 def split_edges(family: Iterable[int], revealed: int,
@@ -247,12 +314,17 @@ def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, K
             for feedback, group, revealed in split_edges(state.family, state.revealed, query.mask)]
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Frozen):
     """Ordered record of (query, feedback) rounds for one game."""
 
+    __slots__ = ("config", "rounds")
     config: GameConfig
-    rounds: tuple[tuple[StationSet, Feedback], ...] = ()
+    rounds: tuple[tuple[StationSet, Feedback], ...]
+
+    def __init__(self, config: GameConfig,
+                 rounds: tuple[tuple[StationSet, Feedback], ...] = ()) -> None:
+        set_field(self, "config", config)
+        set_field(self, "rounds", rounds)
 
     def extend(self, query: StationSet, feedback: Feedback) -> Transcript:
         return Transcript(self.config, self.rounds + ((query, feedback),))

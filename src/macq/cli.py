@@ -4,32 +4,27 @@ Subcommands: simulate, worst-case, tree, bounds, oracle, report.  Exit codes:
 0 on success, 2 on usage errors (argparse), 1 on runtime errors, which are
 printed to stderr as ``error: <ErrorName>: <details>``, and 130 on Ctrl-C,
 printed as ``error: Interrupted: <details>``.
+
+Only what building the parser needs is imported here; each command imports
+the modules it runs, so a short command does not pay for the others.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .adversary import greedy_adversary, make_exact_adversary
-from .bounds import counting_columns
-from .channel import GameConfig, StationSet, format_station_set
-from .engine import game_result_to_doc, run_adversarial, run_fixed, worst_case_rounds
+from .channel import DEFAULT_ORACLE_CAP, GameConfig, StationSet, format_station_set
 from .errors import MacqError
-from .oracle import DEFAULT_ORACLE_CAP, exact_optimal_rounds, optimal_strategy_tree
-from .qtree import build_tree, check_normal_form, export_graph, normalize
-from .report import generate_report, report_to_csv
 from .strategies import STRATEGIES
 
 
 def _live_set(text: str) -> StationSet:
-    try:
-        ids = [int(part) for part in text.split(",")]
-    except ValueError:
+    parts = text.split(",")
+    if not all(part.isdecimal() for part in parts):
         raise argparse.ArgumentTypeError(f"live set must be comma-separated ids, got {text!r}")
+    ids = [int(part) for part in parts]
     if any(b <= a for a, b in zip(ids, ids[1:])):
         raise argparse.ArgumentTypeError(f"live ids must be strictly ascending, got {text!r}")
     if ids[0] < 1:
@@ -43,6 +38,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    """Decimal digits with an optional leading ``-``; the range is checked later."""
+    if not text.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macq",
@@ -53,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, *, n_d: bool = True) -> None:
         if n_d:
-            p.add_argument("--n", type=int, required=True, help="number of stations")
-            p.add_argument("--d", type=int, required=True, help="number of live stations")
+            p.add_argument("--n", type=_integer, required=True, help="number of stations")
+            p.add_argument("--d", type=_integer, required=True, help="number of live stations")
         p.add_argument("--out", type=Path, default=None, help="write output to this file")
 
     sim = sub.add_parser("simulate", help="run one game and print its JSON document")
@@ -92,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="CSV grid comparing strategies, optima, bounds")
     add_common(report, n_d=False)
-    report.add_argument("--n-max", type=int, default=6)
-    report.add_argument("--d-max", type=int, default=3)
+    report.add_argument("--n-max", type=_integer, default=6)
+    report.add_argument("--d-max", type=_integer, default=3)
     report.add_argument("--oracle-n-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[0])
     report.add_argument("--oracle-d-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[1])
     report.set_defaults(handler=_cmd_report)
@@ -102,6 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    import json
+
+    from .adversary import greedy_adversary, make_exact_adversary
+    from .engine import game_result_to_doc, run_adversarial, run_fixed
+
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     if args.live is not None:
@@ -115,6 +122,10 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def _cmd_worst_case(args: argparse.Namespace) -> str:
+    import json
+
+    from .engine import worst_case_rounds
+
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     rounds, witness = worst_case_rounds(strategy, config)
@@ -131,18 +142,27 @@ def _cmd_worst_case(args: argparse.Namespace) -> str:
 
 
 def _cmd_tree(args: argparse.Namespace) -> str:
+    import json
+
+    from .qtree import build_tree, check_normal_form, export_graph, normalize
+
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     built = normalize(strategy, config) if args.normalize else build_tree(strategy, config)
     if args.check:
-        return json.dumps(dataclasses.asdict(check_normal_form(built))) + "\n"
+        report = check_normal_form(built)
+        return json.dumps({name: getattr(report, name) for name in report.__slots__}) + "\n"
     return export_graph(built)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
+    from .bounds import counting_columns
+
     config = GameConfig(args.n, args.d)
     values = {"n": config.n, "d": config.d, **counting_columns(config.n, config.d)}
     if args.format == "json-lines":
+        import json
+
         return json.dumps(values) + "\n"
     header = ",".join(values)
     row = ",".join(str(v) for v in values.values())
@@ -150,6 +170,9 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
+    from .oracle import exact_optimal_rounds, optimal_strategy_tree
+    from .qtree import export_graph
+
     config = GameConfig(args.n, args.d)
     cap = (args.oracle_n_cap, args.oracle_d_cap)
     value = exact_optimal_rounds(config, cap=cap)
@@ -160,6 +183,8 @@ def _cmd_oracle(args: argparse.Namespace) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
+    from .report import generate_report, report_to_csv
+
     cap = (args.oracle_n_cap, args.oracle_d_cap)
     return report_to_csv(generate_report(args.n_max, args.d_max, cap))
 

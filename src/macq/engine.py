@@ -10,31 +10,39 @@ turns non-terminating strategies into errors instead of hangs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .adversary import Adversary, initial_state, refine
 from .channel import (
     Feedback,
+    Frozen,
     GameConfig,
     KnowledgeState,
     StationSet,
     Transcript,
     evaluate_query,
+    set_field,
     transcript_to_doc,
 )
 from .errors import AdversaryInconsistent, Inconsistent
 from .strategies import Strategy, checked_query, fold_strategy
 
 
-@dataclass(frozen=True)
-class GameResult:
+class GameResult(Frozen):
     """One finished game: its transcript plus summary fields."""
 
+    __slots__ = ("transcript", "rounds_used", "completed", "witness_live")
     transcript: Transcript
     rounds_used: int
     completed: bool
     witness_live: StationSet
+
+    def __init__(self, transcript: Transcript, rounds_used: int, completed: bool,
+                 witness_live: StationSet) -> None:
+        set_field(self, "transcript", transcript)
+        set_field(self, "rounds_used", rounds_used)
+        set_field(self, "completed", completed)
+        set_field(self, "witness_live", witness_live)
 
 
 def run_fixed(strategy: Strategy, config: GameConfig, live: StationSet) -> GameResult:

@@ -35,12 +35,10 @@ from __future__ import annotations
 from itertools import product
 
 from .adversary import initial_family, initial_state, refine
-from .channel import GameConfig, KnowledgeState, StationSet, split_by_feedback
+from .channel import DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, split_by_feedback
 from .errors import BudgetExceeded
 from .qtree import QTree, build_tree
 from .strategies import Strategy
-
-DEFAULT_ORACLE_CAP = (6, 3)
 
 # Residual family -> (lower, upper) bounds on its value.
 _SHARED_MEMO: dict[tuple[int, ...], tuple[int, int]] = {}

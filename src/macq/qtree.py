@@ -16,18 +16,18 @@ query that reduces to the empty set stays as a silent round.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .adversary import initial_family, initial_state
 from .channel import (
     Feedback,
+    Frozen,
     GameConfig,
     StationSet,
     Transcript,
     feedback_order,
     format_station_set,
+    set_field,
 )
 from .errors import AmbiguousLeaf, DomainError
 from .strategies import Strategy, fold_strategy
@@ -43,23 +43,37 @@ def edge_color(feedback: Feedback) -> str:
     return EdgeColor.BLACK if feedback.is_single else EdgeColor.RED
 
 
-@dataclass(frozen=True)
-class QNode:
-    """Internal nodes carry a query and children; leaves carry the live set."""
+class QNode(Frozen):
+    """Internal nodes carry a query and children; leaves carry the live set.
 
-    query: StationSet | None = None
-    children: dict[Feedback, QNode] = field(default_factory=dict)
-    resolved_live: StationSet | None = None
+    Each node owns its ``children`` dict, so a node cannot be hashed.
+    """
+
+    __slots__ = ("query", "children", "resolved_live")
+    query: StationSet | None
+    children: dict[Feedback, QNode]
+    resolved_live: StationSet | None
+
+    def __init__(self, query: StationSet | None = None,
+                 children: dict[Feedback, QNode] | None = None,
+                 resolved_live: StationSet | None = None) -> None:
+        set_field(self, "query", query)
+        set_field(self, "children", {} if children is None else children)
+        set_field(self, "resolved_live", resolved_live)
 
     @property
     def is_leaf(self) -> bool:
         return self.query is None
 
 
-@dataclass(frozen=True)
-class QTree:
+class QTree(Frozen):
+    __slots__ = ("config", "root")
     config: GameConfig
     root: QNode
+
+    def __init__(self, config: GameConfig, root: QNode) -> None:
+        set_field(self, "config", config)
+        set_field(self, "root", root)
 
 
 def build_tree(
@@ -102,19 +116,28 @@ def normalize(strategy: Strategy, config: GameConfig) -> QTree:
 
     Errors name the strategy ``<name>-normal``.
     """
-    renamed = dataclasses.replace(strategy, name=f"{strategy.name}-normal")
+    renamed = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
     return build_tree(renamed, config, normal=True)
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(Frozen):
     """What check_normal_form measured on one tree."""
 
+    __slots__ = ("max_depth", "leaf_count", "black_per_path", "repeated_transmitter_paths",
+                 "property_holds")
     max_depth: int
     leaf_count: int
     black_per_path: tuple[int, ...]
     repeated_transmitter_paths: int
     property_holds: bool
+
+    def __init__(self, max_depth: int, leaf_count: int, black_per_path: tuple[int, ...],
+                 repeated_transmitter_paths: int, property_holds: bool) -> None:
+        set_field(self, "max_depth", max_depth)
+        set_field(self, "leaf_count", leaf_count)
+        set_field(self, "black_per_path", black_per_path)
+        set_field(self, "repeated_transmitter_paths", repeated_transmitter_paths)
+        set_field(self, "property_holds", property_holds)
 
 
 def max_depth(tree: QTree) -> int:

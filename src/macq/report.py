@@ -7,14 +7,12 @@ bound does (LB_VIOLATION, which genuinely occurs for d = 1, n >= 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .adversary import check_enumeration_budget
 from .bounds import counting_columns
-from .channel import GameConfig
+from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, set_field
 from .engine import worst_case_rounds
 from .errors import BudgetExceeded, DomainError
-from .oracle import DEFAULT_ORACLE_CAP, exact_optimal_rounds
+from .oracle import exact_optimal_rounds
 from .strategies import LINEAR_SCAN, TREE_SPLIT
 
 CSV_HEADER = (
@@ -26,8 +24,9 @@ FLAG_CLAIM_EXCEEDS_OPT = "CLAIM_EXCEEDS_OPT"
 FLAG_LB_VIOLATION = "LB_VIOLATION"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Frozen):
+    __slots__ = ("n", "d", "oracle_opt", "tree_worst", "linear_worst", "info_lb",
+                 "claimed_factorial", "claimed_power", "claimed_analytic", "flags", "notes")
     n: int
     d: int
     oracle_opt: int | None
@@ -38,7 +37,22 @@ class ReportRow:
     claimed_power: int
     claimed_analytic: int
     flags: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    def __init__(self, n: int, d: int, oracle_opt: int | None, tree_worst: int,
+                 linear_worst: int, info_lb: int, claimed_factorial: int, claimed_power: int,
+                 claimed_analytic: int, flags: tuple[str, ...], notes: tuple[str, ...] = ()) -> None:
+        set_field(self, "n", n)
+        set_field(self, "d", d)
+        set_field(self, "oracle_opt", oracle_opt)
+        set_field(self, "tree_worst", tree_worst)
+        set_field(self, "linear_worst", linear_worst)
+        set_field(self, "info_lb", info_lb)
+        set_field(self, "claimed_factorial", claimed_factorial)
+        set_field(self, "claimed_power", claimed_power)
+        set_field(self, "claimed_analytic", claimed_analytic)
+        set_field(self, "flags", flags)
+        set_field(self, "notes", notes)
 
 
 def _build_row(config: GameConfig, oracle_cap: tuple[int, int]) -> ReportRow:

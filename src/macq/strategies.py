@@ -18,18 +18,19 @@ oracle's witness tree are folds of that one walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 from .channel import (
     Feedback,
     FeedbackTag,
+    Frozen,
     GameConfig,
     KnowledgeState,
     StationSet,
     Transcript,
     evaluate_query,
     format_station_set,
+    set_field,
     split_edges,
     transmitted_set,
 )
@@ -39,8 +40,7 @@ NextAction = StationSet | None
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Frozen):
     """A named strategy as a state machine.
 
     ``start(config)`` is the state before any round, ``step(state, query,
@@ -50,10 +50,23 @@ class Strategy:
     ``Transcript.extend``, so ``query`` is a function of the whole transcript.
     """
 
+    __slots__ = ("name", "query", "start", "step")
     name: str
     query: Callable[[GameConfig, Any], NextAction]
-    start: Callable[[GameConfig], Any] = Transcript
-    step: Callable[[Any, StationSet, Feedback], Any] = Transcript.extend
+    start: Callable[[GameConfig], Any]
+    step: Callable[[Any, StationSet, Feedback], Any]
+
+    def __init__(
+        self,
+        name: str,
+        query: Callable[[GameConfig, Any], NextAction],
+        start: Callable[[GameConfig], Any] = Transcript,
+        step: Callable[[Any, StationSet, Feedback], Any] = Transcript.extend,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "query", query)
+        set_field(self, "start", start)
+        set_field(self, "step", step)
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have

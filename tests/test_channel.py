@@ -1,5 +1,7 @@
 """Channel primitives: station sets, feedback, transcripts, serialization."""
 
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -7,16 +9,29 @@ import pytest
 from macq import (
     COLLISION,
     SILENCE,
+    TREE_SPLIT,
     DomainError,
     Feedback,
     FeedbackTag,
     GameConfig,
+    GameResult,
+    KnowledgeState,
+    NormalFormReport,
+    QNode,
+    QTree,
+    ReportRow,
     StationSet,
+    Strategy,
     Transcript,
+    build_tree,
+    check_normal_form,
     evaluate_query,
     format_station_set,
+    generate_report,
     initial_state,
+    linear_scan,
     refine,
+    run_fixed,
     single,
     transcript_from_doc,
     transcript_to_doc,
@@ -274,3 +289,54 @@ def test_branches_partition_the_family_in_feedback_order():
                         sender = 1 << feedback.station - 1 if feedback.is_single else 0
                         assert child.revealed == state.revealed | sender
                         assert refine(state, query, feedback) == child
+
+
+def test_value_types_are_immutable_values():
+    # Each of the package's value types, with its fields in order.
+    cfg = GameConfig(3, 2)
+    live = StationSet.from_ids([1, 3])
+    leaf = QNode(resolved_live=live)
+    root = QNode(query=StationSet.from_ids([1]), children={single(1): leaf})
+    fields = {
+        StationSet: ("mask",),
+        GameConfig: ("n", "d"),
+        Feedback: ("tag", "station"),
+        KnowledgeState: ("config", "family", "revealed"),
+        Transcript: ("config", "rounds"),
+        Strategy: ("name", "query", "start", "step"),
+        GameResult: ("transcript", "rounds_used", "completed", "witness_live"),
+        QNode: ("query", "children", "resolved_live"),
+        QTree: ("config", "root"),
+        NormalFormReport: ("max_depth", "leaf_count", "black_per_path",
+                           "repeated_transmitter_paths", "property_holds"),
+        ReportRow: ("n", "d", "oracle_opt", "tree_worst", "linear_worst", "info_lb",
+                    "claimed_factorial", "claimed_power", "claimed_analytic", "flags", "notes"),
+    }
+    values = [
+        live, cfg, single(2), initial_state(cfg), Transcript(cfg, ((live, COLLISION),)),
+        Strategy("replay", linear_scan), run_fixed(TREE_SPLIT, cfg, live), root,
+        QTree(cfg, root), check_normal_form(build_tree(TREE_SPLIT, cfg)), generate_report(2, 1)[0],
+    ]
+    assert sorted(type(v).__name__ for v in values) == sorted(t.__name__ for t in fields)
+    for value in values:
+        kind, names = type(value), fields[type(value)]
+        if kind is not StationSet:
+            shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+            assert repr(value) == f"{kind.__name__}({shown})"
+        twin = kind(*(getattr(value, name) for name in names))
+        assert twin == value and twin is not value
+        if kind in (QNode, QTree):  # a node holds its children in a dict
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(value, names[0], getattr(value, names[-1]))
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert repr(live) == "StationSet({1, 3})"
+    assert StationSet(1) < StationSet(2) < StationSet(3) <= StationSet(3) < StationSet(4)
+    assert StationSet.from_ids([3]) > StationSet.from_ids([1, 2])
+    assert sorted([StationSet(5), StationSet(2), StationSet(4)]) == [
+        StationSet(2), StationSet(4), StationSet(5)]
+    assert QNode().children == {} and QNode().children is not QNode().children

@@ -230,13 +230,27 @@ def test_usage_errors_exit_2(capsys):
     assert "linear" in err and "tree" in err
 
 
-@pytest.mark.parametrize("bad_live", ["2,1", "0", "a,b", "", "1,,1", "1,,3", "1,3,"])
+@pytest.mark.parametrize("bad_live", ["2,1", "0", "a,b", "", "1,,1", "1,,3", "1,3,",
+                                      "+1,2", "1_0,2", " 1,2"])
 def test_malformed_live_set_exits_2(capsys, bad_live):
     code, _, err = run_cli(
         capsys, "simulate", "--strategy", "tree", "--n", "4", "--d", "2", "--live", bad_live
     )
     assert code == 2
     assert "--live" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n", "1_0", "--d", "2"),
+    ("bounds", "--n", "10", "--d", " 2"),
+    ("report", "--n-max", "+4"),
+    ("report", "--n-max", "4", "--d-max", "-"),
+])
+def test_integer_options_take_only_decimal_digits(capsys, argv):
+    # int() would read the first three as 10, 2 and 4.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "expected an integer" in err
 
 
 def test_domain_errors_exit_1(capsys):
@@ -246,6 +260,9 @@ def test_domain_errors_exit_1(capsys):
     )
     assert code == 1
     assert err.startswith("error: DomainError:")
+    # A leading '-' parses, so a negative n is out of range, not malformed.
+    code, _, err = run_cli(capsys, "bounds", "--n", "-3", "--d", "1")
+    assert code == 1 and err.startswith("error: DomainError:")
 
 
 def test_station_cap_env_raises_limit(capsys, monkeypatch):
@@ -288,19 +305,28 @@ def test_module_entry_point_runs():
     assert proc.stdout == "3\n"
 
 
-@pytest.mark.parametrize("code", [
-    "import macq.cli",
-    "from macq.cli import dispatch; dispatch(['bounds', '--n', '8', '--d', '2'])",
-], ids=["import", "bounds"])
-def test_commands_do_not_import_mpmath(code):
-    # mpmath is only the tests' reference for the analytic threshold;
-    # importing it would add tens of milliseconds to every command.
+# mpmath is only the tests' reference for the analytic threshold, and
+# dataclasses pulls in inspect, ast and dis; either would add milliseconds
+# to every command.  A short command loads none of the solvers either.
+SLOW_IMPORTS = ("mpmath", "dataclasses", "inspect")
+SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import macq.cli", SLOW_IMPORTS),
+    ("from macq.cli import dispatch; dispatch(['bounds', '--n', '8', '--d', '2'])",
+     SLOW_IMPORTS + SOLVERS),
+    ("import runpy; sys.argv = ['macq', '--help']\n"
+     "try: runpy.run_module('macq', run_name='__main__', alter_sys=True)\n"
+     "except SystemExit: pass", SLOW_IMPORTS),
+], ids=["import", "bounds", "help"])
+def test_commands_do_not_import_mpmath(code, absent):
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}; import sys; print('mpmath' in sys.modules)"],
+        [sys.executable, "-c", f"import sys; {code}\nprint([m for m in {absent!r} if m in sys.modules])"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_bench_trace_mode_still_wraps_every_hot_function(tmp_path):

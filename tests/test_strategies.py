@@ -1,7 +1,6 @@
 """Strategy behavior on hand-built transcripts, and the strategies' state machines
 against the replaying functions they replaced."""
 
-import dataclasses
 import random
 from itertools import combinations
 
@@ -308,7 +307,7 @@ def _counted(strategy):
         calls["step"] += 1
         return strategy.step(state, query, feedback)
 
-    return dataclasses.replace(strategy, query=query, step=step), calls
+    return Strategy(strategy.name, query, strategy.start, step), calls
 
 
 def test_worst_case_sweep_asks_once_per_internal_node():
