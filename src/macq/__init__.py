@@ -9,12 +9,13 @@ minimax solver for small instances, counting bounds, and a report that puts
 them side by side.
 """
 
-from importlib import import_module
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-# Every public name, under the module that defines it.  Names and submodules
-# are imported on first use (PEP 562), so a command loads only what it runs.
+# Every public name, under the module that defines it.  Names are resolved
+# on first use (PEP 562), so a command loads only what it runs.
 _EXPORTS = {
     "adversary": (
         "exact_answer", "greedy_adversary", "greedy_answer", "initial_state",
@@ -56,15 +57,33 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
+def _lazy_submodule(name: str) -> object:
+    """Register ``macq.<name>`` in ``sys.modules``; its code runs on first use.
+
+    The placeholder is a real module object, so ``import macq.<name>`` and
+    code that walks ``sys.modules`` see every submodule from the start, while
+    a command that never touches one pays neither its compile nor its run.
+    """
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _EXPORTS:
+    globals()[_name] = _lazy_submodule(_name)
+del _name
+
+
 def __getattr__(name: str) -> object:
-    if name in _EXPORTS:
-        return import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
+    return sorted(set(globals()) | set(__all__))

@@ -35,9 +35,12 @@ class Frozen:
     A subclass names its fields in ``__slots__`` and sets each once in its
     own ``__init__`` through ``set_field``.  Instances compare and hash by their
     fields in slot order, print as ``Name(field=value, ...)``, refuse
-    assignment, and copy and pickle by calling the class with the fields in
-    slot order.  The fields are fetched by one ``attrgetter`` per class,
-    which keeps ``==`` on hot types as fast as a generated method.
+    assignment, and copy and pickle their fields in slot order.  A copy or an
+    unpickled value gets its fields back without running ``__init__``, so a
+    value stays loadable when a check in its ``__init__`` would now refuse it
+    (a ``GameConfig`` saved under a raised ``MACQ_MAX_N``, say).  The fields
+    are fetched by one ``attrgetter`` per class, which keeps ``==`` on hot
+    types as fast as a generated method.
     """
 
     __slots__ = ()
@@ -65,8 +68,12 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
 
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            set_field(self, name, value)
 
 
 def station_cap() -> int:

@@ -291,7 +291,7 @@ def test_branches_partition_the_family_in_feedback_order():
                         assert refine(state, query, feedback) == child
 
 
-def test_value_types_are_immutable_values():
+def test_value_types_are_immutable_values(monkeypatch):
     # Each of the package's value types, with its fields in order.
     cfg = GameConfig(3, 2)
     live = StationSet.from_ids([1, 3])
@@ -340,3 +340,10 @@ def test_value_types_are_immutable_values():
     assert sorted([StationSet(5), StationSet(2), StationSet(4)]) == [
         StationSet(2), StationSet(4), StationSet(5)]
     assert QNode().children == {} and QNode().children is not QNode().children
+    # A copy or a load restores the fields; it does not rerun the checks of
+    # __init__, so a config made under a raised cap loads under the default.
+    monkeypatch.setenv("MACQ_MAX_N", "128")
+    wide = GameConfig(100, 2)
+    saved = pickle.dumps(wide)
+    monkeypatch.delenv("MACQ_MAX_N")
+    assert pickle.loads(saved) == wide and copy.deepcopy(wide) == wide
