@@ -32,22 +32,43 @@ set_field = object.__setattr__  # how a Frozen subclass's __init__ sets each fie
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__`` and sets each once in its
-    own ``__init__`` through ``set_field``.  Instances compare and hash by their
-    fields in slot order, print as ``Name(field=value, ...)``, refuse
-    assignment, and copy and pickle their fields in slot order.  A copy or an
-    unpickled value gets its fields back without running ``__init__``, so a
-    value stays loadable when a check in its ``__init__`` would now refuse it
-    (a ``GameConfig`` saved under a raised ``MACQ_MAX_N``, say).  The fields
-    are fetched by one ``attrgetter`` per class, which keeps ``==`` on hot
-    types as fast as a generated method.
+    A subclass names its fields in ``__slots__``, and the class gets an
+    ``__init__`` that takes them in that order, by position or by keyword;
+    ``class Transcript(Frozen, defaults={"rounds": ()})`` gives trailing
+    fields their defaults.  The ``__init__`` is compiled once per class from
+    source, as ``collections.namedtuple`` does, so it costs no more per call
+    than a hand-written one.  Only a type that does more than store its
+    fields writes its own ``__init__`` and sets each field once through
+    ``set_field``: ``GameConfig`` and ``Feedback`` check their arguments, and
+    ``qtree.QNode`` gives each node a fresh ``children`` dict.
+
+    Instances compare and hash by their fields in slot order, print as
+    ``Name(field=value, ...)``, refuse assignment, and copy and pickle their
+    fields in slot order.  A copy or an unpickled value gets its fields back
+    without running ``__init__``, so a value stays loadable when a check in
+    its ``__init__`` would now refuse it (a ``GameConfig`` saved under a
+    raised ``MACQ_MAX_N``, say).  The fields are fetched by one
+    ``attrgetter`` per class, which keeps ``==`` on hot types as fast as a
+    generated method.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, defaults: dict[str, object] | None = None) -> None:
         super().__init_subclass__()
-        cls._fields = attrgetter(*cls.__slots__)
+        names = cls.__slots__
+        cls._fields = attrgetter(*names)
+        if "__init__" not in cls.__dict__:
+            defaults = defaults or {}
+            params = ", ".join(f"{name}=_default_{name}" if name in defaults else name
+                               for name in names)
+            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+            namespace = {"_set": set_field,
+                         **{f"_default_{name}": value for name, value in defaults.items()}}
+            exec(f"def __init__(self, {params}):{body}\n", namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -81,16 +102,15 @@ def station_cap() -> int:
     raw = os.environ.get(STATION_CAP_ENV)
     if raw is None:
         return DEFAULT_STATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {raw!r}") from None
+    if not raw.removeprefix("-").isdecimal():  # int() would take "1_00" and " +100"
+        raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {raw!r}")
+    cap = int(raw)
     if cap < 1:
         raise DomainError(f"{STATION_CAP_ENV} must be positive, got {cap}")
     return cap
 
 
-class StationSet(Frozen):
+class StationSet(Frozen, defaults={"mask": 0}):
     """Immutable set of 1-based station ids, stored as a bitmask.
 
     Bit i-1 of ``mask`` is set when station i belongs to the set.  Python
@@ -100,9 +120,6 @@ class StationSet(Frozen):
 
     __slots__ = ("mask",)
     mask: int
-
-    def __init__(self, mask: int = 0) -> None:
-        set_field(self, "mask", mask)
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> StationSet:
@@ -300,11 +317,6 @@ class KnowledgeState(Frozen):
     family: tuple[int, ...]
     revealed: int
 
-    def __init__(self, config: GameConfig, family: tuple[int, ...], revealed: int) -> None:
-        set_field(self, "config", config)
-        set_field(self, "family", family)
-        set_field(self, "revealed", revealed)
-
 
 def split_edges(family: Iterable[int], revealed: int,
                 query: int) -> list[tuple[Feedback, list[int], int]]:
@@ -321,17 +333,12 @@ def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, K
             for feedback, group, revealed in split_edges(state.family, state.revealed, query.mask)]
 
 
-class Transcript(Frozen):
+class Transcript(Frozen, defaults={"rounds": ()}):
     """Ordered record of (query, feedback) rounds for one game."""
 
     __slots__ = ("config", "rounds")
     config: GameConfig
     rounds: tuple[tuple[StationSet, Feedback], ...]
-
-    def __init__(self, config: GameConfig,
-                 rounds: tuple[tuple[StationSet, Feedback], ...] = ()) -> None:
-        set_field(self, "config", config)
-        set_field(self, "rounds", rounds)
 
     def extend(self, query: StationSet, feedback: Feedback) -> Transcript:
         return Transcript(self.config, self.rounds + ((query, feedback),))

@@ -21,7 +21,6 @@ from .channel import (
     StationSet,
     Transcript,
     evaluate_query,
-    set_field,
     transcript_to_doc,
 )
 from .errors import AdversaryInconsistent, Inconsistent
@@ -36,13 +35,6 @@ class GameResult(Frozen):
     rounds_used: int
     completed: bool
     witness_live: StationSet
-
-    def __init__(self, transcript: Transcript, rounds_used: int, completed: bool,
-                 witness_live: StationSet) -> None:
-        set_field(self, "transcript", transcript)
-        set_field(self, "rounds_used", rounds_used)
-        set_field(self, "completed", completed)
-        set_field(self, "witness_live", witness_live)
 
 
 def run_fixed(strategy: Strategy, config: GameConfig, live: StationSet) -> GameResult:

@@ -71,10 +71,6 @@ class QTree(Frozen):
     config: GameConfig
     root: QNode
 
-    def __init__(self, config: GameConfig, root: QNode) -> None:
-        set_field(self, "config", config)
-        set_field(self, "root", root)
-
 
 def build_tree(
     strategy: Strategy,
@@ -130,14 +126,6 @@ class NormalFormReport(Frozen):
     black_per_path: tuple[int, ...]
     repeated_transmitter_paths: int
     property_holds: bool
-
-    def __init__(self, max_depth: int, leaf_count: int, black_per_path: tuple[int, ...],
-                 repeated_transmitter_paths: int, property_holds: bool) -> None:
-        set_field(self, "max_depth", max_depth)
-        set_field(self, "leaf_count", leaf_count)
-        set_field(self, "black_per_path", black_per_path)
-        set_field(self, "repeated_transmitter_paths", repeated_transmitter_paths)
-        set_field(self, "property_holds", property_holds)
 
 
 def max_depth(tree: QTree) -> int:
@@ -199,23 +187,19 @@ def export_graph(tree: QTree) -> str:
     lines: list[str] = []
     counter = 0
 
-    def visit(node: QNode) -> int:
+    def visit(node: QNode) -> None:
         nonlocal counter
         node_id = counter
         counter += 1
         if node.is_leaf:
             lines.append(f"leaf {node_id} live={format_station_set(node.resolved_live or StationSet())}")
-            return node_id
+            return
         lines.append(f"node {node_id} query={format_station_set(node.query or StationSet())}")
         for feedback in sorted(node.children, key=feedback_order):
-            placeholder = len(lines)
-            lines.append("")  # edge line slot; child id known only after visiting
-            child_id = visit(node.children[feedback])
-            lines[placeholder] = (
-                f"edge {node_id} {child_id} label={_feedback_label(feedback)} "
-                f"color={edge_color(feedback)}"
-            )
-        return node_id
+            # Ids go in preorder, so the child about to be visited gets ``counter``.
+            lines.append(f"edge {node_id} {counter} label={_feedback_label(feedback)} "
+                         f"color={edge_color(feedback)}")
+            visit(node.children[feedback])
 
     visit(tree.root)
     return "\n".join(lines) + "\n"

@@ -9,22 +9,17 @@ from __future__ import annotations
 
 from .adversary import check_enumeration_budget
 from .bounds import counting_columns
-from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, set_field
+from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig
 from .engine import worst_case_rounds
 from .errors import BudgetExceeded, DomainError
 from .oracle import exact_optimal_rounds
 from .strategies import LINEAR_SCAN, TREE_SPLIT
 
-CSV_HEADER = (
-    "n,d,oracle_opt,tree_worst,linear_worst,info_lb,"
-    "claimed_factorial,claimed_power,claimed_analytic,flags"
-)
-
 FLAG_CLAIM_EXCEEDS_OPT = "CLAIM_EXCEEDS_OPT"
 FLAG_LB_VIOLATION = "LB_VIOLATION"
 
 
-class ReportRow(Frozen):
+class ReportRow(Frozen, defaults={"notes": ()}):
     __slots__ = ("n", "d", "oracle_opt", "tree_worst", "linear_worst", "info_lb",
                  "claimed_factorial", "claimed_power", "claimed_analytic", "flags", "notes")
     n: int
@@ -39,20 +34,9 @@ class ReportRow(Frozen):
     flags: tuple[str, ...]
     notes: tuple[str, ...]
 
-    def __init__(self, n: int, d: int, oracle_opt: int | None, tree_worst: int,
-                 linear_worst: int, info_lb: int, claimed_factorial: int, claimed_power: int,
-                 claimed_analytic: int, flags: tuple[str, ...], notes: tuple[str, ...] = ()) -> None:
-        set_field(self, "n", n)
-        set_field(self, "d", d)
-        set_field(self, "oracle_opt", oracle_opt)
-        set_field(self, "tree_worst", tree_worst)
-        set_field(self, "linear_worst", linear_worst)
-        set_field(self, "info_lb", info_lb)
-        set_field(self, "claimed_factorial", claimed_factorial)
-        set_field(self, "claimed_power", claimed_power)
-        set_field(self, "claimed_analytic", claimed_analytic)
-        set_field(self, "flags", flags)
-        set_field(self, "notes", notes)
+
+_CSV_COLUMNS = ReportRow.__slots__[:-1]  # every field but notes
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 def _build_row(config: GameConfig, oracle_cap: tuple[int, int]) -> ReportRow:
@@ -107,10 +91,7 @@ def report_to_csv(rows: list[ReportRow]) -> str:
     """Deterministic CSV: absent values render empty, flags join with ';'."""
     lines = [CSV_HEADER]
     for row in rows:
-        opt = "" if row.oracle_opt is None else str(row.oracle_opt)
-        lines.append(
-            f"{row.n},{row.d},{opt},{row.tree_worst},{row.linear_worst},{row.info_lb},"
-            f"{row.claimed_factorial},{row.claimed_power},{row.claimed_analytic},"
-            f"{';'.join(row.flags)}"
-        )
+        cells = (getattr(row, name) for name in _CSV_COLUMNS)
+        lines.append(",".join("" if cell is None else ";".join(cell) if isinstance(cell, tuple)
+                              else str(cell) for cell in cells))
     return "\n".join(lines) + "\n"

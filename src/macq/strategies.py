@@ -30,7 +30,6 @@ from .channel import (
     Transcript,
     evaluate_query,
     format_station_set,
-    set_field,
     split_edges,
     transmitted_set,
 )
@@ -40,7 +39,7 @@ NextAction = StationSet | None
 T = TypeVar("T")
 
 
-class Strategy(Frozen):
+class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}):
     """A named strategy as a state machine.
 
     ``start(config)`` is the state before any round, ``step(state, query,
@@ -55,18 +54,6 @@ class Strategy(Frozen):
     query: Callable[[GameConfig, Any], NextAction]
     start: Callable[[GameConfig], Any]
     step: Callable[[Any, StationSet, Feedback], Any]
-
-    def __init__(
-        self,
-        name: str,
-        query: Callable[[GameConfig, Any], NextAction],
-        start: Callable[[GameConfig], Any] = Transcript,
-        step: Callable[[Any, StationSet, Feedback], Any] = Transcript.extend,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "query", query)
-        set_field(self, "start", start)
-        set_field(self, "step", step)
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have

@@ -111,9 +111,10 @@ def test_station_cap_env_override(monkeypatch):
     monkeypatch.setenv("MACQ_MAX_N", "100")
     assert station_cap() == 100
     GameConfig(100, 1)  # no longer rejected
-    monkeypatch.setenv("MACQ_MAX_N", "not a number")
-    with pytest.raises(DomainError):
-        station_cap()
+    for raw in ("not a number", "1_00", " +100"):  # int() would read the last two as 100
+        monkeypatch.setenv("MACQ_MAX_N", raw)
+        with pytest.raises(DomainError, match="must be an integer"):
+            station_cap()
     monkeypatch.setenv("MACQ_MAX_N", "0")
     with pytest.raises(DomainError, match="must be positive"):
         station_cap()
@@ -325,6 +326,12 @@ def test_value_types_are_immutable_values(monkeypatch):
             assert repr(value) == f"{kind.__name__}({shown})"
         twin = kind(*(getattr(value, name) for name in names))
         assert twin == value and twin is not value
+        assert kind(**{name: getattr(value, name) for name in names}) == value
+        with pytest.raises(TypeError):
+            kind(*(getattr(value, name) for name in names), unknown=None)
+        if kind not in (StationSet, QNode):  # every field of these two has a default
+            with pytest.raises(TypeError, match=f"{kind.__name__}.__init__"):
+                kind(**{name: getattr(value, name) for name in names[1:]})
         if kind in (QNode, QTree):  # a node holds its children in a dict
             with pytest.raises(TypeError):
                 hash(value)
@@ -340,6 +347,15 @@ def test_value_types_are_immutable_values(monkeypatch):
     assert sorted([StationSet(5), StationSet(2), StationSet(4)]) == [
         StationSet(2), StationSet(4), StationSet(5)]
     assert QNode().children == {} and QNode().children is not QNode().children
+    # Frozen writes the constructor of every type that only stores its fields;
+    # only the other three have one written in a source file.
+    written = {kind for kind in fields if kind.__init__.__code__.co_filename.endswith(".py")}
+    assert written == {GameConfig, Feedback, QNode}
+    assert StationSet().mask == 0 and Transcript(cfg).rounds == ()
+    plain = Strategy("s", linear_scan)
+    assert plain.start is Transcript and plain.step is Transcript.extend
+    row = values[-1]
+    assert ReportRow(*(getattr(row, name) for name in fields[ReportRow][:-1])).notes == ()
     # A copy or a load restores the fields; it does not rerun the checks of
     # __init__, so a config made under a raised cap loads under the default.
     monkeypatch.setenv("MACQ_MAX_N", "128")

@@ -273,10 +273,11 @@ def test_station_cap_env_raises_limit(capsys, monkeypatch):
     assert code == 1 and "MACQ_MAX_N" in err
     code, _, err = run_cli(capsys, "bounds", "--n", "99", "--d", "1")
     assert code == 1 and "MACQ_MAX_N" in err
-    monkeypatch.setenv("MACQ_MAX_N", "abc")
-    code, out, err = run_cli(capsys, "bounds", "--n", "8", "--d", "2")
-    assert code == 1 and out == ""
-    assert err.startswith("error: DomainError: MACQ_MAX_N must be an integer")
+    for raw in ("abc", "1_00", " +100"):
+        monkeypatch.setenv("MACQ_MAX_N", raw)
+        code, out, err = run_cli(capsys, "bounds", "--n", "99", "--d", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: DomainError: MACQ_MAX_N must be an integer")
     monkeypatch.setenv("MACQ_MAX_N", "128")
     code, out, _ = run_cli(
         capsys, "simulate", "--strategy", "linear", "--n", "99", "--d", "1", "--live", "5"
@@ -321,7 +322,10 @@ SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
     ("import runpy; sys.argv = ['macq', '--help']\n"
      "try: runpy.run_module('macq', run_name='__main__', alter_sys=True)\n"
      "except SystemExit: pass", SLOW_IMPORTS),
-], ids=["import", "bounds", "help"])
+    # report loads every module that defines a value type, so this case shows
+    # that the constructors Frozen generates need neither dataclasses nor inspect.
+    ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])", SLOW_IMPORTS),
+], ids=["import", "bounds", "help", "report"])
 def test_commands_do_not_import_mpmath(code, absent):
     proc = subprocess.run(
         [sys.executable, "-c",
