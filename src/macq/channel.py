@@ -35,9 +35,10 @@ class Frozen:
     A subclass names its fields in ``__slots__``, and the class gets an
     ``__init__`` that takes them in that order, by position or by keyword;
     ``class Transcript(Frozen, defaults={"rounds": ()})`` gives trailing
-    fields their defaults.  The ``__init__`` is compiled once per class from
-    source, as ``collections.namedtuple`` does, so it costs no more per call
-    than a hand-written one.  Only a type that does more than store its
+    fields their defaults (a default that names no field, or one given to a
+    class with its own ``__init__``, is a ``TypeError``).  The ``__init__``
+    is compiled once per class from source, as ``collections.namedtuple``
+    does, so it costs no more per call than a hand-written one.  Only a type that does more than store its
     fields writes its own ``__init__`` and sets each field once through
     ``set_field``: ``GameConfig`` and ``Feedback`` check their arguments, and
     ``qtree.QNode`` gives each node a fresh ``children`` dict.
@@ -58,12 +59,18 @@ class Frozen:
         super().__init_subclass__()
         names = cls.__slots__
         cls._fields = attrgetter(*names)
+        if defaults is not None:
+            if "__init__" in cls.__dict__:
+                raise TypeError(f"{cls.__name__} writes its own __init__, so it takes no defaults")
+            unknown = set(defaults).difference(names)
+            if unknown:
+                raise TypeError(f"defaults name no field of {cls.__name__}: {sorted(unknown)}")
         if "__init__" not in cls.__dict__:
             defaults = defaults or {}
             params = ", ".join(f"{name}=_default_{name}" if name in defaults else name
                                for name in names)
             body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
-            namespace = {"_set": set_field,
+            namespace = {"__name__": cls.__module__, "_set": set_field,
                          **{f"_default_{name}": value for name, value in defaults.items()}}
             exec(f"def __init__(self, {params}):{body}\n", namespace)
             init = namespace["__init__"]

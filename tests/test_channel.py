@@ -351,6 +351,7 @@ def test_value_types_are_immutable_values(monkeypatch):
     # only the other three have one written in a source file.
     written = {kind for kind in fields if kind.__init__.__code__.co_filename.endswith(".py")}
     assert written == {GameConfig, Feedback, QNode}
+    assert all(kind.__init__.__module__ == kind.__module__ for kind in fields)
     assert StationSet().mask == 0 and Transcript(cfg).rounds == ()
     plain = Strategy("s", linear_scan)
     assert plain.start is Transcript and plain.step is Transcript.extend
@@ -363,3 +364,17 @@ def test_value_types_are_immutable_values(monkeypatch):
     saved = pickle.dumps(wide)
     monkeypatch.delenv("MACQ_MAX_N")
     assert pickle.loads(saved) == wide and copy.deepcopy(wide) == wide
+
+
+def test_frozen_refuses_defaults_it_cannot_use():
+    from macq.channel import Frozen
+
+    with pytest.raises(TypeError, match="no field of Misspelt"):
+        class Misspelt(Frozen, defaults={"rouds": ()}):
+            __slots__ = ("rounds",)
+    with pytest.raises(TypeError, match="writes its own __init__"):
+        class Handmade(Frozen, defaults={"x": 0}):
+            __slots__ = ("x",)
+
+            def __init__(self, x=0):
+                pass

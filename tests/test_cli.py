@@ -273,11 +273,13 @@ def test_station_cap_env_raises_limit(capsys, monkeypatch):
     assert code == 1 and "MACQ_MAX_N" in err
     code, _, err = run_cli(capsys, "bounds", "--n", "99", "--d", "1")
     assert code == 1 and "MACQ_MAX_N" in err
+    # A malformed value is refused whether or not n is within the default cap.
     for raw in ("abc", "1_00", " +100"):
         monkeypatch.setenv("MACQ_MAX_N", raw)
-        code, out, err = run_cli(capsys, "bounds", "--n", "99", "--d", "1")
-        assert code == 1 and out == ""
-        assert err.startswith("error: DomainError: MACQ_MAX_N must be an integer")
+        for n, d in (("8", "2"), ("99", "1")):
+            code, out, err = run_cli(capsys, "bounds", "--n", n, "--d", d)
+            assert code == 1 and out == ""
+            assert err.startswith("error: DomainError: MACQ_MAX_N must be an integer")
     monkeypatch.setenv("MACQ_MAX_N", "128")
     code, out, _ = run_cli(
         capsys, "simulate", "--strategy", "linear", "--n", "99", "--d", "1", "--live", "5"
