@@ -41,7 +41,7 @@ _EXPORTS = {
     "oracle": ("exact_optimal_rounds", "optimal_strategy", "optimal_strategy_tree"),
     "qtree": (
         "NormalFormReport", "QNode", "QTree", "build_tree", "check_normal_form", "edge_color",
-        "export_graph", "leaf_count", "max_depth", "normalize", "tree_strategy",
+        "export_graph", "tree_strategy",
     ),
     "report": (
         "CSV_HEADER", "FLAG_CLAIM_EXCEEDS_OPT", "FLAG_LB_VIOLATION", "ReportRow",

@@ -104,12 +104,20 @@ class Frozen:
             set_field(self, name, value)
 
 
+def is_decimal(text: str) -> bool:
+    """True iff ``text`` is one or more ASCII digits, the package's integer syntax.
+
+    ``int()`` would also take "1_00", " +100" and other scripts' digits ("２").
+    """
+    return text.isascii() and text.isdecimal()
+
+
 def station_cap() -> int:
     """Largest permitted n; override with the MACQ_MAX_N environment variable."""
     raw = os.environ.get(STATION_CAP_ENV)
     if raw is None:
         return DEFAULT_STATION_CAP
-    if not raw.removeprefix("-").isdecimal():  # int() would take "1_00" and " +100"
+    if not is_decimal(raw.removeprefix("-")):
         raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {raw!r}")
     cap = int(raw)
     if cap < 1:
@@ -138,18 +146,10 @@ class StationSet(Frozen, defaults={"mask": 0}):
         return cls(mask)
 
     @classmethod
-    def singleton(cls, station: int) -> StationSet:
-        return cls.from_ids((station,))
-
-    @classmethod
     def full(cls, n: int) -> StationSet:
         if n < 0:
             raise DomainError(f"set size must be non-negative, got {n}")
         return cls((1 << n) - 1)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __iter__(self) -> Iterator[int]:
         mask = self.mask

@@ -15,14 +15,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .channel import DEFAULT_ORACLE_CAP, GameConfig, StationSet, format_station_set
+from .channel import DEFAULT_ORACLE_CAP, GameConfig, StationSet, format_station_set, is_decimal
 from .errors import MacqError
 from .strategies import STRATEGIES
 
 
 def _live_set(text: str) -> StationSet:
     parts = text.split(",")
-    if not all(part.isdecimal() for part in parts):
+    if not all(is_decimal(part) for part in parts):
         raise argparse.ArgumentTypeError(f"live set must be comma-separated ids, got {text!r}")
     ids = [int(part) for part in parts]
     if any(b <= a for a, b in zip(ids, ids[1:])):
@@ -33,14 +33,14 @@ def _live_set(text: str) -> StationSet:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not is_decimal(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _integer(text: str) -> int:
-    """Decimal digits with an optional leading ``-``; the range is checked later."""
-    if not text.removeprefix("-").isdecimal():
+    """ASCII digits with an optional leading ``-``; the range is checked later."""
+    if not is_decimal(text.removeprefix("-")):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
@@ -58,6 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=_integer, required=True, help="number of stations")
             p.add_argument("--d", type=_integer, required=True, help="number of live stations")
         p.add_argument("--out", type=Path, default=None, help="write output to this file")
+
+    def add_oracle_cap(p: argparse.ArgumentParser) -> None:
+        n_cap, d_cap = DEFAULT_ORACLE_CAP
+        p.add_argument("--oracle-n-cap", type=_positive_int, default=n_cap,
+                       help=f"largest n the exact oracle solves (default {n_cap})")
+        p.add_argument("--oracle-d-cap", type=_positive_int, default=d_cap,
+                       help=f"largest d the exact oracle solves (default {d_cap})")
 
     sim = sub.add_parser("simulate", help="run one game and print its JSON document")
     add_common(sim)
@@ -88,16 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact optimal worst-case rounds")
     add_common(oracle)
     oracle.add_argument("--witness", action="store_true", help="also print an optimal tree")
-    oracle.add_argument("--oracle-n-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[0])
-    oracle.add_argument("--oracle-d-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[1])
+    add_oracle_cap(oracle)
     oracle.set_defaults(handler=_cmd_oracle)
 
     report = sub.add_parser("report", help="CSV grid comparing strategies, optima, bounds")
     add_common(report, n_d=False)
-    report.add_argument("--n-max", type=_integer, default=6)
-    report.add_argument("--d-max", type=_integer, default=3)
-    report.add_argument("--oracle-n-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[0])
-    report.add_argument("--oracle-d-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP[1])
+    report.add_argument("--n-max", type=_integer, default=6,
+                        help="largest n in the grid, which starts at n=2 (default 6)")
+    report.add_argument("--d-max", type=_integer, default=3,
+                        help="largest d in the grid, which starts at d=1 (default 3)")
+    add_oracle_cap(report)
     report.set_defaults(handler=_cmd_report)
 
     return parser
@@ -144,11 +151,11 @@ def _cmd_worst_case(args: argparse.Namespace) -> str:
 def _cmd_tree(args: argparse.Namespace) -> str:
     import json
 
-    from .qtree import build_tree, check_normal_form, export_graph, normalize
+    from .qtree import build_tree, check_normal_form, export_graph
 
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
-    built = normalize(strategy, config) if args.normalize else build_tree(strategy, config)
+    built = build_tree(strategy, config, normal=args.normalize)
     if args.check:
         report = check_normal_form(built)
         return json.dumps({name: getattr(report, name) for name in report.__slots__}) + "\n"

@@ -20,11 +20,12 @@ class InvalidQuery(MacqError):
 
 
 class CapExceeded(MacqError):
-    """A round or recursion cap was reached before the game finished."""
+    """A strategy was still querying at the round cap of 4n + 16."""
 
 
 class BudgetExceeded(MacqError):
-    """An enumeration would exceed the fixed budget of 10**6 candidate live sets."""
+    """Work beyond a fixed limit: an enumeration over the budget of 10**6
+    candidate live sets, or an instance beyond the exact oracle's (n, d) cap."""
 
 
 class Inconsistent(MacqError):

@@ -5,13 +5,14 @@ shared transcript prefixes, so each node is a query, each edge a feedback,
 and each leaf the unique live set producing that feedback path.  Edges are
 colored by their feedback: black for a single, red for silence or collision.
 
-``normalize`` builds the same tree in normal form, in the same walk: every
-query drops the stations already revealed by earlier singles on the path,
-while the strategy itself still sees its own queries and the feedback they
-drew, and every path ends right after its d-th single.  The result keeps path
-lengths at most equal to the original, gives every root-to-leaf path exactly
-d black edges with distinct stations, and one leaf per size-d live set.  A
-query that reduces to the empty set stays as a silent round.
+``build_tree(..., normal=True)`` builds the same tree in normal form, in the
+same walk: every query drops the stations already revealed by earlier singles
+on the path, while the strategy itself still sees its own queries and the
+feedback they drew, and every path ends right after its d-th single.  The
+result keeps path lengths at most equal to the original, gives every
+root-to-leaf path exactly d black edges with distinct stations, and one leaf
+per size-d live set.  A query that reduces to the empty set stays as a silent
+round.
 """
 
 from __future__ import annotations
@@ -33,14 +34,9 @@ from .errors import AmbiguousLeaf, DomainError
 from .strategies import Strategy, fold_strategy
 
 
-class EdgeColor:
-    RED = "red"
-    BLACK = "black"
-
-
 def edge_color(feedback: Feedback) -> str:
     """Black iff the feedback is a single transmission."""
-    return EdgeColor.BLACK if feedback.is_single else EdgeColor.RED
+    return "black" if feedback.is_single else "red"
 
 
 class QNode(Frozen):
@@ -82,9 +78,12 @@ def build_tree(
 
     Raises AmbiguousLeaf when the strategy stops while two or more live sets
     share the transcript so far; raises CapExceeded when any path outruns the
-    round cap of 4n + 16.  ``normal`` plays every query minus the
-    stations already revealed on its path (see ``fold_strategy``).
+    round cap of 4n + 16.  ``normal`` builds the normal-form tree: it plays
+    every query minus the stations already revealed on its path (see
+    ``fold_strategy``), and errors name the strategy ``<name>-normal``.
     """
+    if normal:
+        strategy = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
 
     def leaf(family: Sequence[int]) -> QNode:
         if len(family) > 1:
@@ -107,15 +106,6 @@ def build_tree(
 # Normal form
 # ---------------------------------------------------------------------------
 
-def normalize(strategy: Strategy, config: GameConfig) -> QTree:
-    """Normal-form tree: each query drops the revealed stations, stop at d singles.
-
-    Errors name the strategy ``<name>-normal``.
-    """
-    renamed = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
-    return build_tree(renamed, config, normal=True)
-
-
 class NormalFormReport(Frozen):
     """What check_normal_form measured on one tree."""
 
@@ -128,18 +118,10 @@ class NormalFormReport(Frozen):
     property_holds: bool
 
 
-def max_depth(tree: QTree) -> int:
-    """Length in edges of the longest root-to-leaf path."""
-    return check_normal_form(tree).max_depth
-
-
-def leaf_count(tree: QTree) -> int:
-    return check_normal_form(tree).leaf_count
-
-
 def check_normal_form(tree: QTree) -> NormalFormReport:
     """Measure the normal-form properties of a tree.
 
+    max_depth is the length in edges of the longest root-to-leaf path.
     property_holds requires the black edges of every root-to-leaf path to
     come from pairwise distinct stations that are exactly its leaf's live set,
     and the leaves' live sets to be the size-d subsets of 1..n, one each.

@@ -35,8 +35,6 @@ from macq import (
     evaluate_query,
     exact_optimal_rounds,
     generate_report,
-    max_depth,
-    normalize,
     path_count_bound,
     report_to_csv,
     run_fixed,
@@ -199,8 +197,7 @@ def test_criterion_4_normal_form(capsys):
         for n in range(1, 7):
             for d in range(1, min(n, 3) + 1):
                 cfg = GameConfig(n, d)
-                normal = normalize(strategy, cfg)
-                report = check_normal_form(normal)
+                report = check_normal_form(build_tree(strategy, cfg, normal=True))
                 tag = f"{strategy.name} (n={n},d={d})"
                 if not report.property_holds:
                     failures.append(f"{tag}: normalized tree fails the form check")
@@ -208,7 +205,7 @@ def test_criterion_4_normal_form(capsys):
                     failures.append(
                         f"{tag}: {report.leaf_count} leaves, expected {math.comb(n, d)}"
                     )
-                if max_depth(normal) > max_depth(build_tree(strategy, cfg)):
+                if report.max_depth > check_normal_form(build_tree(strategy, cfg)).max_depth:
                     failures.append(f"{tag}: normalization deepened the tree")
     _verdict(capsys, 4, "normal-form", 120.0, started, failures)
 

@@ -231,7 +231,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("bad_live", ["2,1", "0", "a,b", "", "1,,1", "1,,3", "1,3,",
-                                      "+1,2", "1_0,2", " 1,2"])
+                                      "+1,2", "1_0,2", " 1,2", "\u0661,\u0663", "1,\uff13"])
 def test_malformed_live_set_exits_2(capsys, bad_live):
     code, _, err = run_cli(
         capsys, "simulate", "--strategy", "tree", "--n", "4", "--d", "2", "--live", bad_live
@@ -245,12 +245,17 @@ def test_malformed_live_set_exits_2(capsys, bad_live):
     ("bounds", "--n", "10", "--d", " 2"),
     ("report", "--n-max", "+4"),
     ("report", "--n-max", "4", "--d-max", "-"),
+    ("bounds", "--n", "8", "--d", "\uff12"),
+    ("report", "--n-max", "\u0664", "--d-max", "2"),
+    ("oracle", "--n", "3", "--d", "2", "--oracle-n-cap", "\uff13"),
 ])
 def test_integer_options_take_only_decimal_digits(capsys, argv):
-    # int() would read the first three as 10, 2 and 4.
+    # int() would read the first three as 10, 2 and 4, and the last three,
+    # written in other scripts' digits, as 2, 4 and 3.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "expected an integer" in err
+    cap_option = any(arg.endswith("-cap") for arg in argv)
+    assert ("expected a positive integer" if cap_option else "expected an integer") in err
 
 
 def test_domain_errors_exit_1(capsys):
@@ -274,7 +279,7 @@ def test_station_cap_env_raises_limit(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bounds", "--n", "99", "--d", "1")
     assert code == 1 and "MACQ_MAX_N" in err
     # A malformed value is refused whether or not n is within the default cap.
-    for raw in ("abc", "1_00", " +100"):
+    for raw in ("abc", "1_00", " +100", "\uff11\uff12\uff18"):
         monkeypatch.setenv("MACQ_MAX_N", raw)
         for n, d in (("8", "2"), ("99", "1")):
             code, out, err = run_cli(capsys, "bounds", "--n", n, "--d", d)

@@ -330,8 +330,8 @@ def test_first_in_id_order_matches_sorting_by_members():
             sets = [S(ids) for ids in combinations(range(1, n + 1), d)]
             for a in sets:
                 for b in sets:
-                    assert _first_in_id_order([a.mask, b.mask]) == min(a, b, key=lambda s: s.members).mask
+                    assert _first_in_id_order([a.mask, b.mask]) == min(a, b, key=tuple).mask
             for size in (1, 3, len(sets)):
                 picked = rng.sample(sets, min(size, len(sets)))
-                want = min(picked, key=lambda s: s.members).mask
+                want = min(picked, key=tuple).mask
                 assert _first_in_id_order([s.mask for s in picked]) == want

@@ -21,7 +21,6 @@ from macq import (
     exact_optimal_rounds,
     initial_state,
     make_exact_adversary,
-    max_depth,
     optimal_strategy,
     optimal_strategy_tree,
     refine,
@@ -108,8 +107,8 @@ def test_raised_cap_values_are_certified(n, d):
     assert exact_optimal_rounds(cfg, cap=(n, d)) == expected
     assert exact_optimal_rounds(cfg, cap=(n, d), canonical=False) == expected
     tree = optimal_strategy_tree(cfg, cap=(n, d))
-    assert max_depth(tree) == expected
-    assert check_normal_form(tree).property_holds
+    report = check_normal_form(tree)
+    assert report.max_depth == expected and report.property_holds
     worst, _ = worst_case_rounds(tree_strategy(tree), cfg)
     assert worst == expected
 
@@ -257,14 +256,14 @@ def test_witness_tree_depth_matches_value():
     for n, d in [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (5, 2)]:
         cfg = GameConfig(n, d)
         tree = optimal_strategy_tree(cfg)
-        assert max_depth(tree) == OPTIMAL_ROUNDS[(n, d)]
-        assert check_normal_form(tree).property_holds
+        report = check_normal_form(tree)
+        assert report.max_depth == OPTIMAL_ROUNDS[(n, d)] and report.property_holds
 
 
 def test_witness_tree_2_1_root_is_full_probe():
     tree = optimal_strategy_tree(GameConfig(2, 1))
     assert tree.root.query == S([1, 2])
-    assert max_depth(tree) == 1
+    assert check_normal_form(tree).max_depth == 1
 
 
 def test_witness_tree_replays_as_a_strategy():

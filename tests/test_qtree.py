@@ -25,9 +25,6 @@ from macq import (
     edge_color,
     evaluate_query,
     export_graph,
-    leaf_count,
-    max_depth,
-    normalize,
     run_fixed,
     scripted,
     single,
@@ -66,8 +63,8 @@ def test_tree_split_2_1_tree_shape():
     tree = build_tree(TREE_SPLIT, GameConfig(2, 1))
     assert tree.root.query == S([1, 2])
     assert set(tree.root.children) == {single(1), single(2)}
-    assert max_depth(tree) == 1
-    assert leaf_count(tree) == 2
+    report = check_normal_form(tree)
+    assert (report.max_depth, report.leaf_count) == (1, 2)
     assert export_graph(tree) == TREE_SPLIT_2_1_GRAPH
 
 
@@ -78,8 +75,8 @@ def test_linear_scan_2_1_tree_shape():
     deeper = tree.root.children[SILENCE]
     assert deeper.query == S([2])
     assert deeper.children[single(2)].resolved_live == S([2])
-    assert max_depth(tree) == 2
-    assert leaf_count(tree) == 2
+    report = check_normal_form(tree)
+    assert (report.max_depth, report.leaf_count) == (2, 2)
     assert export_graph(tree) == LINEAR_2_1_GRAPH
 
 
@@ -88,7 +85,7 @@ def test_leaf_count_is_number_of_live_sets():
         for n in range(1, 7):
             for d in range(1, n + 1):
                 tree = build_tree(strategy, GameConfig(n, d))
-                assert leaf_count(tree) == math.comb(n, d)
+                assert check_normal_form(tree).leaf_count == math.comb(n, d)
 
 
 def test_max_depth_equals_worst_case_rounds():
@@ -98,7 +95,6 @@ def test_max_depth_equals_worst_case_rounds():
                 cfg = GameConfig(n, d)
                 worst, _ = worst_case_rounds(strategy, cfg)
                 tree = build_tree(strategy, cfg)
-                assert max_depth(tree) == worst
                 assert check_normal_form(tree).max_depth == worst
 
 
@@ -125,13 +121,13 @@ def test_ambiguous_stop_is_an_error():
 
 def test_normalize_replaces_overlapping_query():
     naive = scripted("naive-pair", [S([1]), S([1, 2])])
-    tree = normalize(naive, GameConfig(2, 2))
+    tree = build_tree(naive, GameConfig(2, 2), normal=True)
     assert tree.root.query == S([1])
     inner = tree.root.children[single(1)]
     assert inner.query == S([2])
     assert inner.children[single(2)].resolved_live == S([1, 2])
-    assert max_depth(tree) == 2
     report = check_normal_form(tree)
+    assert report.max_depth == 2
     assert report.property_holds
     # The raw tree keeps the collision round and has too few reveals per path.
     raw_report = check_normal_form(build_tree(naive, GameConfig(2, 2)))
@@ -144,7 +140,7 @@ def test_repeated_probe_breaks_normal_form_until_normalized():
     raw = check_normal_form(build_tree(repeat, GameConfig(2, 2)))
     assert raw.repeated_transmitter_paths == 1
     assert not raw.property_holds
-    normal = normalize(repeat, GameConfig(2, 2))
+    normal = build_tree(repeat, GameConfig(2, 2), normal=True)
     report = check_normal_form(normal)
     assert report.property_holds
     assert report.black_per_path == (2,)
@@ -152,7 +148,7 @@ def test_repeated_probe_breaks_normal_form_until_normalized():
     graph = export_graph(normal)
     assert "node 1 query={}" in graph
     assert "edge 1 2 label=silence color=red" in graph
-    assert max_depth(normal) == 3
+    assert report.max_depth == 3
 
 
 def test_normal_form_needs_one_leaf_per_live_set():
@@ -184,7 +180,7 @@ def test_normalizing_linear_scan_changes_nothing():
     # linear_scan never queries a revealed station, so its tree is already
     # in normal form and normalization must reproduce it verbatim.
     raw = build_tree(LINEAR_SCAN, GameConfig(3, 1))
-    normal = normalize(LINEAR_SCAN, GameConfig(3, 1))
+    normal = build_tree(LINEAR_SCAN, GameConfig(3, 1), normal=True)
     assert export_graph(raw) == export_graph(normal)
     report = check_normal_form(normal)
     assert report.property_holds
@@ -192,7 +188,7 @@ def test_normalizing_linear_scan_changes_nothing():
 
 
 def test_normalized_tree_split_4_2():
-    report = check_normal_form(normalize(TREE_SPLIT, GameConfig(4, 2)))
+    report = check_normal_form(build_tree(TREE_SPLIT, GameConfig(4, 2), normal=True))
     assert report.property_holds
     assert report.leaf_count == 6
     assert report.black_per_path == (2,) * 6
@@ -204,7 +200,8 @@ def test_normalization_never_deepens_the_tree():
         for n in range(1, 7):
             for d in range(1, n + 1):
                 cfg = GameConfig(n, d)
-                assert max_depth(normalize(strategy, cfg)) <= max_depth(build_tree(strategy, cfg))
+                report = check_normal_form(build_tree(strategy, cfg, normal=True))
+                assert report.max_depth <= check_normal_form(build_tree(strategy, cfg)).max_depth
 
 
 def _lift_feedback(derived, base_query, revealed):
@@ -213,7 +210,7 @@ def _lift_feedback(derived, base_query, revealed):
         return COLLISION
     sender = StationSet()
     if derived.is_single:
-        sender = StationSet.singleton(derived.station)
+        sender = StationSet.from_ids((derived.station,))
     return evaluate_query(base_query, revealed | sender)
 
 
@@ -235,7 +232,7 @@ def reference_normalized_strategy(base):
             base_feedback = _lift_feedback(derived_feedback, base_action, revealed)
             base_transcript = base_transcript.extend(base_action, base_feedback)
             if derived_feedback.is_single:
-                revealed = revealed | StationSet.singleton(derived_feedback.station)
+                revealed = revealed | StationSet.from_ids((derived_feedback.station,))
         if len(revealed) >= config.d:
             return None
         base_action = base.next_action(config, base_transcript)
@@ -296,7 +293,7 @@ def _normalize_cases():
 def test_normalize_matches_the_replaying_reference():
     seen = {"graph": 0, "AmbiguousLeaf": 0, "CapExceeded": 0, "InvalidQuery": 0}
     for strategy, cfg in _normalize_cases():
-        got = _outcome(lambda: normalize(strategy, cfg))
+        got = _outcome(lambda: build_tree(strategy, cfg, normal=True))
         want = _outcome(lambda: build_tree(reference_normalized_strategy(strategy), cfg))
         assert got == want, (strategy.name, cfg)
         kind = "graph" if got.startswith("node") or got.startswith("leaf") else got.split(":")[0]
@@ -315,7 +312,7 @@ def test_normalize_calls_the_strategy_once_per_node():
                 calls += 1
                 return base.next_action(config, transcript)
 
-            tree = normalize(Strategy(base.name, counted), GameConfig(n, d))
+            tree = build_tree(Strategy(base.name, counted), GameConfig(n, d), normal=True)
             nodes = 0
             todo = [tree.root]
             while todo:

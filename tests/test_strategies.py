@@ -135,7 +135,7 @@ def _reference_linear_scan(config, transcript):
     played = len(transcript.rounds)
     if played >= config.n:
         return None
-    return StationSet.singleton(played + 1)
+    return StationSet.from_ids((played + 1,))
 
 
 def _reference_interval_set(lo, hi):
