@@ -22,14 +22,13 @@ _EXPORTS = {
         "make_exact_adversary", "refine",
     ),
     "bounds": (
-        "GrowthFactor", "binomial", "claimed_bound_analytic", "claimed_bound_combinatorial",
+        "GrowthFactor", "claimed_bound_analytic", "claimed_bound_combinatorial",
         "info_lower_bound", "path_count_bound",
     ),
     "channel": (
         "COLLISION", "DEFAULT_ORACLE_CAP", "Feedback", "FeedbackTag", "GameConfig",
         "KnowledgeState", "SILENCE", "StationSet", "Transcript", "evaluate_query",
-        "format_station_set", "single", "transcript_from_doc", "transcript_to_doc",
-        "transmitted_set",
+        "format_station_set", "single", "transcript_to_doc", "transmitted_set",
     ),
     "engine": (
         "GameResult", "game_result_to_doc", "run_adversarial", "run_fixed", "worst_case_rounds",

@@ -15,13 +15,6 @@ from enum import Enum
 from .errors import DomainError
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; arguments must satisfy 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise DomainError(f"binomial needs 0 <= k <= n, got n={n} k={k}")
-    return math.comb(n, k)
-
-
 def info_lower_bound(n: int, d: int) -> int:
     """Smallest t with (d+2)**t >= C(n,d), by exact integer comparison.
 
@@ -32,7 +25,7 @@ def info_lower_bound(n: int, d: int) -> int:
     """
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
-    target = binomial(n, d)
+    target = math.comb(n, d)
     t = 0
     power = 1
     while power < target:
@@ -74,7 +67,7 @@ def claimed_bound_combinatorial(n: int, d: int, factor: GrowthFactor) -> int:
     if not isinstance(factor, GrowthFactor):
         raise DomainError(f"factor must be a GrowthFactor, got {factor!r}")
     scale = math.factorial(d) if factor is GrowthFactor.FACTORIAL else d**d
-    target = binomial(n, d)
+    target = math.comb(n, d)
     x = d
     while math.comb(x, d) * (1 << (x + 1 - d)) * scale < target:
         x += 1

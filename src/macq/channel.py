@@ -5,12 +5,15 @@ query) transmits.  All stations hear one of three outcomes: silence when no
 member of the query is live, a single successful transmission carrying the
 sender's identity when exactly one is live, and a collision when two or more
 are live.  A hidden set of exactly d live stations must each get one clean
-solo transmission; everything else in this package is built on the three
-value types below and on ``evaluate_query``.
+solo transmission.
 
 A position is a ``KnowledgeState``: the live sets consistent with the feedback
-so far plus the stations revealed by singles.  ``branches`` moves it one
-round; ``split_edges`` is the same rule on raw masks, for the strategy walk.
+so far plus the stations revealed by singles.  The strategy walk, the
+adversaries and the oracle are built on ``split_by_feedback``, which groups a
+family of live sets by the feedback one query draws; ``split_edges`` and
+``branches`` move a position one round with it.  ``evaluate_query`` answers
+for one live set: in ``engine.run_fixed``, and for the feedback drawn in the
+walk's normal mode.  Game documents are written only, never read back.
 """
 
 from __future__ import annotations
@@ -370,22 +373,6 @@ def transmitted_set(transcript: Transcript) -> StationSet:
 def feedback_to_json(feedback: Feedback) -> str | dict[str, int]:
     return {"single": feedback.station} if feedback.station else feedback.tag.value
 
-def feedback_from_json(value: object) -> Feedback:
-    if value == "silence":
-        return SILENCE
-    if value == "collision":
-        return COLLISION
-    if isinstance(value, dict) and set(value) == {"single"}:
-        return single(_integer(value["single"], "single sender"))
-    raise DomainError(f"unrecognized feedback document: {value!r}")
-
-
-def _integer(value: object, what: str) -> int:
-    if type(value) is not int:  # int() would truncate 4.7 and accept True or "4"
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def transcript_to_doc(transcript: Transcript, live: StationSet) -> dict[str, object]:
     """Transcript document with fixed field order n, d, live, rounds."""
     return {
@@ -397,37 +384,3 @@ def transcript_to_doc(transcript: Transcript, live: StationSet) -> dict[str, obj
             for query, feedback in transcript.rounds
         ],
     }
-
-
-def transcript_from_doc(doc: dict[str, object]) -> tuple[Transcript, StationSet]:
-    """Inverse of transcript_to_doc; validates the document against itself.
-
-    Ids must lie within n, the live set must hold d stations, and every
-    round's feedback must be what its query draws from the live set.  Every
-    malformed or self-contradicting document raises DomainError.
-    """
-    try:
-        config = GameConfig(_integer(doc["n"], "n"), _integer(doc["d"], "d"))
-        live = StationSet.from_ids(_integer(i, "station id") for i in doc["live"])  # type: ignore
-        raw_rounds = doc["rounds"]
-        if not isinstance(raw_rounds, list):
-            raise DomainError(f"rounds must be a list, got {type(raw_rounds).__name__}")
-        config.check_live_set(live)
-        transcript = Transcript(config)
-        for entry in raw_rounds:
-            query = StationSet.from_ids(_integer(i, "station id") for i in entry["query"])
-            if not query.issubset(config.all_stations):
-                raise DomainError(f"query {format_station_set(query)} exceeds n={config.n}")
-            feedback = feedback_from_json(entry["feedback"])
-            if feedback != evaluate_query(query, live):
-                raise DomainError(
-                    f"query {format_station_set(query)} cannot draw {feedback_to_json(feedback)!r} "
-                    f"from live set {format_station_set(live)}")
-            transcript = transcript.extend(query, feedback)
-    except DomainError:
-        raise
-    except KeyError as missing:
-        raise DomainError(f"transcript document is missing field {missing}") from None
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"malformed transcript document: {exc}") from None
-    return transcript, live

@@ -3,9 +3,9 @@
 One loop plays every game on a knowledge state; a fixed live set is the state
 holding it alone.  A game ends as soon as d distinct stations have transmitted
 alone, whether or not the strategy would keep querying, or earlier if the
-strategy itself stops.
-``strategies.checked_query`` applies the fixed round cap of 4n + 16, which
-turns non-terminating strategies into errors instead of hangs.
+strategy itself stops.  ``strategies.checked_query`` decides that end for
+the game loop and the tree walk alike, and applies the fixed round cap of
+4n + 16, which turns non-terminating strategies into errors instead of hangs.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ def _play(strategy: Strategy, answer: Adversary, state: KnowledgeState) -> GameR
     config = state.config
     transcript = Transcript(config)
     memory = strategy.start(config)
-    while state.revealed.bit_count() < config.d:
-        action = checked_query(strategy, config, memory, len(transcript.rounds))
+    while True:
+        action = checked_query(strategy, config, memory, len(transcript.rounds), state.revealed)
         if action is None:
             break
         feedback = answer(state, action, transcript)

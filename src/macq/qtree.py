@@ -1,8 +1,8 @@
 """Decision trees of strategies, and their normal form.
 
-``build_tree`` simulates a strategy against every size-d live set and merges
-shared transcript prefixes, so each node is a query, each edge a feedback,
-and each leaf the unique live set producing that feedback path.  Edges are
+``build_tree`` is one fold of ``strategies.fold_strategy`` over every size-d
+live set at once, so each node is a query, each edge a feedback, and each
+leaf the unique live set producing that feedback path.  Edges are
 colored by their feedback: black for a single, red for silence or collision.
 
 ``build_tree(..., normal=True)`` builds the same tree in normal form, in the

@@ -75,9 +75,13 @@ def default_round_cap(config: GameConfig) -> int:
     return 4 * config.n + 16
 
 
-def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int) -> NextAction:
-    """The strategy's next query from ``state`` after ``rounds`` rounds,
-    refused past the round cap of 4n + 16 or beyond n."""
+def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int,
+                  revealed: int) -> NextAction:
+    """The strategy's next query from ``state`` after ``rounds`` rounds, or
+    None once the mask ``revealed`` holds d stations, the end of every game;
+    a query past the round cap of 4n + 16 or beyond n is refused."""
+    if revealed.bit_count() >= config.d:
+        return None
     action = strategy.query(config, state)
     if action is None:
         return None
@@ -120,9 +124,7 @@ def fold_strategy(
     config, step = position.config, strategy.step
 
     def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
-        if revealed.bit_count() >= config.d:
-            return leaf(family)
-        query = checked_query(strategy, config, state, rounds)
+        query = checked_query(strategy, config, state, rounds, revealed)
         if query is None:
             return leaf(family)
         reduced = normal and query.mask & revealed

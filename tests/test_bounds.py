@@ -9,7 +9,6 @@ from mpmath import iv
 from macq import (
     DomainError,
     GrowthFactor,
-    binomial,
     claimed_bound_analytic,
     claimed_bound_combinatorial,
     exact_optimal_rounds,
@@ -26,26 +25,6 @@ def _pascal_table(rows: int) -> list[list[int]]:
         prev = table[-1]
         table.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
     return table
-
-
-def test_binomial_matches_pascal_recurrence():
-    table = _pascal_table(40)
-    for n in range(41):
-        for k in range(n + 1):
-            assert binomial(n, k) == table[n][k]
-
-
-def test_binomial_pinned_value():
-    assert binomial(30, 15) == 155117520
-
-
-def test_binomial_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        binomial(5, -1)
-    with pytest.raises(DomainError):
-        binomial(5, 6)
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
 
 
 def _info_oracle(n: int, d: int) -> int:

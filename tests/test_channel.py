@@ -33,13 +33,11 @@ from macq import (
     refine,
     run_fixed,
     single,
-    transcript_from_doc,
     transcript_to_doc,
     transmitted_set,
 )
 from macq.channel import (
     branches,
-    feedback_from_json,
     feedback_to_json,
     feedback_order,
     station_cap,
@@ -187,15 +185,9 @@ def test_transmitted_set_collects_distinct_singles():
 
 
 def test_feedback_json_round_trip():
-    for fb in [SILENCE, COLLISION, single(1), single(17)]:
-        assert feedback_from_json(feedback_to_json(fb)) == fb
     assert feedback_to_json(SILENCE) == "silence"
     assert feedback_to_json(COLLISION) == "collision"
     assert feedback_to_json(single(3)) == {"single": 3}
-    with pytest.raises(DomainError):
-        feedback_from_json("mystery")
-    with pytest.raises(DomainError):
-        feedback_from_json({"pair": 3})
 
 
 def test_transcript_doc_round_trip():
@@ -216,49 +208,6 @@ def test_transcript_doc_round_trip():
             {"query": [3, 4], "feedback": {"single": 3}},
         ],
     }
-    back_t, back_live = transcript_from_doc(doc)
-    assert back_t == t
-    assert back_live == live
-
-
-def test_transcript_from_doc_rejects_malformed():
-    with pytest.raises(DomainError):
-        transcript_from_doc({"n": 2, "d": 1, "live": [1]})  # no rounds
-    with pytest.raises(DomainError):
-        transcript_from_doc({"n": 2, "d": 1, "live": [1], "rounds": "oops"})
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"n": 2, "d": 1, "live": [1], "rounds": [{"feedback": "silence"}]},  # no query
-        {"n": 2, "d": 1, "live": [1], "rounds": [[1]]},  # round is not a dict
-        {"n": "x", "d": 1, "live": [1], "rounds": []},
-        {"n": 2, "d": 1, "live": [1], "rounds": [{"query": [1], "feedback": {"single": "a"}}]},
-        # A single from a station beyond n, or from one outside the query.
-        {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [1], "feedback": {"single": 9}}]},
-        {"n": 4, "d": 2, "live": [1, 2], "rounds": [{"query": [1], "feedback": {"single": 2}}]},
-        # Non-integers, which int() would truncate or coerce.
-        {"n": 4.7, "d": 1, "live": [1], "rounds": []},
-        {"n": 4, "d": 1, "live": [2], "rounds": [{"query": [1, 2], "feedback": {"single": 2.5}}]},
-        {"n": "4", "d": 1, "live": [1], "rounds": []},
-        {"n": 4, "d": True, "live": [1], "rounds": []},
-        {"n": 4, "d": 1, "live": [True], "rounds": []},
-        {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [1.0], "feedback": "silence"}]},
-        # Self-contradicting: a live set of the wrong size, or feedback the
-        # live set cannot draw.
-        {"n": 4, "d": 2, "live": [1], "rounds": [{"query": [1, 2], "feedback": "silence"}]},
-        {"n": 4, "d": 2, "live": [1, 2, 3], "rounds": []},
-        {"n": 4, "d": 2, "live": [1, 3], "rounds": [{"query": [1, 2], "feedback": "silence"}]},
-        {"n": 4, "d": 2, "live": [1, 3], "rounds": [{"query": [1, 3], "feedback": {"single": 1}}]},
-        # Ids beyond n, in the live set or in a query.
-        {"n": 4, "d": 2, "live": [1, 9], "rounds": []},
-        {"n": 4, "d": 1, "live": [1], "rounds": [{"query": [5], "feedback": "silence"}]},
-    ],
-)
-def test_transcript_from_doc_raises_only_domain_errors(doc):
-    with pytest.raises(DomainError):
-        transcript_from_doc(doc)
 
 
 def _positions_near_the_start(n, d):

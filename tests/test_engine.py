@@ -34,13 +34,11 @@ from macq import (
     run_fixed,
     scripted,
     single,
-    transcript_from_doc,
     transmitted_set,
     tree_strategy,
     worst_case_rounds,
 )
 from macq.engine import _first_in_id_order
-from macq.strategies import checked_query
 
 S = StationSet.from_ids
 
@@ -133,10 +131,18 @@ def _reference_run_fixed(strategy, config, live):
         raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
     transcript = Transcript(config)
     memory = strategy.start(config)
+    cap = 4 * config.n + 16
     while len(transmitted_set(transcript)) < config.d:
-        action = checked_query(strategy, config, memory, len(transcript.rounds))
+        action = strategy.query(config, memory)
         if action is None:
             break
+        if len(transcript.rounds) >= cap:
+            raise CapExceeded(f"strategy {strategy.name!r} still querying after {cap} rounds "
+                              f"(n={config.n}, d={config.d})")
+        if not action.issubset(config.all_stations):
+            raise InvalidQuery(f"strategy {strategy.name!r} queried stations "
+                               f"{format_station_set(action - config.all_stations)} "
+                               f"beyond n={config.n}")
         feedback = evaluate_query(action, live)
         transcript = transcript.extend(action, feedback)
         memory = strategy.step(memory, action, feedback)
@@ -317,10 +323,13 @@ def test_game_result_doc_is_json_ready():
     assert doc["rounds_used"] == 3
     assert doc["completed"] is True
     assert doc["witness_live"] == [1, 3]
+    assert doc["live"] == [1, 3]
+    assert doc["rounds"] == [
+        {"query": [1, 2, 3, 4], "feedback": "collision"},
+        {"query": [1, 2], "feedback": {"single": 1}},
+        {"query": [3, 4], "feedback": {"single": 3}},
+    ]
     json.dumps(doc)  # must not raise
-    back, live = transcript_from_doc(doc)
-    assert back == result.transcript
-    assert live == S([1, 3])
 
 
 def test_first_in_id_order_matches_sorting_by_members():
