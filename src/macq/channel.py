@@ -133,7 +133,9 @@ class StationSet(Frozen, defaults={"mask": 0}):
 
     Bit i-1 of ``mask`` is set when station i belongs to the set.  Python
     integers are unbounded, so sets work unchanged past the default 64-station
-    cap when the cap is raised.  Sets order by mask.
+    cap when the cap is raised.  Sets order by mask.  Python derives the
+    rest: truthiness from ``__len__``, ``in`` from ``__iter__``, and ``>`` and
+    ``>=`` by reflecting ``<`` and ``<=``.
     """
 
     __slots__ = ("mask",)
@@ -164,12 +166,6 @@ class StationSet(Frozen, defaults={"mask": 0}):
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __contains__(self, station: int) -> bool:
-        return station >= 1 and (self.mask >> (station - 1)) & 1 == 1
-
     def __and__(self, other: StationSet) -> StationSet:
         return StationSet(self.mask & other.mask)
 
@@ -182,27 +178,18 @@ class StationSet(Frozen, defaults={"mask": 0}):
     def issubset(self, other: StationSet) -> bool:
         return self.mask & ~other.mask == 0
 
-    def isdisjoint(self, other: StationSet) -> bool:
-        return self.mask & other.mask == 0
-
     def __lt__(self, other: StationSet) -> bool:
         return self.mask < other.mask if other.__class__ is StationSet else NotImplemented
 
     def __le__(self, other: StationSet) -> bool:
         return self.mask <= other.mask if other.__class__ is StationSet else NotImplemented
 
-    def __gt__(self, other: StationSet) -> bool:
-        return self.mask > other.mask if other.__class__ is StationSet else NotImplemented
-
-    def __ge__(self, other: StationSet) -> bool:
-        return self.mask >= other.mask if other.__class__ is StationSet else NotImplemented
-
     def __repr__(self) -> str:
         return f"StationSet({{{', '.join(map(str, self))}}})"
 
 
-def format_station_set(stations: StationSet) -> str:
-    """Render a set as ``{1,3}`` with ascending ids and no spaces."""
+def format_station_set(stations: Iterable[int]) -> str:
+    """Render a set, or ascending ids, as ``{1,3}`` with no spaces."""
     return "{" + ",".join(map(str, stations)) + "}"
 
 
@@ -224,13 +211,9 @@ class GameConfig(Frozen):
         set_field(self, "n", n)
         set_field(self, "d", d)
 
-    @property
-    def all_stations(self) -> StationSet:
-        return StationSet.full(self.n)
-
     def check_live_set(self, live: StationSet) -> None:
         """Refuse a live set with ids beyond n or with other than d stations."""
-        if not live.issubset(self.all_stations):
+        if not live.issubset(StationSet.full(self.n)):
             raise DomainError(f"live set {format_station_set(live)} exceeds n={self.n}")
         if len(live) != self.d:
             raise DomainError(f"live set must have exactly d={self.d} stations, got {len(live)}")

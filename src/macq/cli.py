@@ -16,11 +16,12 @@ import sys
 from pathlib import Path
 
 from .channel import DEFAULT_ORACLE_CAP, GameConfig, StationSet, format_station_set, is_decimal
-from .errors import MacqError
+from .errors import DomainError, MacqError
 from .strategies import STRATEGIES
 
 
-def _live_set(text: str) -> StationSet:
+def _live_set(text: str) -> tuple[int, ...]:
+    """The ids as given, strictly ascending and >= 1; n is not known yet."""
     parts = text.split(",")
     if not all(is_decimal(part) for part in parts):
         raise argparse.ArgumentTypeError(f"live set must be comma-separated ids, got {text!r}")
@@ -29,7 +30,7 @@ def _live_set(text: str) -> StationSet:
         raise argparse.ArgumentTypeError(f"live ids must be strictly ascending, got {text!r}")
     if ids[0] < 1:
         raise argparse.ArgumentTypeError("station ids are 1-based")
-    return StationSet.from_ids(ids)
+    return tuple(ids)
 
 
 def _positive_int(text: str) -> int:
@@ -119,7 +120,9 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     if args.live is not None:
-        result = run_fixed(strategy, config, args.live)
+        if args.live[-1] > config.n:  # before the mask, which grows with the largest id
+            raise DomainError(f"live set {format_station_set(args.live)} exceeds n={config.n}")
+        result = run_fixed(strategy, config, StationSet.from_ids(args.live))
     else:
         adversary = (
             greedy_adversary if args.adversary == "greedy" else make_exact_adversary(strategy)

@@ -133,7 +133,7 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
     def walk(node: QNode, count: int, senders: int) -> int:
         nonlocal repeated, mismatched
         if node.is_leaf:
-            live = node.resolved_live.mask if node.resolved_live else 0
+            live = node.resolved_live.mask if node.resolved_live is not None else 0
             blacks.append(count)
             lives.append(live)
             repeated += senders.bit_count() != count

@@ -93,7 +93,7 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
     if action.mask >> config.n:
         raise InvalidQuery(
             f"strategy {strategy.name!r} queried stations "
-            f"{format_station_set(action - config.all_stations)} beyond n={config.n}"
+            f"{format_station_set(action - StationSet.full(config.n))} beyond n={config.n}"
         )
     return action
 

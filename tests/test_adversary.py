@@ -212,7 +212,7 @@ def test_exact_adversary_answers_as_exact_answer_every_round():
                 # other queries at each position, and every sibling position.
                 assert _play_checked(strategy, adversary, start, Transcript(cfg)) == positions
                 for state, query, transcript in positions:
-                    for asked in (S([1]), cfg.all_stations):
+                    for asked in (S([1]), StationSet.full(cfg.n)):
                         assert _outcome(adversary, state, asked, transcript) == _outcome(
                             exact_answer, state, asked, strategy, transcript)
                     for feedback in {evaluate_query(query, StationSet(live)) for live in state.family}:

@@ -32,6 +32,13 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text(encoding="utf-8"))
 
 
+def child_env():
+    """The environment with ``src`` first on PYTHONPATH, so that a child
+    process imports this checkout's ``macq`` without an install."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -270,6 +277,17 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error: DomainError:")
 
 
+@pytest.mark.parametrize("live", ["1,9", "1,10000000000000000000"])
+def test_live_ids_beyond_n_exit_1(capsys, live):
+    # The ids are compared with n before any mask is built: a mask with bit
+    # 10**19 would not fit in memory.
+    code, out, err = run_cli(
+        capsys, "simulate", "--strategy", "tree", "--n", "4", "--d", "2", "--live", live
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: DomainError: live set {{{live}}} exceeds n=4\n"
+
+
 def test_station_cap_env_raises_limit(capsys, monkeypatch):
     monkeypatch.delenv("MACQ_MAX_N", raising=False)
     code, _, err = run_cli(
@@ -307,7 +325,7 @@ def test_recorded_command_stdout_is_byte_identical(capsys, monkeypatch, command)
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "macq", "oracle", "--n", "3", "--d", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
@@ -337,7 +355,7 @@ def test_commands_do_not_import_mpmath(code, absent):
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys; {code}\nprint([m for m in {absent!r} if type(sys.modules.get(m)) is type(sys)])"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -351,12 +369,10 @@ def test_bench_trace_mode_still_wraps_every_hot_function(tmp_path):
     names = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(names)
     out = tmp_path / "trace.json"
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(script), str(out),
          "simulate", "--strategy", "tree", "--n", "6", "--d", "3", "--adversary", "exact"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(out.read_text(encoding="utf-8"))
@@ -373,7 +389,7 @@ def test_ctrl_c_prints_one_error_line_and_exits_130():
     proc = subprocess.Popen(
         [sys.executable, "-m", "macq", "oracle", "--n", "12", "--d", "4",
          "--oracle-n-cap", "12", "--oracle-d-cap", "4"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
     )
     try:
         time.sleep(2.0)  # past start-up, which takes a small fraction of that

@@ -125,7 +125,7 @@ def test_round_cap_turns_livelock_into_error():
 
 def _reference_run_fixed(strategy, config, live):
     """run_fixed with its own loop over the transcript (reference only)."""
-    if not live.issubset(config.all_stations):
+    if not live.issubset(StationSet.full(config.n)):
         raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
     if len(live) != config.d:
         raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
@@ -139,9 +139,9 @@ def _reference_run_fixed(strategy, config, live):
         if len(transcript.rounds) >= cap:
             raise CapExceeded(f"strategy {strategy.name!r} still querying after {cap} rounds "
                               f"(n={config.n}, d={config.d})")
-        if not action.issubset(config.all_stations):
+        if not action.issubset(StationSet.full(config.n)):
             raise InvalidQuery(f"strategy {strategy.name!r} queried stations "
-                               f"{format_station_set(action - config.all_stations)} "
+                               f"{format_station_set(action - StationSet.full(config.n))} "
                                f"beyond n={config.n}")
         feedback = evaluate_query(action, live)
         transcript = transcript.extend(action, feedback)
