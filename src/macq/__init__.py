@@ -28,7 +28,7 @@ _EXPORTS = {
     "channel": (
         "COLLISION", "DEFAULT_ORACLE_CAP", "Feedback", "FeedbackTag", "GameConfig",
         "KnowledgeState", "SILENCE", "StationSet", "Transcript", "evaluate_query",
-        "format_station_set", "single", "transcript_to_doc", "transmitted_set",
+        "format_station_set", "single", "transmitted_set",
     ),
     "engine": (
         "GameResult", "game_result_to_doc", "run_adversarial", "run_fixed", "worst_case_rounds",
@@ -39,16 +39,16 @@ _EXPORTS = {
     ),
     "oracle": ("exact_optimal_rounds", "optimal_strategy", "optimal_strategy_tree"),
     "qtree": (
-        "NormalFormReport", "QNode", "QTree", "build_tree", "check_normal_form", "edge_color",
-        "export_graph", "tree_strategy",
+        "NormalFormReport", "QNode", "QTree", "build_tree", "check_normal_form", "export_graph",
+        "tree_strategy",
     ),
     "report": (
         "CSV_HEADER", "FLAG_CLAIM_EXCEEDS_OPT", "FLAG_LB_VIOLATION", "ReportRow",
         "generate_report", "report_to_csv",
     ),
     "strategies": (
-        "LINEAR_SCAN", "STRATEGIES", "TREE_SPLIT", "Strategy", "default_round_cap",
-        "linear_scan", "scripted", "tree_split",
+        "LINEAR_SCAN", "STRATEGIES", "TREE_SPLIT", "Strategy", "linear_scan", "scripted",
+        "tree_split",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,11 +1,13 @@
 """Adaptive adversaries that choose feedback instead of fixing a live set.
 
-An adversary tracks a ``KnowledgeState`` (defined in the channel module): the
-masks of the live sets still consistent with every answer given so far, plus
-the mask of the stations revealed by singles.  Its answers pick among the
-children ``branches`` gives, so each keeps at least one candidate alive and a
-completed game always has a witness live set that would have produced the
-same transcript verbatim.
+``initial_state`` is every game's start position: all C(n,d) live sets,
+within the enumeration budget, with nothing revealed.  An adversary tracks a
+``KnowledgeState`` (defined in the channel module): the masks of the live sets
+still consistent with every answer given so far, plus the mask of the
+stations revealed by singles.  Its answers pick among the children
+``branches`` gives, so each keeps at least one candidate alive and a completed
+game always has a witness live set that would have produced the same
+transcript verbatim.
 """
 
 from __future__ import annotations
@@ -41,16 +43,13 @@ def check_enumeration_budget(config: GameConfig) -> None:
         )
 
 
-def initial_family(config: GameConfig) -> tuple[int, ...]:
-    """Masks of every size-d subset of 1..n, ascending."""
+def initial_state(config: GameConfig) -> KnowledgeState:
+    """Knowledge state before any round: the masks of every size-d subset of
+    1..n, ascending, with nothing revealed."""
     check_enumeration_budget(config)
     bits = [1 << i for i in range(config.n)]
-    return tuple(sorted(sum(combo) for combo in combinations(bits, config.d)))
-
-
-def initial_state(config: GameConfig) -> KnowledgeState:
-    """Knowledge state before any round: every size-d subset of 1..n."""
-    return KnowledgeState(config, initial_family(config), 0)
+    family = sorted(sum(combo) for combo in combinations(bits, config.d))
+    return KnowledgeState(config, tuple(family), 0)
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:

@@ -13,7 +13,8 @@ adversaries and the oracle are built on ``split_by_feedback``, which groups a
 family of live sets by the feedback one query draws; ``split_edges`` and
 ``branches`` move a position one round with it.  ``evaluate_query`` answers
 for one live set: in ``engine.run_fixed``, and for the feedback drawn in the
-walk's normal mode.  Game documents are written only, never read back.
+walk's normal mode.  ``feedback_to_json`` spells one round's feedback for the
+game document, which ``engine.game_result_to_doc`` writes.
 """
 
 from __future__ import annotations
@@ -143,10 +144,16 @@ class StationSet(Frozen, defaults={"mask": 0}):
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> StationSet:
-        mask = 0
+        """The set of ``ids``; an id is checked before its bit is set, so one
+        beyond ``station_cap()``, which no game holds, allocates nothing."""
+        mask, cap = 0, station_cap()
         for i in ids:
             if i < 1:
                 raise DomainError(f"station ids are 1-based, got {i}")
+            if i > cap:
+                raise DomainError(
+                    f"station ids must be at most {cap} (raise {STATION_CAP_ENV} for more), got {i}"
+                )
             mask |= 1 << (i - 1)
         return cls(mask)
 
@@ -354,16 +361,5 @@ def transmitted_set(transcript: Transcript) -> StationSet:
 # ---------------------------------------------------------------------------
 
 def feedback_to_json(feedback: Feedback) -> str | dict[str, int]:
+    """A round's feedback as ``engine.game_result_to_doc`` writes it."""
     return {"single": feedback.station} if feedback.station else feedback.tag.value
-
-def transcript_to_doc(transcript: Transcript, live: StationSet) -> dict[str, object]:
-    """Transcript document with fixed field order n, d, live, rounds."""
-    return {
-        "n": transcript.config.n,
-        "d": transcript.config.d,
-        "live": list(live),
-        "rounds": [
-            {"query": list(query), "feedback": feedback_to_json(feedback)}
-            for query, feedback in transcript.rounds
-        ],
-    }

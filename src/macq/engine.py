@@ -6,6 +6,7 @@ alone, whether or not the strategy would keep querying, or earlier if the
 strategy itself stops.  ``strategies.checked_query`` decides that end for
 the game loop and the tree walk alike, and applies the fixed round cap of
 4n + 16, which turns non-terminating strategies into errors instead of hangs.
+``game_result_to_doc`` writes the one game document; nothing reads one back.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .channel import (
     StationSet,
     Transcript,
     evaluate_query,
-    transcript_to_doc,
+    feedback_to_json,
 )
 from .errors import AdversaryInconsistent, Inconsistent
 from .strategies import Strategy, checked_query, fold_strategy
@@ -112,9 +113,18 @@ def _play(strategy: Strategy, answer: Adversary, state: KnowledgeState) -> GameR
 
 
 def game_result_to_doc(result: GameResult) -> dict[str, object]:
-    """Transcript document extended with the engine's summary fields."""
-    doc = transcript_to_doc(result.transcript, result.witness_live)
-    doc["rounds_used"] = result.rounds_used
-    doc["completed"] = result.completed
-    doc["witness_live"] = list(result.witness_live)
-    return doc
+    """The game document, fields in the fixed order n, d, live, rounds,
+    rounds_used, completed, witness_live; ``live`` is the witness too."""
+    config = result.transcript.config
+    return {
+        "n": config.n,
+        "d": config.d,
+        "live": list(result.witness_live),
+        "rounds": [
+            {"query": list(query), "feedback": feedback_to_json(feedback)}
+            for query, feedback in result.transcript.rounds
+        ],
+        "rounds_used": result.rounds_used,
+        "completed": result.completed,
+        "witness_live": list(result.witness_live),
+    }

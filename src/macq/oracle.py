@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .adversary import initial_family, initial_state, refine
+from .adversary import initial_state, refine
 from .channel import DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, split_by_feedback
 from .errors import BudgetExceeded
 from .qtree import QTree, build_tree
@@ -164,7 +164,7 @@ def exact_optimal_rounds(
     fresh memo (same values, no sharing), so tests can compare both routes.
     """
     _check_cap(config, cap)
-    return _Solver(canonical).value(initial_family(config))
+    return _Solver(canonical).value(initial_state(config).family)
 
 
 def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> QTree:

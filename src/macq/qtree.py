@@ -2,8 +2,9 @@
 
 ``build_tree`` is one fold of ``strategies.fold_strategy`` over every size-d
 live set at once, so each node is a query, each edge a feedback, and each
-leaf the unique live set producing that feedback path.  Edges are
-colored by their feedback: black for a single, red for silence or collision.
+leaf the unique live set producing that feedback path.  ``export_graph``
+colors each edge by its feedback: black for a single, red for silence or
+collision.
 
 ``build_tree(..., normal=True)`` builds the same tree in normal form, in the
 same walk: every query drops the stations already revealed by earlier singles
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .adversary import initial_family, initial_state
+from .adversary import initial_state
 from .channel import (
     Feedback,
     Frozen,
@@ -32,11 +33,6 @@ from .channel import (
 )
 from .errors import AmbiguousLeaf, DomainError
 from .strategies import Strategy, fold_strategy
-
-
-def edge_color(feedback: Feedback) -> str:
-    """Black iff the feedback is a single transmission."""
-    return "black" if feedback.is_single else "red"
 
 
 class QNode(Frozen):
@@ -146,7 +142,7 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
         return 1 + deepest
 
     depth = walk(tree.root, 0, 0)
-    holds = repeated == mismatched == 0 and tuple(sorted(lives)) == initial_family(tree.config)
+    holds = repeated == mismatched == 0 and tuple(sorted(lives)) == initial_state(tree.config).family
     return NormalFormReport(
         max_depth=depth,
         leaf_count=len(blacks),
@@ -180,7 +176,7 @@ def export_graph(tree: QTree) -> str:
         for feedback in sorted(node.children, key=feedback_order):
             # Ids go in preorder, so the child about to be visited gets ``counter``.
             lines.append(f"edge {node_id} {counter} label={_feedback_label(feedback)} "
-                         f"color={edge_color(feedback)}")
+                         f"color={'black' if feedback.is_single else 'red'}")
             visit(node.children[feedback])
 
     visit(tree.root)

@@ -71,10 +71,6 @@ def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> An
     return state
 
 
-def default_round_cap(config: GameConfig) -> int:
-    return 4 * config.n + 16
-
-
 def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int,
                   revealed: int) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds, or
@@ -85,7 +81,7 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
     action = strategy.query(config, state)
     if action is None:
         return None
-    cap = default_round_cap(config)
+    cap = 4 * config.n + 16
     if rounds >= cap:
         raise CapExceeded(
             f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"

@@ -30,7 +30,6 @@ from macq import (
     single,
 )
 from macq import adversary
-from macq.adversary import initial_family
 
 S = StationSet.from_ids
 
@@ -45,21 +44,18 @@ def test_initial_state_enumerates_all_candidates():
         for d in range(1, n + 1):
             cfg = GameConfig(n, d)
             masks = sorted(S(ids).mask for ids in combinations(range(1, n + 1), d))
-            assert initial_family(cfg) == tuple(masks)
             assert initial_state(cfg).family == tuple(masks)
 
 
 def test_initial_state_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         initial_state(GameConfig(40, 20))
-    with pytest.raises(BudgetExceeded):
-        initial_family(GameConfig(40, 20))
     # The budget is read at call time, so the boundary can be pinned: C(10,3) = 120.
     monkeypatch.setattr(adversary, "DEFAULT_ENUMERATION_BUDGET", 120)
-    assert len(initial_family(GameConfig(10, 3))) == 120
+    assert len(initial_state(GameConfig(10, 3)).family) == 120
     monkeypatch.setattr(adversary, "DEFAULT_ENUMERATION_BUDGET", 119)
     with pytest.raises(BudgetExceeded, match=r"^C\(10,3\) = 120 candidate live sets exceed budget 119$"):
-        initial_family(GameConfig(10, 3))
+        initial_state(GameConfig(10, 3))
 
 
 def test_refine_silence_on_singleton():

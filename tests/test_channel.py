@@ -27,13 +27,13 @@ from macq import (
     check_normal_form,
     evaluate_query,
     format_station_set,
+    game_result_to_doc,
     generate_report,
     initial_state,
     linear_scan,
     refine,
     run_fixed,
     single,
-    transcript_to_doc,
     transmitted_set,
 )
 from macq.channel import (
@@ -55,6 +55,9 @@ def test_station_set_rejects_nonpositive_ids():
         StationSet.from_ids([0])
     with pytest.raises(DomainError):
         StationSet.from_ids([-2])
+    # Beyond the station cap the id is refused before its bit is set.
+    with pytest.raises(DomainError, match="MACQ_MAX_N"):
+        StationSet.from_ids([1, 10**19])
 
 
 def test_station_set_semantics_match_frozenset():
@@ -195,7 +198,7 @@ def test_transcript_doc_round_trip():
     t = t.extend(StationSet.from_ids([1, 2]), single(1))
     t = t.extend(StationSet.from_ids([3, 4]), single(3))
     live = StationSet.from_ids([1, 3])
-    doc = transcript_to_doc(t, live)
+    doc = game_result_to_doc(GameResult(t, 3, True, live))
     assert doc == {
         "n": 4,
         "d": 2,
@@ -205,7 +208,11 @@ def test_transcript_doc_round_trip():
             {"query": [1, 2], "feedback": {"single": 1}},
             {"query": [3, 4], "feedback": {"single": 3}},
         ],
+        "rounds_used": 3,
+        "completed": True,
+        "witness_live": [1, 3],
     }
+    assert list(doc) == ["n", "d", "live", "rounds", "rounds_used", "completed", "witness_live"]
 
 
 def _positions_near_the_start(n, d):

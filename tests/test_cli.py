@@ -311,10 +311,7 @@ def test_station_cap_env_raises_limit(capsys, monkeypatch):
     assert json.loads(out)["rounds_used"] == 5
 
 
-@pytest.mark.parametrize(
-    # Raised-cap oracle cells are left to the benchmark: they take seconds each.
-    "command", [command for command in sorted(DIGESTS) if "--oracle-n-cap" not in command]
-)
+@pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_recorded_command_stdout_is_byte_identical(capsys, monkeypatch, command):
     monkeypatch.delenv("MACQ_MAX_N", raising=False)
     code, out, err = run_cli(capsys, *command.split())

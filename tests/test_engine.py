@@ -24,7 +24,6 @@ from macq import (
     Strategy,
     Transcript,
     build_tree,
-    default_round_cap,
     evaluate_query,
     format_station_set,
     game_result_to_doc,
@@ -108,8 +107,8 @@ STALL = Strategy("stall", lambda config, transcript: StationSet())
 
 def test_round_cap_turns_livelock_into_error():
     cfg = GameConfig(3, 1)
-    assert default_round_cap(cfg) == 28
-    # The exact adversary's look-ahead and the worst-case fold stop at the same cap.
+    # The cap is 4n + 16 = 28 rounds.  The exact adversary's look-ahead and
+    # the worst-case fold stop at the same cap.
     games = [
         lambda: run_fixed(STALL, cfg, S([2])),
         lambda: run_adversarial(STALL, greedy_adversary, cfg),

@@ -30,7 +30,7 @@ from macq import (
     worst_case_rounds,
 )
 from macq import oracle
-from macq.adversary import initial_family
+from macq.adversary import initial_state
 from macq.oracle import (
     _Solver,
     _class_queries,
@@ -93,7 +93,7 @@ def test_repeat_calls_hit_the_shared_memo():
     exact_optimal_rounds(GameConfig(6, 3))
     before = dict(oracle._SHARED_MEMO)
     # The root's bounds meet, so a repeat call is answered from the memo.
-    assert before[initial_family(GameConfig(6, 3))] == (5, 5)
+    assert before[initial_state(GameConfig(6, 3)).family] == (5, 5)
     assert exact_optimal_rounds(GameConfig(6, 3)) == OPTIMAL_ROUNDS[(6, 3)]
     assert oracle._SHARED_MEMO == before
     assert exact_optimal_rounds(GameConfig(6, 4), cap=(6, 4), canonical=False) == 6
@@ -232,7 +232,7 @@ def test_search_memo_matches_the_reference_search():
     # The memo records which questions the search asked and how they ended,
     # so equal memos mean the same queries were tried in the same order.
     for n, d in [(8, 4), (10, 3), (16, 2)]:
-        fam = initial_family(GameConfig(n, d))
+        fam = initial_state(GameConfig(n, d)).family
         reference, solver = _ReferenceSearch(), _Solver(canonical=False)
         assert solver.value(fam) == reference.value(fam), (n, d)
         assert solver.memo == reference.memo, (n, d)
@@ -240,7 +240,7 @@ def test_search_memo_matches_the_reference_search():
 
 def test_initial_family_is_one_twin_class():
     for n, d in [(1, 1), (4, 2), (6, 3), (8, 2)]:
-        classes = _twin_classes(initial_family(GameConfig(n, d)))
+        classes = _twin_classes(initial_state(GameConfig(n, d)).family)
         assert len(classes) == 1
         assert len(_class_queries(classes)) == n + 1
 

@@ -22,7 +22,6 @@ from macq import (
     Transcript,
     build_tree,
     check_normal_form,
-    edge_color,
     evaluate_query,
     export_graph,
     run_fixed,
@@ -54,9 +53,11 @@ leaf 3 live={1}
 
 
 def test_edge_color():
-    assert edge_color(single(3)) == "black"
-    assert edge_color(SILENCE) == "red"
-    assert edge_color(COLLISION) == "red"
+    # Black for a single, red for silence and collision.
+    graph = export_graph(build_tree(TREE_SPLIT, GameConfig(3, 2)))
+    edges = [line.split() for line in graph.splitlines() if line.startswith("edge ")]
+    colors = {(label.startswith("label=single:"), color) for _, _, _, label, color in edges}
+    assert colors == {(True, "color=black"), (False, "color=red")}
 
 
 def test_tree_split_2_1_tree_shape():
