@@ -12,6 +12,7 @@ the modules it runs, so a short command does not pay for the others.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -207,7 +208,14 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         output = args.handler(args)
-        if args.out is not None:
+        if args.out is None:
+            try:
+                sys.stdout.write(output)
+                sys.stdout.flush()  # a full device fails here, not at exit
+            except OSError:  # the unwritten bytes stay buffered: flush them into the null device at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
+        else:
             args.out.write_text(output, encoding="utf-8")
     except (MacqError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -215,8 +223,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print(f"error: Interrupted: {args.command} stopped by Ctrl-C", file=sys.stderr)
         return 130
-    if args.out is None:
-        sys.stdout.write(output)
     return 0
 
 

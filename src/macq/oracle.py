@@ -12,8 +12,9 @@ rounds, and ``value`` asks it for t = m, m + 1, ... where m is the number of
 stations each candidate still has to reveal (one reveal per round at best).
 The memo keeps proven (lower, upper) bounds per family, so each question is
 settled at most once (the null-window idea of MTD(f); Plaat, Schaeffer, Pijls
-and de Bruin, AIJ 1996).  The memo is shared across instances; the bounds
-are facts about the family, so reuse is safe.
+and de Bruin, AIJ 1996).  The process has one solver, whose memo every solve
+and every minimax game shares; the bounds are facts about the family, so
+reuse across instances is safe.
 
 Stations i and j are twins when swapping them maps the family onto itself.
 Twinship is an equivalence, and a query's outcome tree depends only on how
@@ -39,17 +40,6 @@ from .channel import DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet,
 from .errors import BudgetExceeded
 from .qtree import QTree, build_tree
 from .strategies import Strategy
-
-# Residual family -> (lower, upper) bounds on its value.
-_SHARED_MEMO: dict[tuple[int, ...], tuple[int, int]] = {}
-
-
-def _check_cap(config: GameConfig, cap: tuple[int, int]) -> None:
-    n_cap, d_cap = cap
-    if config.n > n_cap or config.d > d_cap:
-        raise BudgetExceeded(
-            f"instance (n={config.n}, d={config.d}) is beyond the oracle cap (n <= {n_cap}, d <= {d_cap})"
-        )
 
 
 def _support(fam: tuple[int, ...]) -> int:
@@ -106,8 +96,9 @@ def _options(fam: tuple[int, ...]) -> list[tuple[int, list[tuple[int, ...]]]]:
 class _Solver:
     """Decision search over residual families with a memo of value bounds."""
 
-    def __init__(self, canonical: bool) -> None:
-        self.memo: dict[tuple[int, ...], tuple[int, int]] = _SHARED_MEMO if canonical else {}
+    def __init__(self) -> None:
+        # Residual family -> (lower, upper) bounds on its value.
+        self.memo: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def value(self, fam: tuple[int, ...]) -> int:
         # Stops by t = |support|, where solvable answers without a search.
@@ -150,46 +141,51 @@ class _Solver:
         return query
 
 
-def exact_optimal_rounds(
-    config: GameConfig,
-    *,
-    cap: tuple[int, int] = DEFAULT_ORACLE_CAP,
-    canonical: bool = True,
-) -> int:
+# The process's one solver, shared by exact_optimal_rounds and optimal_strategy.
+_SOLVER = _Solver()
+
+
+def exact_optimal_rounds(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> int:
     """Minimum over strategies of the worst-case rounds to resolve (n, d).
 
     The value comes from the decision search over residual families, with
-    queries taken up to twin classes.  ``canonical=True`` keeps the bounds in
-    the memo shared by every solve in the process; ``canonical=False`` uses a
-    fresh memo (same values, no sharing), so tests can compare both routes.
+    queries taken up to twin classes, on the process's one solver.  The cap
+    is ``optimal_strategy``'s: a solve starts where its game would.
     """
-    _check_cap(config, cap)
-    return _Solver(canonical).value(initial_state(config).family)
+    return _SOLVER.value(optimal_strategy(cap=cap).start(config).family)
 
 
 def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> QTree:
     """A witness decision tree whose worst path length equals the optimum.
 
-    It is ``optimal_strategy``'s tree, so it shares the process-wide memo.
+    It is ``optimal_strategy``'s tree, so it shares the process's solver.
     """
-    return build_tree(optimal_strategy(config, cap=cap), config)
+    return build_tree(optimal_strategy(cap=cap), config)
 
 
-def optimal_strategy(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:
+def optimal_strategy(*, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:
     """Strategy that answers optimally from any consistent position.
 
     Unlike a replayed witness tree this works from arbitrary openings, which
-    makes it a convenient optimal continuation for adversary analysis.  Its
-    state is the knowledge state, so each round costs one split; it asks the
-    solver, on the memo shared by every solve in the process, about the
-    candidates with the revealed stations struck.
+    makes it a convenient optimal continuation for adversary analysis.  Like
+    the built-in strategies it takes its instance from the game it plays.
+    Its state is the knowledge state, so each round costs one split; it asks
+    the process's solver about the candidates with the revealed stations
+    struck.  ``start`` refuses an instance beyond ``cap`` = (n, d) with
+    ``BudgetExceeded``, so the cap bounds every game, tree and adversary fold
+    the strategy starts.
     """
-    _check_cap(config, cap)
-    solver = _Solver(canonical=True)
+    n_cap, d_cap = cap
+
+    def start(config: GameConfig) -> KnowledgeState:
+        if config.n > n_cap or config.d > d_cap:
+            raise BudgetExceeded(
+                f"instance (n={config.n}, d={config.d}) is beyond the oracle cap (n <= {n_cap}, d <= {d_cap})"
+            )
+        return initial_state(config)
 
     def query(cfg: GameConfig, state: KnowledgeState) -> StationSet:
         # Striking stations that every member holds keeps the masks ascending.
-        return StationSet(solver.best_query(tuple(m & ~state.revealed for m in state.family)))
+        return StationSet(_SOLVER.best_query(tuple(m & ~state.revealed for m in state.family)))
 
-    return Strategy("minimax", query, initial_state, refine)
-
+    return Strategy("minimax", query, start, refine)

@@ -203,7 +203,4 @@ def scripted(name: str, queries: Sequence[StationSet]) -> Strategy:
 LINEAR_SCAN = Strategy("linear", _linear_query, lambda config: 0, _count)
 TREE_SPLIT = Strategy("tree", _tree_query, lambda config: ((1, config.n),), _tree_step)
 
-STRATEGIES: dict[str, Strategy] = {
-    LINEAR_SCAN.name: LINEAR_SCAN,
-    TREE_SPLIT.name: TREE_SPLIT,
-}
+STRATEGIES: dict[str, Strategy] = {strategy.name: strategy for strategy in (LINEAR_SCAN, TREE_SPLIT)}

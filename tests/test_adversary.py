@@ -140,21 +140,21 @@ def test_greedy_answer_after_refinement():
 def test_exact_answer_prefers_silence_against_optimal_play():
     cfg = GameConfig(3, 2)
     state = initial_state(cfg)
-    strat = optimal_strategy(cfg)
+    strat = optimal_strategy()
     assert exact_answer(state, S([1]), strat, Transcript(cfg)) == SILENCE
 
 
 def test_exact_answer_forced_single_when_one_candidate():
     cfg = GameConfig(2, 2)
     state = initial_state(cfg)
-    strat = optimal_strategy(cfg)
+    strat = optimal_strategy()
     assert exact_answer(state, S([1]), strat, Transcript(cfg)) == single(1)
 
 
 def test_exact_answer_breaks_dead_ties_by_preference():
     cfg = GameConfig(2, 1)
     state = initial_state(cfg)
-    strat = optimal_strategy(cfg)
+    strat = optimal_strategy()
     # {1,2} reveals one station either way; both branches end the game.
     assert exact_answer(state, S([1, 2]), strat, Transcript(cfg)) == single(1)
 
@@ -199,7 +199,7 @@ def test_exact_adversary_answers_as_exact_answer_every_round():
             cfg = GameConfig(n, d)
             script = [S(i for i in range(1, n + 1) if rng.random() < 0.4) for _ in range(2 * n)]
             strategies = [LINEAR_SCAN, TREE_SPLIT, scripted(f"script-{n}-{d}", script),
-                          optimal_strategy(cfg, cap=(7, 3))]
+                          optimal_strategy(cap=(7, 3))]
             for strategy in strategies:
                 adversary = make_exact_adversary(strategy)
                 start = initial_state(cfg)

@@ -398,3 +398,18 @@ def test_ctrl_c_prints_one_error_line_and_exits_130():
     assert out == ""
     assert err.startswith("error: Interrupted: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_stdout_prints_one_error_line_and_exits_1(unbuffered):
+    # Every write to /dev/full fails with ENOSPC, so stdout cannot be flushed.
+    # A buffered stdout keeps the unwritten bytes and flushes them again at
+    # exit, which must not print a second error or change the exit code.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "macq", "worst-case", "--strategy", "tree", "--n", "4", "--d", "2"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=dict(child_env(), PYTHONUNBUFFERED=unbuffered),
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: OSError: [Errno 28] No space left on device\n"

@@ -36,3 +36,11 @@ def test_every_module_uses_the_names_it_imports():
         unused += [f"{path.parent.name}/{path.name}: {name}"
                    for name in sorted(imported) if name not in used]
     assert unused == []
+
+
+def test_package_parses_under_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10.  Parsing with 3.10's
+    # grammar refuses newer syntax such as except*; it checks grammar only,
+    # not whether a library API used here exists in 3.10.
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

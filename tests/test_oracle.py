@@ -16,9 +16,11 @@ from macq import (
     StationSet,
     Strategy,
     Transcript,
+    build_tree,
     check_normal_form,
     evaluate_query,
     exact_optimal_rounds,
+    greedy_adversary,
     initial_state,
     make_exact_adversary,
     optimal_strategy,
@@ -44,7 +46,7 @@ S = StationSet.from_ids
 # singletons; (3,2) resists every opening for two further reveals.  The
 # remaining entries are pinned by the unreduced minimax of acceptance
 # criterion 3 (tests/test_acceptance.py), by the exhaustive minimax on
-# residual families below, and by the canonical/non-canonical agreement check.
+# residual families below, and by a fresh solver's agreement with the process's.
 OPTIMAL_ROUNDS = {
     (1, 1): 1,
     (2, 1): 1,
@@ -78,26 +80,40 @@ def test_one_round_suffices_for_single_live_station():
         assert exact_optimal_rounds(GameConfig(n, 1)) == 1
 
 
+def _fresh_value(cfg):
+    """The cell's value from a fresh solver, which shares no memo with the process's."""
+    return _Solver().value(initial_state(cfg).family)
+
+
 def test_canonical_and_plain_memo_agree():
     for (n, d), expected in OPTIMAL_ROUNDS.items():
-        assert exact_optimal_rounds(GameConfig(n, d), canonical=False) == expected
+        assert exact_optimal_rounds(GameConfig(n, d)) == _fresh_value(GameConfig(n, d)) == expected
 
 
 def test_oracle_cap_enforced_and_overridable():
     with pytest.raises(BudgetExceeded):
         exact_optimal_rounds(GameConfig(7, 2))
     assert exact_optimal_rounds(GameConfig(7, 1), cap=(7, 3)) == 1
+    # The minimax strategy checks its cap against the game it starts.
+    cfg = GameConfig(7, 2)
+    beyond = r"^instance \(n=7, d=2\) is beyond the oracle cap \(n <= 6, d <= 3\)$"
+    for play in (worst_case_rounds, build_tree):
+        with pytest.raises(BudgetExceeded, match=beyond):
+            play(optimal_strategy(), cfg)
+    with pytest.raises(BudgetExceeded, match=beyond):
+        run_adversarial(optimal_strategy(), greedy_adversary, cfg)
+    assert worst_case_rounds(optimal_strategy(cap=(7, 2)), cfg)[0] == 4
 
 
 def test_repeat_calls_hit_the_shared_memo():
     exact_optimal_rounds(GameConfig(6, 3))
-    before = dict(oracle._SHARED_MEMO)
+    before = dict(oracle._SOLVER.memo)
     # The root's bounds meet, so a repeat call is answered from the memo.
     assert before[initial_state(GameConfig(6, 3)).family] == (5, 5)
     assert exact_optimal_rounds(GameConfig(6, 3)) == OPTIMAL_ROUNDS[(6, 3)]
-    assert oracle._SHARED_MEMO == before
-    assert exact_optimal_rounds(GameConfig(6, 4), cap=(6, 4), canonical=False) == 6
-    assert oracle._SHARED_MEMO == before
+    assert oracle._SOLVER.memo == before
+    assert _fresh_value(GameConfig(6, 4)) == 6
+    assert oracle._SOLVER.memo == before
 
 
 @pytest.mark.parametrize("n, d", sorted(RAISED_CAP_ROUNDS))
@@ -105,7 +121,7 @@ def test_raised_cap_values_are_certified(n, d):
     cfg = GameConfig(n, d)
     expected = RAISED_CAP_ROUNDS[(n, d)]
     assert exact_optimal_rounds(cfg, cap=(n, d)) == expected
-    assert exact_optimal_rounds(cfg, cap=(n, d), canonical=False) == expected
+    assert _fresh_value(cfg) == expected
     tree = optimal_strategy_tree(cfg, cap=(n, d))
     report = check_normal_form(tree)
     assert report.max_depth == expected and report.property_holds
@@ -157,8 +173,8 @@ def residual_families(draw):
 @given(residual_families())
 def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
     value = _exhaustive_value(fam)
-    assert _Solver(canonical=False).value(fam) == value
-    assert _Solver(canonical=True).value(fam) == value
+    assert _Solver().value(fam) == value
+    assert oracle._SOLVER.value(fam) == value
     # Probing each support station alone finishes, so the search needs no round cap.
     support = reduce(or_, fam)
     assert value <= support.bit_count()
@@ -171,7 +187,7 @@ def test_solver_matches_exhaustive_minimax_on_residual_families(fam):
         and (children := _exhaustive_children(fam, query)) is not None
         and all(_exhaustive_value(child) < value for child in children)
     )
-    assert _Solver(canonical=False).best_query(fam) == first
+    assert _Solver().best_query(fam) == first
 
 
 def _reference_split(fam, query):
@@ -233,7 +249,7 @@ def test_search_memo_matches_the_reference_search():
     # so equal memos mean the same queries were tried in the same order.
     for n, d in [(8, 4), (10, 3), (16, 2)]:
         fam = initial_state(GameConfig(n, d)).family
-        reference, solver = _ReferenceSearch(), _Solver(canonical=False)
+        reference, solver = _ReferenceSearch(), _Solver()
         assert solver.value(fam) == reference.value(fam), (n, d)
         assert solver.memo == reference.memo, (n, d)
 
@@ -277,7 +293,7 @@ def test_witness_tree_replays_as_a_strategy():
 def test_optimal_strategy_achieves_the_value_everywhere():
     for n, d in [(2, 2), (3, 2), (4, 2), (4, 3)]:
         cfg = GameConfig(n, d)
-        strat = optimal_strategy(cfg)
+        strat = optimal_strategy()
         worst, _ = worst_case_rounds(strat, cfg)
         assert worst == OPTIMAL_ROUNDS[(n, d)]
 
@@ -286,7 +302,7 @@ def test_exact_adversary_cannot_push_optimal_play_past_the_value():
     # Upper bound (optimal strategy) meets lower bound (exact adversary).
     for n, d in [(3, 2), (4, 2), (2, 2)]:
         cfg = GameConfig(n, d)
-        strat = optimal_strategy(cfg)
+        strat = optimal_strategy()
         result = run_adversarial(strat, make_exact_adversary(strat), cfg)
         assert result.rounds_used == OPTIMAL_ROUNDS[(n, d)]
         assert result.completed
@@ -297,7 +313,7 @@ def test_optimal_strategy_recovers_from_any_opening():
     # take over: it replays the transcript and still finishes within one
     # round of the overall optimum (the opening wastes at most itself).
     cfg = GameConfig(4, 2)
-    continuation = optimal_strategy(cfg)
+    continuation = optimal_strategy()
     for opening in [(1,), (1, 2), (1, 2, 3, 4)]:
 
         def with_opening(config, transcript, _first=S(opening)):
@@ -318,8 +334,8 @@ def test_optimal_strategy_state_is_the_residual_family():
     # The game ends through next_action's stop rule once d stations are revealed.
     for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         cfg = GameConfig(n, d)
-        strat = optimal_strategy(cfg)
-        solver = _Solver(canonical=True)
+        strat = optimal_strategy()
+        solver = oracle._SOLVER
         for ids in combinations(range(1, n + 1), d):
             live = StationSet.from_ids(ids)
             state, memory, transcript = initial_state(cfg), strat.start(cfg), Transcript(cfg)

@@ -50,6 +50,10 @@ def test_readme_examples_run_and_state_their_results(capsys, monkeypatch, tmp_pa
     assert stated[call] == f"({rounds}, {format_station_set(witness)})" == "(5, {3,4})"
     call = "exact_optimal_rounds(cfg)"
     assert stated[call] == str(eval(call, names)) == "3"
+    call = "worst_case_rounds(optimal_strategy(), cfg)"
+    rounds, witness = eval(call, names)
+    assert stated[call] == f"({rounds}, {format_station_set(witness)})" == "(3, {1,2})"
+    assert rounds == eval("exact_optimal_rounds(cfg)", names)
     report = names["report"]
     shown = (f"property_holds={report.property_holds}, leaf_count={report.leaf_count}, "
              f"black_per_path=({','.join(map(str, report.black_per_path))})")
