@@ -49,7 +49,7 @@ def initial_state(config: GameConfig) -> KnowledgeState:
     check_enumeration_budget(config)
     bits = [1 << i for i in range(config.n)]
     family = sorted(sum(combo) for combo in combinations(bits, config.d))
-    return KnowledgeState(config, tuple(family), 0)
+    return KnowledgeState(tuple(family), 0)
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:

@@ -312,8 +312,7 @@ def split_by_feedback(members: Iterable[int], query: int) -> list[tuple[int, lis
 class KnowledgeState(Frozen):
     """Surviving live-set masks (ascending) plus the mask of revealed stations."""
 
-    __slots__ = ("config", "family", "revealed")
-    config: GameConfig
+    __slots__ = ("family", "revealed")
     family: tuple[int, ...]
     revealed: int
 
@@ -329,7 +328,7 @@ def split_edges(family: Iterable[int], revealed: int,
 
 def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, KnowledgeState]]:
     """The positions one round after ``state``, as (feedback, child) in feedback order."""
-    return [(feedback, KnowledgeState(state.config, tuple(group), revealed))
+    return [(feedback, KnowledgeState(tuple(group), revealed))
             for feedback, group, revealed in split_edges(state.family, state.revealed, query.mask)]
 
 

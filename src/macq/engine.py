@@ -42,7 +42,7 @@ def run_fixed(strategy: Strategy, config: GameConfig, live: StationSet) -> GameR
     """Play one game against a fixed hidden live set."""
     config.check_live_set(live)
     return _play(strategy, lambda state, query, transcript: evaluate_query(query, live),
-                 KnowledgeState(config, (live.mask,), 0))
+                 config, KnowledgeState((live.mask,), 0))
 
 
 def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, StationSet]:
@@ -88,14 +88,13 @@ def run_adversarial(strategy: Strategy, adversary: Adversary, config: GameConfig
     The witness is the least surviving candidate; replaying it as a fixed
     live set reproduces the same transcript round for round.
     """
-    return _play(strategy, adversary, initial_state(config))
+    return _play(strategy, adversary, config, initial_state(config))
 
 
-def _play(strategy: Strategy, answer: Adversary, state: KnowledgeState) -> GameResult:
-    """Play from ``state`` until d stations are revealed or the strategy stops."""
-    config = state.config
-    transcript = Transcript(config)
-    memory = strategy.start(config)
+def _play(strategy: Strategy, answer: Adversary, config: GameConfig,
+          state: KnowledgeState) -> GameResult:
+    """Play ``config``'s game from ``state`` until d stations are revealed or the strategy stops."""
+    transcript, memory = Transcript(config), strategy.start(config)
     while True:
         action = checked_query(strategy, config, memory, len(transcript.rounds), state.revealed)
         if action is None:

@@ -104,12 +104,13 @@ def fold_strategy(
 ) -> T:
     """Fold the strategy's decision tree below one position.
 
-    ``position`` is the knowledge state the transcript leads to.  The game
-    stops once d stations are revealed or the strategy returns None; such a
-    position folds to ``leaf(family)``.  Otherwise its query splits the family
-    by feedback and ``node(query, branches)`` combines the folded children as
-    (feedback, value) pairs in feedback order.  The strategy's state is
-    replayed from the transcript once, then moved one ``step`` down each edge.
+    ``position`` is the knowledge state the transcript leads to; the game's
+    config comes from the transcript.  The game stops once d stations are
+    revealed or the strategy returns None; such a position folds to
+    ``leaf(family)``.  Otherwise its query splits the family by feedback and
+    ``node(query, branches)`` combines the folded children as (feedback, value)
+    pairs in feedback order.  The strategy's state is replayed from the
+    transcript once, then moved one ``step`` down each edge.
 
     With ``normal`` set the walk plays each query minus the revealed
     stations: that reduced query splits the family and reaches ``node``, while
@@ -117,7 +118,7 @@ def fold_strategy(
     Every member of a group holds the revealed stations, so any one of them
     gives that feedback; a query holding none of them is played unchanged.
     """
-    config, step = position.config, strategy.step
+    config, step = transcript.config, strategy.step
 
     def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
         query = checked_query(strategy, config, state, rounds, revealed)

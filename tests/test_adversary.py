@@ -178,7 +178,7 @@ def _play_checked(strategy, adversary, state, transcript):
 
     Returns the (state, query, transcript) positions the game passed.
     """
-    cfg = state.config
+    cfg = transcript.config
     positions = []
     while state.revealed.bit_count() < cfg.d:
         query = strategy.next_action(cfg, transcript)

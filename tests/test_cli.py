@@ -382,11 +382,14 @@ def test_bench_trace_mode_still_wraps_every_hot_function(tmp_path):
 
 
 def test_ctrl_c_prints_one_error_line_and_exits_130():
-    # (12,4) runs for minutes, so the signal lands inside the solve.
+    # (12,4) runs for minutes, so the signal lands inside the solve.  A
+    # background job inherits SIGINT as ignored, so the child restores the
+    # default disposition, under which Python raises KeyboardInterrupt.
     proc = subprocess.Popen(
         [sys.executable, "-m", "macq", "oracle", "--n", "12", "--d", "4",
          "--oracle-n-cap", "12", "--oracle-d-cap", "4"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         time.sleep(2.0)  # past start-up, which takes a small fraction of that

@@ -38,6 +38,12 @@ from macq import (
     worst_case_rounds,
 )
 from macq.engine import _first_in_id_order
+from reference_strategies import (
+    random_adaptive,
+    random_subset,
+    reference_scripted,
+    reference_tree_strategy,
+)
 
 S = StationSet.from_ids
 
@@ -149,51 +155,6 @@ def _reference_run_fixed(strategy, config, live):
     return GameResult(transcript, len(transcript.rounds), completed, live)
 
 
-def _reference_scripted(queries):
-    """scripted as a function of the whole transcript (reference only)."""
-
-    def next_action(config, transcript):
-        played = len(transcript.rounds)
-        return queries[played] if played < len(queries) else None
-
-    return Strategy("script", next_action)
-
-
-def _reference_tree_strategy(tree):
-    """tree_strategy as a function of the whole transcript (reference only)."""
-
-    def next_action(config, transcript):
-        node = tree.root
-        for query, feedback in transcript.rounds:
-            if node.query != query:
-                raise DomainError("transcript diverges from the tree's queries")
-            child = node.children.get(feedback)
-            if child is None:
-                raise DomainError("transcript follows a feedback edge the tree lacks")
-            node = child
-        return node.query
-
-    return Strategy("tree-replay", next_action)
-
-
-def _random_subset(rng, n):
-    # Station n+1 now and then, so some strategies query beyond n.
-    return S(i for i in range(1, n + 2) if rng.random() < (0.4 if i <= n else 0.05))
-
-
-def _adaptive(seed, n):
-    """Queries drawn from a generator seeded by the transcript so far."""
-
-    def next_action(config, transcript):
-        key = repr([(list(q), f.tag.value, f.station) for q, f in transcript.rounds])
-        rng = random.Random(f"{seed}:{key}")
-        if rng.random() < 0.08:
-            return None
-        return _random_subset(rng, n)
-
-    return Strategy(f"adaptive-{seed}", next_action)
-
-
 def _game(run, strategy, cfg, live):
     try:
         return run(strategy, cfg, live)
@@ -211,15 +172,15 @@ def test_run_fixed_matches_its_own_loop():
             cfg = GameConfig(n, d)
             pairs = [(LINEAR_SCAN, LINEAR_SCAN), (TREE_SPLIT, TREE_SPLIT), (STALL, STALL)]
             for _ in range(3):
-                script = [_random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))]
-                pairs.append((scripted("script", script), _reference_scripted(script)))
-            adaptive = _adaptive(rng.randrange(10**6), n)
+                script = [random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))]
+                pairs.append((scripted("script", script), reference_scripted(script)))
+            adaptive = random_adaptive(rng.randrange(10**6), n)
             pairs.append((adaptive, adaptive))
             # A tree of this instance, and one of a neighbouring d, whose
             # feedback edges the games here can leave.
             for tree_d in {d, d % n + 1}:
                 tree = build_tree(TREE_SPLIT, GameConfig(n, tree_d))
-                pairs.append((tree_strategy(tree), _reference_tree_strategy(tree)))
+                pairs.append((tree_strategy(tree), reference_tree_strategy(tree)))
             for ids in combinations(range(1, n + 1), d):
                 live = S(ids)
                 for strategy, reference in pairs:

@@ -32,7 +32,6 @@ from macq import (
     worst_case_rounds,
 )
 from macq import oracle
-from macq.adversary import initial_state
 from macq.oracle import (
     _Solver,
     _class_queries,

@@ -30,6 +30,7 @@ from macq import (
     tree_strategy,
     worst_case_rounds,
 )
+from reference_strategies import random_adaptive, random_subset
 
 S = StationSet.from_ids
 
@@ -244,27 +245,9 @@ def reference_normalized_strategy(base):
     return Strategy(f"{base.name}-normal", next_action)
 
 
-def _random_subset(rng, n):
-    # Station n+1 now and then, so some strategies query beyond n.
-    return S(i for i in range(1, n + 2) if rng.random() < (0.4 if i <= n else 0.05))
-
-
 def random_scripted(rng, n):
     return scripted(f"script-{rng.randrange(10**6)}",
-                    [_random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))])
-
-
-def random_adaptive(seed, n):
-    """Queries drawn from a generator seeded by the transcript so far."""
-
-    def next_action(config, transcript):
-        key = repr([(list(q), f.tag.value, f.station) for q, f in transcript.rounds])
-        rng = random.Random(f"{seed}:{key}")
-        if rng.random() < 0.08:
-            return None
-        return _random_subset(rng, n)
-
-    return Strategy(f"adaptive-{seed}", next_action)
+                    [random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))])
 
 
 # Probes station 1 forever: once it is revealed, or if it is not live, every
@@ -344,8 +327,6 @@ def test_tree_strategy_replays_original_games():
 def test_tree_strategy_rejects_divergent_transcripts():
     cfg = GameConfig(2, 1)
     replay = tree_strategy(build_tree(TREE_SPLIT, cfg))
-    from macq import Transcript
-
     bad_query = Transcript(cfg).extend(S([1]), SILENCE)
     with pytest.raises(ValueError) as err:
         replay.next_action(cfg, bad_query)

@@ -29,6 +29,7 @@ from macq import (
     worst_case_rounds,
 )
 from macq.strategies import replay
+from reference_strategies import reference_scripted, reference_tree_strategy
 
 S = StationSet.from_ids
 
@@ -231,36 +232,6 @@ def test_state_machines_match_the_replaying_references(strategy, reference):
         assert errors > 1000  # both foreign-transcript errors are compared
 
 
-def _reference_scripted(queries):
-    """scripted as a function of the whole transcript (reference only)."""
-    fixed = tuple(queries)
-
-    def next_action(config, transcript):
-        played = len(transcript.rounds)
-        if played >= len(fixed):
-            return None
-        return fixed[played]
-
-    return next_action
-
-
-def _reference_tree_strategy(tree):
-    """tree_strategy walking the tree from its root on every call (reference only)."""
-
-    def next_action(config, transcript):
-        node = tree.root
-        for query, feedback in transcript.rounds:
-            if node.query != query:
-                raise DomainError("transcript diverges from the tree's queries")
-            child = node.children.get(feedback)
-            if child is None:
-                raise DomainError("transcript follows a feedback edge the tree lacks")
-            node = child
-        return node.query
-
-    return next_action
-
-
 def _machine_query(strategy):
     """The walk's route to a query: one step per round, then one query."""
     return lambda config, transcript: strategy.query(config, replay(strategy, config, transcript))
@@ -274,10 +245,10 @@ def test_scripted_and_tree_strategy_machines_match_the_replaying_references():
             cfg = GameConfig(n, d)
             script = [S(i for i in range(1, n + 2) if rng.random() < 0.4)
                       for _ in range(rng.randrange(2 * n + 3))]
-            pairs = [(scripted("script", script), _reference_scripted(script))]
+            pairs = [(scripted("script", script), reference_scripted(script).query)]
             for base in (LINEAR_SCAN, TREE_SPLIT):
                 tree = build_tree(base, cfg)
-                pairs.append((tree_strategy(tree), _reference_tree_strategy(tree)))
+                pairs.append((tree_strategy(tree), reference_tree_strategy(tree).query))
             for strategy, reference in pairs:
                 on_tree = _tree_transcripts(reference, cfg)
                 for transcript in on_tree:
