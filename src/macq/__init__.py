@@ -34,8 +34,8 @@ _EXPORTS = {
         "GameResult", "game_result_to_doc", "run_adversarial", "run_fixed", "worst_case_rounds",
     ),
     "errors": (
-        "AdversaryInconsistent", "AmbiguousLeaf", "BudgetExceeded", "CapExceeded",
-        "DomainError", "Inconsistent", "InvalidQuery", "MacqError",
+        "AmbiguousLeaf", "BudgetExceeded", "CapExceeded", "DomainError", "Inconsistent",
+        "InvalidQuery", "MacqError",
     ),
     "oracle": ("exact_optimal_rounds", "optimal_strategy", "optimal_strategy_tree"),
     "qtree": (

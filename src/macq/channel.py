@@ -48,13 +48,14 @@ class Frozen:
     ``qtree.QNode`` gives each node a fresh ``children`` dict.
 
     Instances compare and hash by their fields in slot order, print as
-    ``Name(field=value, ...)``, refuse assignment, and copy and pickle their
-    fields in slot order.  A copy or an unpickled value gets its fields back
-    without running ``__init__``, so a value stays loadable when a check in
-    its ``__init__`` would now refuse it (a ``GameConfig`` saved under a
-    raised ``MACQ_MAX_N``, say).  The fields are fetched by one
-    ``attrgetter`` per class, which keeps ``==`` on hot types as fast as a
-    generated method.
+    ``Name(field=value, ...)``, refuse assignment, and copy their fields in
+    slot order; a value pickles only when its fields do (a strategy whose
+    functions are lambdas or local does not).  A copy or an unpickled value
+    gets its fields back without running ``__init__``, so a value stays
+    loadable when a check in its ``__init__`` would now refuse it (a
+    ``GameConfig`` saved under a raised ``MACQ_MAX_N``, say).  The fields
+    are fetched by one ``attrgetter`` per class, which keeps ``==`` on hot
+    types as fast as a generated method.
     """
 
     __slots__ = ()

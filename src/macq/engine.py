@@ -24,7 +24,6 @@ from .channel import (
     evaluate_query,
     feedback_to_json,
 )
-from .errors import AdversaryInconsistent, Inconsistent
 from .strategies import Strategy, checked_query, fold_strategy
 
 
@@ -86,7 +85,8 @@ def run_adversarial(strategy: Strategy, adversary: Adversary, config: GameConfig
     """Play one game with feedback chosen by an adversary.
 
     The witness is the least surviving candidate; replaying it as a fixed
-    live set reproduces the same transcript round for round.
+    live set reproduces the same transcript round for round.  An answer that
+    no candidate gives raises ``Inconsistent``.
     """
     return _play(strategy, adversary, config, initial_state(config))
 
@@ -100,10 +100,7 @@ def _play(strategy: Strategy, answer: Adversary, config: GameConfig,
         if action is None:
             break
         feedback = answer(state, action, transcript)
-        try:
-            state = refine(state, action, feedback)
-        except Inconsistent as exc:
-            raise AdversaryInconsistent(str(exc)) from exc
+        state = refine(state, action, feedback)
         transcript = transcript.extend(action, feedback)
         memory = strategy.step(memory, action, feedback)
     witness = min(state.family)

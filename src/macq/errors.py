@@ -29,11 +29,8 @@ class BudgetExceeded(MacqError):
 
 
 class Inconsistent(MacqError):
-    """A feedback is consistent with no remaining candidate live set."""
-
-
-class AdversaryInconsistent(MacqError):
-    """An adversary produced feedback that contradicts its own history."""
+    """A feedback is consistent with no remaining candidate live set, whether
+    ``refine`` is handed it directly or an adversary answers it in a game."""
 
 
 class AmbiguousLeaf(MacqError):

@@ -172,7 +172,7 @@ def export_graph(tree: QTree) -> str:
         if node.is_leaf:
             lines.append(f"leaf {node_id} live={format_station_set(node.resolved_live or StationSet())}")
             return
-        lines.append(f"node {node_id} query={format_station_set(node.query or StationSet())}")
+        lines.append(f"node {node_id} query={format_station_set(node.query)}")
         for feedback in sorted(node.children, key=feedback_order):
             # Ids go in preorder, so the child about to be visited gets ``counter``.
             lines.append(f"edge {node_id} {counter} label={_feedback_label(feedback)} "

@@ -84,6 +84,8 @@ def test_station_set_singleton_and_full():
     assert tuple(StationSet.from_ids((4,))) == (4,)
     assert tuple(StationSet.full(3)) == (1, 2, 3)
     assert tuple(StationSet.full(0)) == ()
+    with pytest.raises(DomainError):
+        StationSet.full(-1)
 
 
 def test_format_station_set():
@@ -293,6 +295,8 @@ def test_value_types_are_immutable_values(monkeypatch):
             assert hash(twin) == hash(value)
         with pytest.raises(AttributeError):
             setattr(value, names[0], getattr(value, names[-1]))
+        with pytest.raises(AttributeError):
+            delattr(value, names[0])
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
     assert repr(live) == "StationSet({1, 3})"

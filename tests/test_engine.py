@@ -10,12 +10,12 @@ import pytest
 from macq import (
     COLLISION,
     SILENCE,
-    AdversaryInconsistent,
     BudgetExceeded,
     CapExceeded,
     DomainError,
     GameConfig,
     GameResult,
+    Inconsistent,
     InvalidQuery,
     LINEAR_SCAN,
     MacqError,
@@ -254,7 +254,7 @@ def test_adversary_answering_impossible_feedback_is_refused():
     def colliding(state, query, transcript):
         return COLLISION
 
-    with pytest.raises(AdversaryInconsistent) as excinfo:
+    with pytest.raises(Inconsistent) as excinfo:
         run_adversarial(LINEAR_SCAN, colliding, GameConfig(3, 1))
     assert str(excinfo.value) == "feedback 'collision' on query {1} eliminates every candidate"
 

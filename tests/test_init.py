@@ -15,6 +15,7 @@ def test_every_exported_name_resolves_once():
     namespace: dict[str, object] = {}
     exec("from macq import *", namespace)
     assert set(macq.__all__) <= set(namespace)
+    assert set(macq.__all__) <= set(dir(macq))
 
 
 def _imported_names(node):

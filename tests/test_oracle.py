@@ -129,19 +129,12 @@ def test_raised_cap_values_are_certified(n, d):
 
 
 def _exhaustive_children(fam, query):
-    """Child families of ``fam`` under ``query``, or None when it is uninformative."""
-    groups = {}
-    for member in fam:
-        hit = member & query
-        if hit == 0:
-            groups.setdefault("silence", []).append(member)
-        elif hit & (hit - 1):
-            groups.setdefault("collision", []).append(member)
-        else:
-            groups.setdefault(hit, []).append(member & ~hit)
-    if len(groups) == 1 and next(iter(groups)) in ("silence", "collision"):
+    """Child families of ``fam`` under ``query``, or None when it is uninformative
+    (every member silent, or every member colliding)."""
+    parts = _reference_split(fam, query)
+    if len(parts) == 1 and parts[0][0] < 0:
         return None
-    return [tuple(sorted(group)) for group in groups.values()]
+    return [child for _, child in parts]
 
 
 @lru_cache(maxsize=None)
