@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -256,10 +256,17 @@ class Feedback(Frozen):
 
 SILENCE = Feedback(FeedbackTag.SILENCE)
 COLLISION = Feedback(FeedbackTag.COLLISION)
+_SINGLES: dict[int, Feedback] = {}  # station -> its single, stored once checked
 
 
 def single(station: int) -> Feedback:
-    return Feedback(FeedbackTag.SINGLE, station)
+    """The one shared single feedback for ``station`` (compare feedback with ``==``)."""
+    feedback = _SINGLES.get(station)
+    if feedback is None:
+        feedback = Feedback(FeedbackTag.SINGLE, station)
+        if type(station) is int:  # not 3.0 or True, which would stand in for 3 or 1
+            _SINGLES[station] = feedback
+    return feedback
 
 
 def feedback_order(feedback: Feedback) -> tuple[int, int]:
@@ -287,13 +294,22 @@ def evaluate_query(query: StationSet, live: StationSet) -> Feedback:
     return COLLISION
 
 
-def split_by_feedback(members: Iterable[int], query: int) -> list[tuple[int, list[int]]]:
+def split_by_feedback(members: Sequence[int], query: int) -> list[tuple[int, list[int]]]:
     """Group member masks by the feedback ``query`` draws from each.
 
     Groups come in ``feedback_order``, each keyed by its outcome: -1 for
     silence, -2 for collision, or the lone sender's bit for a single.  Members
     keep their input order within a group; empty groups are left out.
+    ``members`` is read more than once.  A query of at most one station (by bit
+    count) draws only silence or its single, so two comprehensions split it.
     """
+    if query.bit_count() < 2:
+        silent = [member for member in members if not member & query]
+        if len(silent) == len(members):
+            return [(-1, silent)] if silent else []
+        if not silent:
+            return [(query, list(members))]
+        return [(-1, silent), (query, [member for member in members if member & query])]
     silence: list[int] = []
     collision: list[int] = []
     singles: dict[int, list[int]] = {}
@@ -318,7 +334,7 @@ class KnowledgeState(Frozen):
     revealed: int
 
 
-def split_edges(family: Iterable[int], revealed: int,
+def split_edges(family: Sequence[int], revealed: int,
                 query: int) -> list[tuple[Feedback, list[int], int]]:
     """``branches`` on raw masks: (feedback, members, revealed) per
     ``split_by_feedback`` group, a single adding its sender to ``revealed``."""

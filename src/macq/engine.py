@@ -59,9 +59,15 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
     def node(
         query: StationSet, branches: list[tuple[Feedback, tuple[int, int]]]
     ) -> tuple[int, int]:
-        deepest = max(depth for _, (depth, _) in branches)
-        return 1 + deepest, _first_in_id_order(
-            [live for _, (depth, live) in branches if depth == deepest])
+        deepest = witness = -1
+        for _, (depth, live) in branches:
+            if depth > deepest:
+                deepest, witness = depth, live
+            elif depth == deepest:
+                diff = witness ^ live
+                if diff & -diff & live:
+                    witness = live
+        return 1 + deepest, witness
 
     rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config), leaf, node)
     return rounds, StationSet(witness)

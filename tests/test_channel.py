@@ -125,6 +125,16 @@ def test_feedback_validation():
     assert single(3).station == 3
     assert single(3).is_single
     assert not SILENCE.is_single
+    # One shared value per station, equal to (and hashing as) a directly built one.
+    assert single(3) is single(3)
+    assert single(3) == Feedback(FeedbackTag.SINGLE, 3)
+    assert hash(single(3)) == hash(Feedback(FeedbackTag.SINGLE, 3))
+    # A refused station is refused again: a failed build is never stored.
+    for station in (0, -1, 0, -1):
+        with pytest.raises(DomainError):
+            single(station)
+    # Nor is a station given as a float, which would stand in for the int's.
+    assert single(999.0) == single(999) and type(single(999).station) is int
     with pytest.raises(DomainError):
         Feedback(FeedbackTag.SINGLE)
     with pytest.raises(DomainError):
@@ -230,6 +240,8 @@ def _positions_near_the_start(n, d):
 
 def test_branches_partition_the_family_in_feedback_order():
     for n in range(1, 6):
+        for mask in range(1 << n):
+            assert branches(KnowledgeState((), 0), StationSet(mask)) == []
         for d in range(1, n + 1):
             for state in _positions_near_the_start(n, d):
                 for mask in range(1 << n):
