@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # on first use (PEP 562), so a command loads only what it runs.
 _EXPORTS = {
     "adversary": (
-        "exact_answer", "greedy_adversary", "greedy_answer", "initial_state",
-        "make_exact_adversary", "refine",
+        "exact_answer", "greedy_adversary", "greedy_answer", "make_exact_adversary", "refine",
     ),
     "bounds": (
         "GrowthFactor", "claimed_bound_analytic", "claimed_bound_combinatorial",
@@ -28,7 +27,7 @@ _EXPORTS = {
     "channel": (
         "COLLISION", "DEFAULT_ORACLE_CAP", "Feedback", "FeedbackTag", "GameConfig",
         "KnowledgeState", "SILENCE", "StationSet", "Transcript", "evaluate_query",
-        "format_station_set", "single", "transmitted_set",
+        "format_station_set", "initial_state", "single", "transmitted_set",
     ),
     "engine": (
         "GameResult", "game_result_to_doc", "run_adversarial", "run_fixed", "worst_case_rounds",

@@ -1,8 +1,7 @@
 """Adaptive adversaries that choose feedback instead of fixing a live set.
 
-``initial_state`` is every game's start position: all C(n,d) live sets,
-within the enumeration budget, with nothing revealed.  An adversary tracks a
-``KnowledgeState`` (defined in the channel module): the masks of the live sets
+An adversary tracks a ``KnowledgeState`` (defined in the channel module, with
+``initial_state``, every game's start position): the masks of the live sets
 still consistent with every answer given so far, plus the mask of the
 stations revealed by singles.  Its answers pick among the children
 ``branches`` gives, so each keeps at least one candidate alive and a completed
@@ -12,15 +11,12 @@ transcript verbatim.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .channel import (
     COLLISION,
     SILENCE,
     Feedback,
-    GameConfig,
     KnowledgeState,
     StationSet,
     Transcript,
@@ -28,28 +24,8 @@ from .channel import (
     feedback_to_json,
     format_station_set,
 )
-from .errors import BudgetExceeded, Inconsistent
+from .errors import Inconsistent
 from .strategies import Strategy, fold_strategy
-
-DEFAULT_ENUMERATION_BUDGET = 10**6
-
-
-def check_enumeration_budget(config: GameConfig) -> None:
-    """Refuse an instance whose C(n,d) candidate live sets exceed the budget of 10**6."""
-    total, budget = math.comb(config.n, config.d), DEFAULT_ENUMERATION_BUDGET
-    if total > budget:
-        raise BudgetExceeded(
-            f"C({config.n},{config.d}) = {total} candidate live sets exceed budget {budget}"
-        )
-
-
-def initial_state(config: GameConfig) -> KnowledgeState:
-    """Knowledge state before any round: the masks of every size-d subset of
-    1..n, ascending, with nothing revealed."""
-    check_enumeration_budget(config)
-    bits = [1 << i for i in range(config.n)]
-    family = sorted(sum(combo) for combo in combinations(bits, config.d))
-    return KnowledgeState(tuple(family), 0)
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:

@@ -8,27 +8,31 @@ are live.  A hidden set of exactly d live stations must each get one clean
 solo transmission.
 
 A position is a ``KnowledgeState``: the live sets consistent with the feedback
-so far plus the stations revealed by singles.  The strategy walk, the
-adversaries and the oracle are built on ``split_by_feedback``, which groups a
-family of live sets by the feedback one query draws; ``split_edges`` and
-``branches`` move a position one round with it.  ``evaluate_query`` answers
-for one live set: in ``engine.run_fixed``, and for the feedback drawn in the
-walk's normal mode.  ``feedback_to_json`` spells one round's feedback for the
-game document, which ``engine.game_result_to_doc`` writes.
+so far plus the stations revealed by singles, starting from ``initial_state``
+(all C(n,d) live sets, within the enumeration budget).  The strategy walk,
+the adversaries and the oracle are built on ``split_by_feedback``, which
+groups a family of live sets by the feedback one query draws; ``split_edges``
+and ``branches`` move a position one round with it.  ``evaluate_query``
+answers for one live set: in ``engine.run_fixed``, and for the feedback drawn
+in the walk's normal mode.  ``feedback_to_json`` spells one round's feedback
+for the game document, which ``engine.game_result_to_doc`` writes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from enum import Enum
-from operator import attrgetter
+from itertools import combinations
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 
 DEFAULT_STATION_CAP = 64
 STATION_CAP_ENV = "MACQ_MAX_N"
 DEFAULT_ORACLE_CAP = (6, 3)  # largest (n, d) the exact oracle solves unless raised
+DEFAULT_ENUMERATION_BUDGET = 10**6
 
 set_field = object.__setattr__  # how a Frozen subclass's __init__ sets each field once
 
@@ -201,6 +205,14 @@ def format_station_set(stations: Iterable[int]) -> str:
     return "{" + ",".join(map(str, stations)) + "}"
 
 
+def _integer(name: str, value: int) -> int:
+    """``value`` as a plain int (a bool or a numpy integer converts); a float or a string is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 class GameConfig(Frozen):
     """Instance parameters: n stations, exactly d of them live."""
 
@@ -209,6 +221,7 @@ class GameConfig(Frozen):
     d: int
 
     def __init__(self, n: int, d: int) -> None:
+        n, d = _integer("n", n), _integer("d", d)
         cap = station_cap()
         if not 1 <= n <= cap:
             raise DomainError(
@@ -242,6 +255,7 @@ class Feedback(Frozen):
 
     def __init__(self, tag: FeedbackTag, station: int | None = None) -> None:
         if tag is FeedbackTag.SINGLE:
+            station = None if station is None else _integer("station id", station)
             if station is None or station < 1:
                 raise DomainError("single feedback needs a station id >= 1")
         elif station is not None:
@@ -261,21 +275,11 @@ _SINGLES: dict[int, Feedback] = {}  # station -> its single, stored once checked
 
 def single(station: int) -> Feedback:
     """The one shared single feedback for ``station`` (compare feedback with ``==``)."""
-    feedback = _SINGLES.get(station)
-    if feedback is None:
-        feedback = Feedback(FeedbackTag.SINGLE, station)
-        if type(station) is int:  # not 3.0 or True, which would stand in for 3 or 1
-            _SINGLES[station] = feedback
+    feedback = _SINGLES.get(station) if type(station) is int else None  # 3.0 would find 3's
+    if feedback is None:  # Feedback checks the station and stores it as a plain int
+        built = Feedback(FeedbackTag.SINGLE, station)
+        feedback = _SINGLES.setdefault(built.station, built)
     return feedback
-
-
-def feedback_order(feedback: Feedback) -> tuple[int, int]:
-    """Deterministic sort key: silence, then collision, then singles by id."""
-    if feedback.tag is FeedbackTag.SILENCE:
-        return (0, 0)
-    if feedback.tag is FeedbackTag.COLLISION:
-        return (1, 0)
-    return (2, feedback.station or 0)
 
 
 def evaluate_query(query: StationSet, live: StationSet) -> Feedback:
@@ -297,11 +301,12 @@ def evaluate_query(query: StationSet, live: StationSet) -> Feedback:
 def split_by_feedback(members: Sequence[int], query: int) -> list[tuple[int, list[int]]]:
     """Group member masks by the feedback ``query`` draws from each.
 
-    Groups come in ``feedback_order``, each keyed by its outcome: -1 for
-    silence, -2 for collision, or the lone sender's bit for a single.  Members
-    keep their input order within a group; empty groups are left out.
-    ``members`` is read more than once.  A query of at most one station (by bit
-    count) draws only silence or its single, so two comprehensions split it.
+    Groups come in feedback order (silence, collision, then singles by
+    sender), each keyed by its outcome: -1 for silence, -2 for collision, or
+    the lone sender's bit for a single.  Members keep their input order within
+    a group; empty groups are left out.  ``members`` is read more than once.
+    A query of at most one station (by bit count) draws only silence or its
+    single, so two comprehensions split it.
     """
     if query.bit_count() < 2:
         silent = [member for member in members if not member & query]
@@ -332,6 +337,24 @@ class KnowledgeState(Frozen):
     __slots__ = ("family", "revealed")
     family: tuple[int, ...]
     revealed: int
+
+
+def check_enumeration_budget(config: GameConfig) -> None:
+    """Refuse an instance whose C(n,d) candidate live sets exceed the budget of 10**6."""
+    total, budget = math.comb(config.n, config.d), DEFAULT_ENUMERATION_BUDGET
+    if total > budget:
+        raise BudgetExceeded(
+            f"C({config.n},{config.d}) = {total} candidate live sets exceed budget {budget}"
+        )
+
+
+def initial_state(config: GameConfig) -> KnowledgeState:
+    """Knowledge state before any round: the masks of every size-d subset of
+    1..n, ascending, with nothing revealed."""
+    check_enumeration_budget(config)
+    bits = [1 << i for i in range(config.n)]
+    family = sorted(sum(combo) for combo in combinations(bits, config.d))
+    return KnowledgeState(tuple(family), 0)
 
 
 def split_edges(family: Sequence[int], revealed: int,

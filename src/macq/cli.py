@@ -133,14 +133,14 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def _cmd_worst_case(args: argparse.Namespace) -> str:
-    import json
-
     from .engine import worst_case_rounds
 
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     rounds, witness = worst_case_rounds(strategy, config)
     if args.format == "json-lines":
+        import json
+
         doc = {
             "n": config.n,
             "d": config.d,
@@ -153,14 +153,14 @@ def _cmd_worst_case(args: argparse.Namespace) -> str:
 
 
 def _cmd_tree(args: argparse.Namespace) -> str:
-    import json
-
     from .qtree import build_tree, check_normal_form, export_graph
 
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     built = build_tree(strategy, config, normal=args.normalize)
     if args.check:
+        import json
+
         report = check_normal_form(built)
         return json.dumps({name: getattr(report, name) for name in report.__slots__}) + "\n"
     return export_graph(built)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .adversary import Adversary, initial_state, refine
+from .adversary import Adversary, refine
 from .channel import (
     Feedback,
     Frozen,
@@ -23,6 +23,7 @@ from .channel import (
     Transcript,
     evaluate_query,
     feedback_to_json,
+    initial_state,
 )
 from .strategies import Strategy, checked_query, fold_strategy
 

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .adversary import initial_state, refine
-from .channel import DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, split_by_feedback
+from .adversary import refine
+from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, initial_state,
+                      split_by_feedback)
 from .errors import BudgetExceeded
 from .qtree import QTree, build_tree
 from .strategies import Strategy

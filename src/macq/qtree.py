@@ -20,15 +20,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .adversary import initial_state
 from .channel import (
     Feedback,
     Frozen,
     GameConfig,
     StationSet,
     Transcript,
-    feedback_order,
     format_station_set,
+    initial_state,
     set_field,
 )
 from .errors import AmbiguousLeaf, DomainError
@@ -161,7 +160,8 @@ def _feedback_label(feedback: Feedback) -> str:
 
 
 def export_graph(tree: QTree) -> str:
-    """Stable text rendering: one line per node, one per edge, preorder ids."""
+    """Stable text rendering: one line per node, one per edge, preorder ids.
+    A node's edges print in the order its ``children`` holds them."""
     lines: list[str] = []
     counter = 0
 
@@ -173,11 +173,11 @@ def export_graph(tree: QTree) -> str:
             lines.append(f"leaf {node_id} live={format_station_set(node.resolved_live or StationSet())}")
             return
         lines.append(f"node {node_id} query={format_station_set(node.query)}")
-        for feedback in sorted(node.children, key=feedback_order):
+        for feedback, child in node.children.items():
             # Ids go in preorder, so the child about to be visited gets ``counter``.
             lines.append(f"edge {node_id} {counter} label={_feedback_label(feedback)} "
                          f"color={'black' if feedback.is_single else 'red'}")
-            visit(node.children[feedback])
+            visit(child)
 
     visit(tree.root)
     return "\n".join(lines) + "\n"

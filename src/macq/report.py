@@ -7,9 +7,8 @@ bound does (LB_VIOLATION, which genuinely occurs for d = 1, n >= 4).
 
 from __future__ import annotations
 
-from .adversary import check_enumeration_budget
 from .bounds import counting_columns
-from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig
+from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, check_enumeration_budget
 from .engine import worst_case_rounds
 from .errors import BudgetExceeded, DomainError
 from .oracle import exact_optimal_rounds

@@ -29,7 +29,7 @@ from macq import (
     scripted,
     single,
 )
-from macq import adversary
+from macq import channel
 
 S = StationSet.from_ids
 
@@ -51,9 +51,9 @@ def test_initial_state_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         initial_state(GameConfig(40, 20))
     # The budget is read at call time, so the boundary can be pinned: C(10,3) = 120.
-    monkeypatch.setattr(adversary, "DEFAULT_ENUMERATION_BUDGET", 120)
+    monkeypatch.setattr(channel, "DEFAULT_ENUMERATION_BUDGET", 120)
     assert len(initial_state(GameConfig(10, 3)).family) == 120
-    monkeypatch.setattr(adversary, "DEFAULT_ENUMERATION_BUDGET", 119)
+    monkeypatch.setattr(channel, "DEFAULT_ENUMERATION_BUDGET", 119)
     with pytest.raises(BudgetExceeded, match=r"^C\(10,3\) = 120 candidate live sets exceed budget 119$"):
         initial_state(GameConfig(10, 3))
 

@@ -39,7 +39,6 @@ from macq import (
 from macq.channel import (
     branches,
     feedback_to_json,
-    feedback_order,
     station_cap,
 )
 
@@ -93,8 +92,24 @@ def test_format_station_set():
     assert format_station_set(StationSet.from_ids([3, 1])) == "{1,3}"
 
 
+class _Index:
+    """An integer type other than int, as numpy's are: it converts through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_game_config_validation():
     GameConfig(5, 2)  # accepted
+    # Integer types convert to plain ints; floats and strings are refused.
+    config = GameConfig(_Index(4), True)
+    assert config == GameConfig(4, 1) and type(config.n) is int and type(config.d) is int
+    for n, d in ((4.0, 2), (4, 2.0), ("4", 2), (None, 1)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            GameConfig(n, d)
     with pytest.raises(DomainError):
         GameConfig(0, 1)
     with pytest.raises(DomainError):
@@ -133,8 +148,18 @@ def test_feedback_validation():
     for station in (0, -1, 0, -1):
         with pytest.raises(DomainError):
             single(station)
-    # Nor is a station given as a float, which would stand in for the int's.
-    assert single(999.0) == single(999) and type(single(999).station) is int
+    # A station must be an integer: a float or a string is refused, even once
+    # the int's single is stored; an integer type converts to a plain int.
+    assert single(999).station == 999
+    for station in (2.5, 999.0, "3"):
+        with pytest.raises(DomainError, match="station id must be an integer"):
+            single(station)
+        with pytest.raises(DomainError, match="station id must be an integer"):
+            Feedback(FeedbackTag.SINGLE, station)
+    for station in (True, _Index(7)):
+        assert single(station.__index__()) is single(station)
+        assert type(single(station).station) is int
+        assert type(Feedback(FeedbackTag.SINGLE, station).station) is int
     with pytest.raises(DomainError):
         Feedback(FeedbackTag.SINGLE)
     with pytest.raises(DomainError):
@@ -143,17 +168,6 @@ def test_feedback_validation():
         Feedback(FeedbackTag.SILENCE, 1)
     with pytest.raises(DomainError):
         Feedback(FeedbackTag.COLLISION, 2)
-
-
-def test_feedback_order_sorts_silence_collision_then_singles():
-    fbs = [single(2), COLLISION, single(1), SILENCE, single(5)]
-    assert sorted(fbs, key=feedback_order) == [
-        SILENCE,
-        COLLISION,
-        single(1),
-        single(2),
-        single(5),
-    ]
 
 
 def test_evaluate_query_exhaustive_small():
@@ -248,7 +262,9 @@ def test_branches_partition_the_family_in_feedback_order():
                     query = StationSet(mask)
                     children = branches(state, query)
                     feedbacks = [feedback for feedback, _ in children]
-                    assert feedbacks == sorted(set(feedbacks), key=feedback_order)
+                    # Silence, then collision, then singles by sender.
+                    order = {SILENCE: -2, COLLISION: -1}
+                    assert feedbacks == sorted(set(feedbacks), key=lambda fb: order.get(fb, fb.station))
                     assert sorted(m for _, child in children for m in child.family) == sorted(state.family)
                     for feedback, child in children:
                         assert child.family

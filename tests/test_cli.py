@@ -347,7 +347,10 @@ SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
     # report loads every module that defines a value type, so this case shows
     # that the constructors Frozen generates need neither dataclasses nor inspect.
     ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])", SLOW_IMPORTS),
-], ids=["import", "bounds", "help", "report"])
+    # A tree prints no JSON and needs no adversary: its start position is the channel's.
+    ("from macq.cli import dispatch; dispatch(['tree', '--strategy', 'tree', '--n', '4', '--d', '2'])",
+     SLOW_IMPORTS + ("json", "macq.adversary", "macq.engine", "macq.oracle", "macq.report")),
+], ids=["import", "bounds", "help", "report", "tree"])
 def test_commands_do_not_import_mpmath(code, absent):
     proc = subprocess.run(
         [sys.executable, "-c",

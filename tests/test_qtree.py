@@ -314,6 +314,16 @@ def test_export_graph_is_deterministic():
     # ids are dense preorder integers
     ids = [int(line.split()[1]) for line in a.splitlines() if not line.startswith("edge")]
     assert ids == sorted(ids)
+    # Edges print in the order the node holds them; build_tree holds them in
+    # feedback order, and a hand-built node keeps its own.
+    root = QNode(S([1]), {single(1): QNode(resolved_live=S([1])), SILENCE: QNode(resolved_live=S([2]))})
+    assert export_graph(QTree(GameConfig(2, 1), root)) == (
+        "node 0 query={1}\n"
+        "edge 0 1 label=single:1 color=black\n"
+        "leaf 1 live={1}\n"
+        "edge 0 2 label=silence color=red\n"
+        "leaf 2 live={2}\n"
+    )
 
 
 def test_tree_strategy_replays_original_games():
