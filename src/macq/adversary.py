@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 from .channel import (
     COLLISION,
-    SILENCE,
     Feedback,
     KnowledgeState,
     StationSet,
@@ -39,19 +38,16 @@ def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> Know
     )
 
 
-def _preference(feedback: Feedback) -> tuple[int, int]:
-    # Fixed tie-break order: collision, then silence, then singles by id.
-    if feedback == COLLISION:
-        return (0, 0)
-    if feedback == SILENCE:
-        return (1, 0)
-    return (2, feedback.station or 0)
+def _rank(feedback: Feedback, score: int) -> tuple[int, bool, int]:
+    # Every adversary's answer rule, smallest first: the highest score, then
+    # collision, silence, and singles by lowest id.
+    return -score, feedback != COLLISION, feedback.station or 0
 
 
 def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
-    """Feedback keeping the largest surviving family (ties by preference)."""
+    """Feedback keeping the largest surviving family (ties broken by ``_rank``)."""
     sizes = {feedback: len(child.family) for feedback, child in branches(state, query)}
-    return min(sizes, key=lambda fb: (-sizes[fb], _preference(fb)))
+    return min(sizes, key=lambda fb: _rank(fb, sizes[fb]))
 
 
 def exact_answer(
@@ -64,7 +60,7 @@ def exact_answer(
 
     The strategy's future moves are fixed by replaying it on the extended
     transcript, so the adversary simply maximizes over feedback branches
-    (ties by preference).  ``transcript`` must be the rounds that produced
+    (ties broken by ``_rank``).  ``transcript`` must be the rounds that produced
     ``state``.
     """
     lengths = {
@@ -75,7 +71,7 @@ def exact_answer(
         )
         for feedback, child in branches(state, query)
     }
-    return min(lengths, key=lambda fb: (-lengths[fb], _preference(fb)))
+    return min(lengths, key=lambda fb: _rank(fb, lengths[fb]))
 
 
 # An adversary as the engine sees it: (state, query, transcript) -> feedback.
@@ -108,7 +104,7 @@ def make_exact_adversary(strategy: Strategy) -> Adversary:
         return 0, None, None, None
 
     def node(query: StationSet, children: list[tuple[Feedback, Line]]) -> Line:
-        feedback, below = min(children, key=lambda branch: (-branch[1][0], _preference(branch[0])))
+        feedback, below = min(children, key=lambda branch: _rank(branch[0], branch[1][0]))
         return 1 + below[0], query, feedback, below
 
     def answer(state: KnowledgeState, query: StationSet, transcript: Transcript) -> Feedback:

@@ -153,6 +153,7 @@ class StationSet(Frozen, defaults={"mask": 0}):
         beyond ``station_cap()``, which no game holds, allocates nothing."""
         mask, cap = 0, station_cap()
         for i in ids:
+            i = _integer("station id", i)
             if i < 1:
                 raise DomainError(f"station ids are 1-based, got {i}")
             if i > cap:
@@ -164,6 +165,7 @@ class StationSet(Frozen, defaults={"mask": 0}):
 
     @classmethod
     def full(cls, n: int) -> StationSet:
+        n = _integer("set size", n)
         if n < 0:
             raise DomainError(f"set size must be non-negative, got {n}")
         return cls((1 << n) - 1)

@@ -121,7 +121,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     if args.live is not None:
-        if args.live[-1] > config.n:  # before the mask, which grows with the largest id
+        if args.live[-1] > config.n:  # so the error names n, not the station cap
             raise DomainError(f"live set {format_station_set(args.live)} exceeds n={config.n}")
         result = run_fixed(strategy, config, StationSet.from_ids(args.live))
     else:

@@ -57,6 +57,10 @@ def test_station_set_rejects_nonpositive_ids():
     # Beyond the station cap the id is refused before its bit is set.
     with pytest.raises(DomainError, match="MACQ_MAX_N"):
         StationSet.from_ids([1, 10**19])
+    # An id that is not an integer is refused, not left to fail in the bit shift.
+    for station in (2.5, "3"):
+        with pytest.raises(DomainError, match="station id must be an integer"):
+            StationSet.from_ids([station])
 
 
 def test_station_set_semantics_match_frozenset():
@@ -83,8 +87,13 @@ def test_station_set_singleton_and_full():
     assert tuple(StationSet.from_ids((4,))) == (4,)
     assert tuple(StationSet.full(3)) == (1, 2, 3)
     assert tuple(StationSet.full(0)) == ()
+    # Integer types convert, as in GameConfig; a float size is refused.
+    assert tuple(StationSet.from_ids([_Index(3), True])) == (1, 3)
+    assert StationSet.full(_Index(2)) == StationSet.full(2)
     with pytest.raises(DomainError):
         StationSet.full(-1)
+    with pytest.raises(DomainError, match="set size must be an integer"):
+        StationSet.full(2.5)
 
 
 def test_format_station_set():

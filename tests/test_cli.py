@@ -279,8 +279,8 @@ def test_domain_errors_exit_1(capsys):
 
 @pytest.mark.parametrize("live", ["1,9", "1,10000000000000000000"])
 def test_live_ids_beyond_n_exit_1(capsys, live):
-    # The ids are compared with n before any mask is built: a mask with bit
-    # 10**19 would not fit in memory.
+    # The ids are compared with n before any mask is built, so both errors name
+    # n=4; StationSet.from_ids alone would refuse 10**19 by the station cap.
     code, out, err = run_cli(
         capsys, "simulate", "--strategy", "tree", "--n", "4", "--d", "2", "--live", live
     )
