@@ -67,7 +67,7 @@ def exact_answer(
         # One round now, plus the rounds the strategy can be forced to play below.
         feedback: 1 + fold_strategy(
             strategy, child, transcript.extend(query, feedback),
-            lambda family: 0, lambda _, below: 1 + max(depth for _, depth in below),
+            lambda family, revealed: 0, lambda _, below: 1 + max(depth for _, _, depth in below),
         )
         for feedback, child in branches(state, query)
     }
@@ -95,23 +95,27 @@ def make_exact_adversary(strategy: Strategy) -> Adversary:
     The fold keeps only the line the adversary forces below each node, so
     it holds one path, not the tree.  Each later call follows that line
     while the game stays on it (the transcript the line starts from, and the
-    line's query), and any other position is folded afresh.
+    line's query), and any other position is folded afresh.  The adversary
+    keeps one fold memo for its whole life, keyed by config as well, so a
+    line below a strategy state and residual family met before, in this game
+    or an earlier one, is not folded again.
     """
     expected: Transcript | None = None  # the position the line starts from
     line: Line = (0, None, None, None)
+    memo: dict = {}
 
-    def leaf(family: Sequence[int]) -> Line:
+    def leaf(family: Sequence[int], revealed: int) -> Line:
         return 0, None, None, None
 
-    def node(query: StationSet, children: list[tuple[Feedback, Line]]) -> Line:
-        feedback, below = min(children, key=lambda branch: _rank(branch[0], branch[1][0]))
+    def node(query: StationSet, children: list[tuple[Feedback, int, Line]]) -> Line:
+        feedback, _, below = min(children, key=lambda branch: _rank(branch[0], branch[2][0]))
         return 1 + below[0], query, feedback, below
 
     def answer(state: KnowledgeState, query: StationSet, transcript: Transcript) -> Feedback:
         nonlocal expected, line
         if transcript != expected or line[1] != query:
-            line = node(query, [(feedback, fold_strategy(
-                strategy, child, transcript.extend(query, feedback), leaf, node,
+            line = node(query, [(feedback, child.revealed ^ state.revealed, fold_strategy(
+                strategy, child, transcript.extend(query, feedback), leaf, node, memo=memo,
             )) for feedback, child in branches(state, query)])
         _, _, feedback, line = line
         expected = transcript.extend(query, feedback)

@@ -50,18 +50,24 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
 
     A live set's rounds_used is the depth of its leaf in the strategy's
     decision tree, so one fold of that tree, never built, gives the maximum.
-    The witness is the first deepest live set in ascending id order, the
-    order of ``itertools.combinations``.
+    The fold keeps a memo, so a subtree below positions with the same
+    strategy state and residual family is folded once.  Each subtree's
+    witness is therefore kept without the stations revealed above it, and a
+    node adds back those its branch revealed.  The witness is the first
+    deepest live set in ascending id order, the order of
+    ``itertools.combinations``; striking the stations that every candidate
+    holds keeps that order.
     """
 
-    def leaf(family: Sequence[int]) -> tuple[int, int]:
-        return 0, _first_in_id_order(family)
+    def leaf(family: Sequence[int], revealed: int) -> tuple[int, int]:
+        return 0, _first_in_id_order(family) & ~revealed
 
     def node(
-        query: StationSet, branches: list[tuple[Feedback, tuple[int, int]]]
+        query: StationSet, branches: list[tuple[Feedback, int, tuple[int, int]]]
     ) -> tuple[int, int]:
         deepest = witness = -1
-        for _, (depth, live) in branches:
+        for _, fresh, (depth, live) in branches:
+            live |= fresh
             if depth > deepest:
                 deepest, witness = depth, live
             elif depth == deepest:
@@ -70,7 +76,8 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
                     witness = live
         return 1 + deepest, witness
 
-    rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config), leaf, node)
+    rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config),
+                                    leaf, node, memo={})
     return rounds, StationSet(witness)
 
 

@@ -80,7 +80,7 @@ def build_tree(
     if normal:
         strategy = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
 
-    def leaf(family: Sequence[int]) -> QNode:
+    def leaf(family: Sequence[int], revealed: int) -> QNode:
         if len(family) > 1:
             raise AmbiguousLeaf(
                 f"strategy {strategy.name!r} stopped with {len(family)} live sets "
@@ -90,8 +90,8 @@ def build_tree(
         # One live set is left: the strategy stopped on it, or all d are revealed.
         return QNode(resolved_live=StationSet(family[0]))
 
-    def node(query: StationSet, branches: list[tuple[Feedback, QNode]]) -> QNode:
-        return QNode(query=query, children=dict(branches))
+    def node(query: StationSet, branches: list[tuple[Feedback, int, QNode]]) -> QNode:
+        return QNode(query=query, children={feedback: child for feedback, _, child in branches})
 
     return QTree(config, fold_strategy(strategy, initial_state(config),
                                        Transcript(config), leaf, node, normal))

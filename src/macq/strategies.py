@@ -13,7 +13,11 @@ stations have transmitted alone, and ``query`` is never asked past that.
 ``KnowledgeState``, carrying the state down its decision tree, so each node
 costs one ``query`` and each edge one ``step``.  The decision tree and its
 normal form, the worst-case sweep, the exact adversary's look-ahead and the
-oracle's witness tree are folds of that one walk.
+oracle's witness tree are folds of that one walk.  Given a memo, the walk
+folds a subtree once per (config, strategy state, residual family), the
+transposition memo of MTD(f) (Plaat, Schaeffer, Pijls and de Bruin, AIJ
+1996) that the oracle keeps too: the worst-case sweep and the exact
+adversary pass one, while the decision tree is built node by node.
 """
 
 from __future__ import annotations
@@ -71,22 +75,29 @@ def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> An
     return state
 
 
+def _round_cap(config: GameConfig) -> int:
+    return 4 * config.n + 16
+
+
 def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int,
                   revealed: int) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds, or
     None once the mask ``revealed`` holds d stations, the end of every game;
-    a query past the round cap of 4n + 16 or beyond n is refused."""
+    a query past the round cap of 4n + 16, beyond n or with a negative mask
+    is refused."""
     if revealed.bit_count() >= config.d:
         return None
     action = strategy.query(config, state)
     if action is None:
         return None
-    cap = 4 * config.n + 16
+    cap = _round_cap(config)
     if rounds >= cap:
         raise CapExceeded(
             f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
         )
     if action.mask >> config.n:
+        if action.mask < 0:  # its bits never run out, so it cannot be listed
+            raise InvalidQuery(f"strategy {strategy.name!r} queried the negative mask {action.mask}")
         raise InvalidQuery(
             f"strategy {strategy.name!r} queried stations "
             f"{format_station_set(action - StationSet.full(config.n))} beyond n={config.n}"
@@ -98,42 +109,91 @@ def fold_strategy(
     strategy: Strategy,
     position: KnowledgeState,
     transcript: Transcript,
-    leaf: Callable[[Sequence[int]], T],
-    node: Callable[[StationSet, list[tuple[Feedback, T]]], T],
+    leaf: Callable[[Sequence[int], int], T],
+    node: Callable[[StationSet, list[tuple[Feedback, int, T]]], T],
     normal: bool = False,
+    memo: dict | None = None,
 ) -> T:
     """Fold the strategy's decision tree below one position.
 
     ``position`` is the knowledge state the transcript leads to; the game's
     config comes from the transcript.  The game stops once d stations are
     revealed or the strategy returns None; such a position folds to
-    ``leaf(family)``.  Otherwise its query splits the family by feedback and
-    ``node(query, branches)`` combines the folded children as (feedback, value)
-    pairs in feedback order.  The strategy's state is replayed from the
-    transcript once, then moved one ``step`` down each edge.
+    ``leaf(family, revealed)``.  Otherwise its query splits the family by
+    feedback and ``node(query, branches)`` combines the folded children as
+    (feedback, fresh, value) triples in feedback order, where ``fresh`` is the
+    mask of the stations that edge newly revealed: a single from a sender
+    revealed before reveals nothing.  The strategy's state is replayed from
+    the transcript once, then moved one ``step`` down each edge.
 
     With ``normal`` set the walk plays each query minus the revealed
     stations: that reduced query splits the family and reaches ``node``, while
     the strategy steps on its own query and the feedback that query drew.
     Every member of a group holds the revealed stations, so any one of them
     gives that feedback; a query holding none of them is played unchanged.
+
+    A ``memo`` (a dict kept by the caller, one per strategy) shares folded
+    subtrees between positions with the same config, strategy state and
+    residual family (the family with the revealed stations struck).  A value
+    must then depend on the revealed stations only through ``fresh``: a leaf
+    strikes them from what it reports, and a node relates each branch to its
+    own revealed set by that branch's ``fresh``.  A stored subtree is reused
+    only where none of its queries hold a station revealed at either
+    position, so each member draws the same feedback, and where its deepest
+    query still comes before the round cap, so ``CapExceeded`` is raised as
+    without the memo.  The memo is not used with ``normal`` or for a
+    transcript-form strategy, whose states never repeat, and a subtree below
+    a state with no hash (a ``tree_strategy`` node, say) is folded without it.
     """
     config, step = transcript.config, strategy.step
 
     def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
         query = checked_query(strategy, config, state, rounds, revealed)
         if query is None:
-            return leaf(family)
+            return leaf(family, revealed)
         reduced = normal and query.mask & revealed
         played = StationSet(query.mask & ~revealed) if reduced else query
         branches = []  # a loop, not a comprehension: one frame per round of depth
         for feedback, group, below in split_edges(family, revealed, played.mask):
             drawn = evaluate_query(query, StationSet(group[0])) if reduced else feedback
-            branches.append((feedback, visit(group, step(state, query, drawn), rounds + 1, below)))
+            branches.append((feedback, below ^ revealed,
+                             visit(group, step(state, query, drawn), rounds + 1, below)))
         return node(played, branches)
 
-    return visit(position.family, replay(strategy, config, transcript), len(transcript.rounds),
-                 position.revealed)
+    cap = _round_cap(config)
+
+    def shared(family: Sequence[int], state: Any, rounds: int,
+               revealed: int) -> tuple[T, int, int]:
+        # The value, the union of the subtree's queries, and the depth of its
+        # deepest query below this position (-1 where the game stops here).
+        key = (config, state, tuple(m & ~revealed for m in family) if revealed else tuple(family))
+        try:
+            hit = memo.get(key)
+        except TypeError:  # a state without a hash: fold below it unshared, never to be reused
+            return visit(family, state, rounds, revealed), -1, cap
+        if hit is not None and not hit[1] & revealed and rounds + hit[2] < cap:
+            return hit
+        query = checked_query(strategy, config, state, rounds, revealed)
+        if query is None:
+            result = leaf(family, revealed), 0, -1
+        else:
+            used, deepest, branches = query.mask, 0, []
+            for feedback, group, below in split_edges(family, revealed, query.mask):
+                value, asked, depth = shared(group, step(state, query, feedback), rounds + 1, below)
+                used |= asked
+                if depth >= deepest:
+                    deepest = depth + 1
+                branches.append((feedback, below ^ revealed, value))
+            result = node(query, branches), used, deepest
+        if not result[1] & revealed:
+            memo[key] = result
+        return result
+
+    state = replay(strategy, config, transcript)
+    rounds = len(transcript.rounds)
+    if memo is None or normal or step is Transcript.extend:
+        return visit(position.family, state, rounds, position.revealed)
+    return shared(position.family, state, rounds, position.revealed)[0]
 
 
 def _count(played: int, query: StationSet, feedback: Feedback) -> int:

@@ -29,6 +29,7 @@ from macq import (
     game_result_to_doc,
     greedy_adversary,
     make_exact_adversary,
+    optimal_strategy,
     run_adversarial,
     run_fixed,
     scripted,
@@ -128,6 +129,144 @@ def test_round_cap_turns_livelock_into_error():
         assert str(raised.value) == "strategy 'stall' still querying after 28 rounds (n=3, d=1)"
 
 
+def test_negative_query_mask_is_refused():
+    # A negative mask has no highest bit, so listing its stations beyond n
+    # never ends; it is refused first, in the transcript and machine forms.
+    cfg = GameConfig(3, 1)
+    for neg in (Strategy("neg", lambda config, transcript: StationSet(-1)),
+                Strategy("neg", lambda config, state: StationSet(-1), lambda config: 0,
+                         lambda state, query, feedback: state)):
+        for run in (lambda: run_fixed(neg, cfg, S([1])), lambda: worst_case_rounds(neg, cfg),
+                    lambda: build_tree(neg, cfg)):
+            with pytest.raises(InvalidQuery) as raised:
+                run()
+            assert str(raised.value) == "strategy 'neg' queried the negative mask -1"
+
+
+def _recurring(wait, box=tuple):
+    """Query {1,2} at (4,2); single(1) and single(2) both leave the residual
+    family {3},{4}.  single(1) goes straight to a chain of 20 empty queries,
+    single(2) first waits ``wait`` empty rounds, so the chain's state and
+    family recur at round 1 and at round 1 + wait.  ``box`` holds each later
+    state of the chain; a list has no hash."""
+
+    def query(config, state):
+        if state == "root":
+            return S([1, 2])
+        return StationSet() if state[1] else None
+
+    def step(state, query, feedback):
+        if state == "root":
+            return {single(1): ("chain", 20), single(2): ("wait", wait)}.get(feedback, ("chain", 0))
+        kind, left = state
+        if kind == "wait":
+            return ("chain", 20) if left == 1 else (kind, left - 1)
+        return box((kind, left - 1))
+
+    return Strategy("recur", query, lambda config: "root", step)
+
+
+def test_shared_fold_reuses_a_subtree_only_below_the_cap():
+    cfg = GameConfig(4, 2)  # round cap 32
+    for box in (tuple, list):
+        # Reached again at round 11, the chain's last query comes at round 30.
+        soon = _recurring(10, box)
+        assert worst_case_rounds(soon, cfg) == (31, S([2, 3]))
+        assert run_adversarial(soon, make_exact_adversary(soon), cfg).rounds_used == 31
+        # Reached again at round 16, it would query at round 32: the fold it
+        # stored at round 1 must not stand in for that.
+        late = _recurring(15, box)
+        for run in (lambda: worst_case_rounds(late, cfg),
+                    lambda: run_adversarial(late, make_exact_adversary(late), cfg)):
+            with pytest.raises(CapExceeded) as raised:
+                run()
+            assert str(raised.value) == "strategy 'recur' still querying after 32 rounds (n=4, d=2)"
+
+
+def test_exact_adversary_keeps_each_config_apart():
+    # First query {2..n}: a single leaves the residual family {1} in every
+    # config, in state "loop", which stops for n >= 5 and stalls below.
+    def query(config, state):
+        if state == "first":
+            return StationSet.full(config.n) - S([1])
+        if state == "loop":
+            return StationSet() if config.n < 5 else None
+        return StationSet() if state == "collided" else None
+
+    def step(state, query, feedback):
+        if state == "first":
+            return "collided" if feedback == COLLISION else "loop"
+        return "end" if state == "collided" else state
+
+    strategy = Strategy("by-n", query, lambda config: "first", step)
+    adversary = make_exact_adversary(strategy)
+    assert run_adversarial(strategy, adversary, GameConfig(6, 2)).rounds_used == 2
+    with pytest.raises(CapExceeded) as raised:
+        run_adversarial(strategy, adversary, GameConfig(3, 2))
+    assert str(raised.value) == "strategy 'by-n' still querying after 28 rounds (n=3, d=2)"
+
+
+def _unshared(strategy):
+    """``strategy`` with its state boxed in a list: no state hashes, so its
+    folds never share a subtree."""
+    return Strategy(strategy.name, lambda config, box: strategy.query(config, box[0]),
+                    lambda config: [strategy.start(config)],
+                    lambda box, query, feedback: [strategy.step(box[0], query, feedback)])
+
+
+def _machine(name, query, step=lambda k, query, feedback: k + 1):
+    return Strategy(name, query, lambda config: 0, step)
+
+
+# Prefixes {1}, {1,2}, ..., {1..n}, then stop: from the second single on they
+# query revealed stations, and with d >= 3 some games stop undecided.
+PREFIXES = _machine("prefixes", lambda config, k: StationSet.full(k + 1) if k < config.n else None)
+# Prefixes {1}, {1,2}, {1,2,3} round and round (cut at n): each state recurs
+# every 3 rounds, at ever more rounds, until d reveals or the cap.
+CYCLE = _machine("cycle", lambda config, k: StationSet.full(min(k + 1, config.n)),
+                 lambda k, query, feedback: (k + 1) % 3)
+MACHINE_STALL = _machine("stall", lambda config, k: StationSet(), lambda k, query, feedback: k)
+# After silence then single(2), and after single(1) then silence, the state
+# and the residual family agree, but only the first has revealed station 2,
+# which the next query holds.
+REVISIT = scripted("revisit", [S([1]), S([2]), S([2, 3]), S([3])])
+
+
+def test_shared_and_unshared_folds_agree():
+    rng = random.Random(26)
+    fixed = [LINEAR_SCAN, TREE_SPLIT, STALL, MACHINE_STALL, PREFIXES, CYCLE, REVISIT,
+             optimal_strategy(cap=(7, 3))]
+    # strategy -> (its unshared form, an exact adversary for each form); the
+    # fixed strategies keep theirs, memo included, through every config.
+    forms = {}
+    seen = collections.Counter()
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            cfg = GameConfig(n, d)
+            strategies = list(fixed)
+            for _ in range(3):
+                script = [random_subset(rng, n) for _ in range(rng.randrange(2 * n + 3))]
+                strategies.append(scripted("script", script))
+            strategies.append(random_adaptive(rng.randrange(10**6), n))
+            strategies.append(tree_strategy(build_tree(LINEAR_SCAN, cfg)))
+            for tree_d in {d, d % n + 1}:
+                strategies.append(tree_strategy(build_tree(TREE_SPLIT, GameConfig(n, tree_d))))
+            for strategy in strategies:
+                if strategy not in forms:
+                    unshared = _unshared(strategy)
+                    forms[strategy] = (unshared, make_exact_adversary(strategy),
+                                       make_exact_adversary(unshared))
+                unshared, shared_adversary, plain_adversary = forms[strategy]
+                worst = _game(worst_case_rounds, strategy, cfg)
+                assert worst == _game(worst_case_rounds, unshared, cfg), (strategy.name, cfg)
+                game = _game(run_adversarial, strategy, shared_adversary, cfg)
+                assert game == _game(run_adversarial, unshared, plain_adversary, cfg), (
+                    strategy.name, cfg)
+                for outcome in (worst, game):
+                    seen[outcome.split(":")[0] if isinstance(outcome, str) else "ok"] += 1
+    assert set(seen) == {"ok", "CapExceeded", "InvalidQuery", "DomainError", "BudgetExceeded"}, seen
+
+
 def _reference_run_fixed(strategy, config, live):
     """run_fixed with its own loop over the transcript (reference only)."""
     if not live.issubset(StationSet.full(config.n)):
@@ -155,9 +294,9 @@ def _reference_run_fixed(strategy, config, live):
     return GameResult(transcript, len(transcript.rounds), completed, live)
 
 
-def _game(run, strategy, cfg, live):
+def _game(run, *args):
     try:
-        return run(strategy, cfg, live)
+        return run(*args)
     except MacqError as exc:
         return f"{type(exc).__name__}: {exc}"
 

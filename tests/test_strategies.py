@@ -299,6 +299,16 @@ def test_worst_case_sweep_asks_once_per_internal_node():
             assert calls["step"] <= edges, (strategy.name, n, d, calls, edges)
 
 
+def test_worst_case_sweep_shares_transposed_subtrees():
+    # The unshared walk asks 8,071 (tree) and 11,627 (linear) queries here;
+    # the positions hold a few hundred distinct states and residual families.
+    cfg = GameConfig(18, 5)
+    for strategy in (LINEAR_SCAN, TREE_SPLIT):
+        counted, calls = _counted(strategy)
+        assert worst_case_rounds(counted, cfg) == worst_case_rounds(strategy, cfg)
+        assert calls["query"] < 1000, (strategy.name, calls)
+
+
 def test_transcript_strategies_keep_the_transcript_as_state():
     def fn(config, transcript):
         return (S([1, 2]), S([3]))[len(transcript.rounds)]  # IndexError if asked a third time
