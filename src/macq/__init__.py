@@ -39,7 +39,7 @@ _EXPORTS = {
     "oracle": ("exact_optimal_rounds", "optimal_strategy", "optimal_strategy_tree"),
     "qtree": (
         "NormalFormReport", "QNode", "QTree", "build_tree", "check_normal_form", "export_graph",
-        "tree_strategy",
+        "normal_form_report", "tree_strategy",
     ),
     "report": (
         "CSV_HEADER", "FLAG_CLAIM_EXCEEDS_OPT", "FLAG_LB_VIOLATION", "ReportRow",

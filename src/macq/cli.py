@@ -153,17 +153,16 @@ def _cmd_worst_case(args: argparse.Namespace) -> str:
 
 
 def _cmd_tree(args: argparse.Namespace) -> str:
-    from .qtree import build_tree, check_normal_form, export_graph
+    from .qtree import build_tree, export_graph, normal_form_report
 
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
-    built = build_tree(strategy, config, normal=args.normalize)
     if args.check:
         import json
 
-        report = check_normal_form(built)
+        report = normal_form_report(strategy, config, normal=args.normalize)
         return json.dumps({name: getattr(report, name) for name in report.__slots__}) + "\n"
-    return export_graph(built)
+    return export_graph(build_tree(strategy, config, normal=args.normalize))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:

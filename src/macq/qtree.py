@@ -14,11 +14,15 @@ result keeps path lengths at most equal to the original, gives every
 root-to-leaf path exactly d black edges with distinct stations, and one leaf
 per size-d live set.  A query that reduces to the empty set stays as a silent
 round.
+
+``check_normal_form`` measures a built tree.  ``normal_form_report`` gives the
+same report from a fold with a memo, building no tree: a subtree's measure is
+relative to the revealed stations, as ``worst_case_rounds``'s witness is.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .channel import (
     Feedback,
@@ -31,7 +35,7 @@ from .channel import (
     set_field,
 )
 from .errors import AmbiguousLeaf, DomainError
-from .strategies import Strategy, fold_strategy
+from .strategies import Strategy, T, fold_strategy
 
 
 class QNode(Frozen):
@@ -63,6 +67,27 @@ class QTree(Frozen):
     root: QNode
 
 
+def _fold_tree(strategy: Strategy, config: GameConfig, normal: bool, leaf: Callable[[int, int], T],
+               node: Callable[..., T], memo: dict | None = None) -> T:
+    """Fold the strategy's tree over all C(n,d) live sets, ``leaf(live, revealed)``
+    at each live set left; with ``normal`` errors name it ``<name>-normal``."""
+    if normal:
+        strategy = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
+
+    def resolved(family: Sequence[int], revealed: int) -> T:
+        if len(family) > 1:
+            raise AmbiguousLeaf(
+                f"strategy {strategy.name!r} stopped with {len(family)} live sets "
+                f"sharing the transcript, e.g. {format_station_set(StationSet(family[0]))} and "
+                f"{format_station_set(StationSet(family[1]))}"
+            )
+        # One live set is left: the strategy stopped on it, or all d are revealed.
+        return leaf(family[0], revealed)
+
+    return fold_strategy(strategy, initial_state(config), Transcript(config), resolved, node,
+                         normal, memo)
+
+
 def build_tree(
     strategy: Strategy,
     config: GameConfig,
@@ -77,24 +102,12 @@ def build_tree(
     every query minus the stations already revealed on its path (see
     ``fold_strategy``), and errors name the strategy ``<name>-normal``.
     """
-    if normal:
-        strategy = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
-
-    def leaf(family: Sequence[int], revealed: int) -> QNode:
-        if len(family) > 1:
-            raise AmbiguousLeaf(
-                f"strategy {strategy.name!r} stopped with {len(family)} live sets "
-                f"sharing the transcript, e.g. {format_station_set(StationSet(family[0]))} and "
-                f"{format_station_set(StationSet(family[1]))}"
-            )
-        # One live set is left: the strategy stopped on it, or all d are revealed.
-        return QNode(resolved_live=StationSet(family[0]))
 
     def node(query: StationSet, branches: list[tuple[Feedback, int, QNode]]) -> QNode:
         return QNode(query=query, children={feedback: child for feedback, _, child in branches})
 
-    return QTree(config, fold_strategy(strategy, initial_state(config),
-                                       Transcript(config), leaf, node, normal))
+    return QTree(config, _fold_tree(strategy, config, normal,
+                                    lambda live, _: QNode(resolved_live=StationSet(live)), node))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +126,44 @@ class NormalFormReport(Frozen):
     property_holds: bool
 
 
+# A subtree's measure: its depth, its leaves per count of black edges below,
+# and its leaves with a repeated sender and with a live set not all revealed.
+_Measure = tuple[int, dict[int, int], int, int]
+
+
+def _measure_leaf(live: int, revealed: int) -> _Measure:
+    # A walk's live set holds the revealed stations: only its residual decides this.
+    return 0, {0: 1}, 0, live != revealed
+
+
+def _measure_node(query: StationSet, branches: list[tuple[Feedback, int, _Measure]]) -> _Measure:
+    deepest, blacks, repeated, mismatched = 0, {}, 0, 0
+    for feedback, fresh, (depth, below, rep, mis) in branches:
+        deepest = max(deepest, depth)
+        if feedback.is_single:
+            below = {count + 1: leaves for count, leaves in below.items()}
+            if not fresh:  # its sender transmitted alone higher up the path
+                rep = sum(below.values())
+        for count, leaves in below.items():
+            blacks[count] = blacks.get(count, 0) + leaves
+        repeated, mismatched = repeated + rep, mismatched + mis
+    return 1 + deepest, blacks, repeated, mismatched
+
+
+def _report(measure: _Measure, partition: bool) -> NormalFormReport:
+    depth, blacks, repeated, mismatched = measure
+    paths = tuple(count for count in sorted(blacks) for _ in range(blacks[count]))
+    return NormalFormReport(depth, len(paths), paths, repeated,
+                            repeated == mismatched == 0 and partition)
+
+
+def normal_form_report(strategy: Strategy, config: GameConfig, *,
+                       normal: bool = False) -> NormalFormReport:
+    """``check_normal_form(build_tree(strategy, config, normal=normal))`` and its
+    errors, with no tree built; the fold's leaves partition the live sets."""
+    return _report(_fold_tree(strategy, config, normal, _measure_leaf, _measure_node, {}), True)
+
+
 def check_normal_form(tree: QTree) -> NormalFormReport:
     """Measure the normal-form properties of a tree.
 
@@ -121,34 +172,19 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
     come from pairwise distinct stations that are exactly its leaf's live set,
     and the leaves' live sets to be the size-d subsets of 1..n, one each.
     """
-    blacks: list[int] = []
     lives: list[int] = []
-    repeated = mismatched = 0
 
-    def walk(node: QNode, count: int, senders: int) -> int:
-        nonlocal repeated, mismatched
+    def walk(node: QNode, senders: int) -> _Measure:
         if node.is_leaf:
-            live = node.resolved_live.mask if node.resolved_live is not None else 0
-            blacks.append(count)
-            lives.append(live)
-            repeated += senders.bit_count() != count
-            mismatched += senders != live
-            return 0
-        deepest = 0
+            lives.append(node.resolved_live.mask if node.resolved_live is not None else 0)
+            return _measure_leaf(lives[-1], senders)
+        branches = []
         for feedback, child in node.children.items():
             sender = 1 << (feedback.station - 1) if feedback.is_single else 0
-            deepest = max(deepest, walk(child, count + feedback.is_single, senders | sender))
-        return 1 + deepest
+            branches.append((feedback, sender & ~senders, walk(child, senders | sender)))
+        return _measure_node(node.query, branches)
 
-    depth = walk(tree.root, 0, 0)
-    holds = repeated == mismatched == 0 and tuple(sorted(lives)) == initial_state(tree.config).family
-    return NormalFormReport(
-        max_depth=depth,
-        leaf_count=len(blacks),
-        black_per_path=tuple(sorted(blacks)),
-        repeated_transmitter_paths=repeated,
-        property_holds=holds,
-    )
+    return _report(walk(tree.root, 0), tuple(sorted(lives)) == initial_state(tree.config).family)
 
 
 # ---------------------------------------------------------------------------

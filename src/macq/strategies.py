@@ -16,8 +16,8 @@ normal form, the worst-case sweep, the exact adversary's look-ahead and the
 oracle's witness tree are folds of that one walk.  Given a memo, the walk
 folds a subtree once per (config, strategy state, residual family), the
 transposition memo of MTD(f) (Plaat, Schaeffer, Pijls and de Bruin, AIJ
-1996) that the oracle keeps too: the worst-case sweep and the exact
-adversary pass one, while the decision tree is built node by node.
+1996) that the oracle keeps too: the worst-case sweep, the exact adversary
+and the normal-form report pass one; the decision tree is built node by node.
 """
 
 from __future__ import annotations
@@ -138,24 +138,31 @@ def fold_strategy(
     must then depend on the revealed stations only through ``fresh``: a leaf
     strikes them from what it reports, and a node relates each branch to its
     own revealed set by that branch's ``fresh``.  A stored subtree is reused
-    only where none of its queries hold a station revealed at either
-    position, so each member draws the same feedback, and where its deepest
-    query still comes before the round cap, so ``CapExceeded`` is raised as
-    without the memo.  The memo is not used with ``normal`` or for a
-    transcript-form strategy, whose states never repeat, and a subtree below
-    a state with no hash (a ``tree_strategy`` node, say) is folded without it.
+    only where none of the strategy's own queries in it hold a station
+    revealed at either position, so each member draws the same feedback and
+    ``normal`` reduces nothing, and where its deepest query still comes before
+    the round cap, so ``CapExceeded`` is raised as without the memo.  The memo
+    is not used for a transcript-form strategy, whose states never repeat, and
+    a subtree below a state with no hash (a ``tree_strategy`` node) is not shared.
     """
     config, step = transcript.config, strategy.step
+
+    def edges(family: Sequence[int], query: StationSet,
+              revealed: int) -> tuple[StationSet, list[tuple[Feedback, list[int], int, Feedback]]]:
+        # The query played here, and per branch (feedback, group, revealed
+        # below, the feedback the strategy's own query drew).
+        played = StationSet(query.mask & ~revealed) if normal and query.mask & revealed else query
+        return played, [(feedback, group, below, feedback if played is query
+                          else evaluate_query(query, StationSet(group[0])))
+                        for feedback, group, below in split_edges(family, revealed, played.mask)]
 
     def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
         query = checked_query(strategy, config, state, rounds, revealed)
         if query is None:
             return leaf(family, revealed)
-        reduced = normal and query.mask & revealed
-        played = StationSet(query.mask & ~revealed) if reduced else query
+        played, split = edges(family, query, revealed)
         branches = []  # a loop, not a comprehension: one frame per round of depth
-        for feedback, group, below in split_edges(family, revealed, played.mask):
-            drawn = evaluate_query(query, StationSet(group[0])) if reduced else feedback
+        for feedback, group, below, drawn in split:
             branches.append((feedback, below ^ revealed,
                              visit(group, step(state, query, drawn), rounds + 1, below)))
         return node(played, branches)
@@ -177,21 +184,23 @@ def fold_strategy(
         if query is None:
             result = leaf(family, revealed), 0, -1
         else:
+            # The strategy's own query: a subtree where ``normal`` reduces one is never stored.
             used, deepest, branches = query.mask, 0, []
-            for feedback, group, below in split_edges(family, revealed, query.mask):
-                value, asked, depth = shared(group, step(state, query, feedback), rounds + 1, below)
+            played, split = edges(family, query, revealed)
+            for feedback, group, below, drawn in split:
+                value, asked, depth = shared(group, step(state, query, drawn), rounds + 1, below)
                 used |= asked
                 if depth >= deepest:
                     deepest = depth + 1
                 branches.append((feedback, below ^ revealed, value))
-            result = node(query, branches), used, deepest
+            result = node(played, branches), used, deepest
         if not result[1] & revealed:
             memo[key] = result
         return result
 
     state = replay(strategy, config, transcript)
     rounds = len(transcript.rounds)
-    if memo is None or normal or step is Transcript.extend:
+    if memo is None or step is Transcript.extend:
         return visit(position.family, state, rounds, position.revealed)
     return shared(position.family, state, rounds, position.revealed)[0]
 

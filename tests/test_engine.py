@@ -19,16 +19,19 @@ from macq import (
     InvalidQuery,
     LINEAR_SCAN,
     MacqError,
+    NormalFormReport,
     TREE_SPLIT,
     StationSet,
     Strategy,
     Transcript,
     build_tree,
+    check_normal_form,
     evaluate_query,
     format_station_set,
     game_result_to_doc,
     greedy_adversary,
     make_exact_adversary,
+    normal_form_report,
     optimal_strategy,
     run_adversarial,
     run_fixed,
@@ -230,11 +233,18 @@ MACHINE_STALL = _machine("stall", lambda config, k: StationSet(), lambda k, quer
 # and the residual family agree, but only the first has revealed station 2,
 # which the next query holds.
 REVISIT = scripted("revisit", [S([1]), S([2]), S([2, 3]), S([3])])
+# {1,2}, then after a single {1,3}, then {4} only if that drew single(1).  At
+# (4,2) single(1) and single(2) leave the same state and residual family, but
+# normal form reduces {1,3} to {3} only after single(1), where the strategy
+# still draws collision or single(1): that subtree must not stand in for the other.
+REDUCED = _machine("reduced", lambda config, k: (S([1, 2]), S([1, 3]), S([4]), None)[k],
+                   lambda k, query, feedback: 1 if k == 0 and feedback.is_single
+                   else 2 if k == 1 and feedback == single(1) else 3)
 
 
 def test_shared_and_unshared_folds_agree():
     rng = random.Random(26)
-    fixed = [LINEAR_SCAN, TREE_SPLIT, STALL, MACHINE_STALL, PREFIXES, CYCLE, REVISIT,
+    fixed = [LINEAR_SCAN, TREE_SPLIT, STALL, MACHINE_STALL, PREFIXES, CYCLE, REVISIT, REDUCED,
              optimal_strategy(cap=(7, 3))]
     # strategy -> (its unshared form, an exact adversary for each form); the
     # fixed strategies keep theirs, memo included, through every config.
@@ -262,9 +272,23 @@ def test_shared_and_unshared_folds_agree():
                 game = _game(run_adversarial, strategy, shared_adversary, cfg)
                 assert game == _game(run_adversarial, unshared, plain_adversary, cfg), (
                     strategy.name, cfg)
-                for outcome in (worst, game):
+                outcomes = [worst, game]
+                for normal in (False, True):
+                    # The normal-form report folds the shared walk; the tree
+                    # is built node by node, and the boxed state shares nothing.
+                    report = _game(normal_form_report, strategy, cfg, normal=normal)
+                    built = _game(lambda: check_normal_form(
+                        build_tree(strategy, cfg, normal=normal)))
+                    boxed = _game(normal_form_report, unshared, cfg, normal=normal)
+                    assert report == built == boxed, (strategy.name, cfg, normal)
+                    outcomes.append(report)
+                    if isinstance(report, NormalFormReport):
+                        seen["holds" if report.property_holds else "breaks"] += 1
+                        seen["repeated"] += report.repeated_transmitter_paths > 0
+                for outcome in outcomes:
                     seen[outcome.split(":")[0] if isinstance(outcome, str) else "ok"] += 1
-    assert set(seen) == {"ok", "CapExceeded", "InvalidQuery", "DomainError", "BudgetExceeded"}, seen
+    assert set(seen) == {"ok", "CapExceeded", "InvalidQuery", "DomainError", "BudgetExceeded",
+                         "AmbiguousLeaf", "holds", "breaks", "repeated"}, seen
 
 
 def _reference_run_fixed(strategy, config, live):
@@ -294,9 +318,9 @@ def _reference_run_fixed(strategy, config, live):
     return GameResult(transcript, len(transcript.rounds), completed, live)
 
 
-def _game(run, *args):
+def _game(run, *args, **kwargs):
     try:
-        return run(*args)
+        return run(*args, **kwargs)
     except MacqError as exc:
         return f"{type(exc).__name__}: {exc}"
 

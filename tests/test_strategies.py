@@ -19,8 +19,10 @@ from macq import (
     Strategy,
     Transcript,
     build_tree,
+    check_normal_form,
     evaluate_query,
     linear_scan,
+    normal_form_report,
     scripted,
     single,
     transmitted_set,
@@ -306,6 +308,14 @@ def test_worst_case_sweep_shares_transposed_subtrees():
     for strategy in (LINEAR_SCAN, TREE_SPLIT):
         counted, calls = _counted(strategy)
         assert worst_case_rounds(counted, cfg) == worst_case_rounds(strategy, cfg)
+        assert calls["query"] < 1000, (strategy.name, calls)
+    # The normal-form report shares them too: building the normal-form tree
+    # asks 4,637 queries at tree (16,5) and 3,002 at linear (14,5).
+    for strategy, cfg in ((TREE_SPLIT, GameConfig(16, 5)), (LINEAR_SCAN, GameConfig(14, 5))):
+        counted, calls = _counted(strategy)
+        report = normal_form_report(counted, cfg, normal=True)
+        assert report == check_normal_form(build_tree(strategy, cfg, normal=True))
+        assert report.property_holds
         assert calls["query"] < 1000, (strategy.name, calls)
 
 
