@@ -181,13 +181,13 @@ class StationSet(Frozen, defaults={"mask": 0}):
         return self.mask.bit_count()
 
     def __and__(self, other: StationSet) -> StationSet:
-        return StationSet(self.mask & other.mask)
+        return StationSet(self.mask & other.mask) if other.__class__ is StationSet else NotImplemented
 
     def __or__(self, other: StationSet) -> StationSet:
-        return StationSet(self.mask | other.mask)
+        return StationSet(self.mask | other.mask) if other.__class__ is StationSet else NotImplemented
 
     def __sub__(self, other: StationSet) -> StationSet:
-        return StationSet(self.mask & ~other.mask)
+        return StationSet(self.mask & ~other.mask) if other.__class__ is StationSet else NotImplemented
 
     def issubset(self, other: StationSet) -> bool:
         return self.mask & ~other.mask == 0
@@ -235,7 +235,9 @@ class GameConfig(Frozen):
         set_field(self, "d", d)
 
     def check_live_set(self, live: StationSet) -> None:
-        """Refuse a live set with ids beyond n or with other than d stations."""
+        """Refuse a live set that is no ``StationSet``, has ids beyond n or other than d stations."""
+        if live.__class__ is not StationSet:
+            raise DomainError(f"live set must be a StationSet, got {type(live).__name__}")
         if not live.issubset(StationSet.full(self.n)):
             raise DomainError(f"live set {format_station_set(live)} exceeds n={self.n}")
         if len(live) != self.d:

@@ -141,68 +141,49 @@ def fold_strategy(
     only where none of the strategy's own queries in it hold a station
     revealed at either position, so each member draws the same feedback and
     ``normal`` reduces nothing, and where its deepest query still comes before
-    the round cap, so ``CapExceeded`` is raised as without the memo.  The memo
-    is not used for a transcript-form strategy, whose states never repeat, and
-    a subtree below a state with no hash (a ``tree_strategy`` node) is not shared.
+    the round cap, so ``CapExceeded`` is raised as without the memo.  One
+    recursion serves both cases, the memo its only switch: it is dropped for a
+    transcript-form strategy, whose states never repeat, and below a state with
+    no hash (a ``tree_strategy`` node), whose subtree is folded unshared while
+    the positions above it are still stored.
     """
     config, step = transcript.config, strategy.step
-
-    def edges(family: Sequence[int], query: StationSet,
-              revealed: int) -> tuple[StationSet, list[tuple[Feedback, list[int], int, Feedback]]]:
-        # The query played here, and per branch (feedback, group, revealed
-        # below, the feedback the strategy's own query drew).
-        played = StationSet(query.mask & ~revealed) if normal and query.mask & revealed else query
-        return played, [(feedback, group, below, feedback if played is query
-                          else evaluate_query(query, StationSet(group[0])))
-                        for feedback, group, below in split_edges(family, revealed, played.mask)]
-
-    def visit(family: Sequence[int], state: Any, rounds: int, revealed: int) -> T:
-        query = checked_query(strategy, config, state, rounds, revealed)
-        if query is None:
-            return leaf(family, revealed)
-        played, split = edges(family, query, revealed)
-        branches = []  # a loop, not a comprehension: one frame per round of depth
-        for feedback, group, below, drawn in split:
-            branches.append((feedback, below ^ revealed,
-                             visit(group, step(state, query, drawn), rounds + 1, below)))
-        return node(played, branches)
-
     cap = _round_cap(config)
 
-    def shared(family: Sequence[int], state: Any, rounds: int,
-               revealed: int) -> tuple[T, int, int]:
-        # The value, the union of the subtree's queries, and the depth of its
-        # deepest query below this position (-1 where the game stops here).
-        key = (config, state, tuple(m & ~revealed for m in family) if revealed else tuple(family))
-        try:
-            hit = memo.get(key)
-        except TypeError:  # a state without a hash: fold below it unshared, never to be reused
-            return visit(family, state, rounds, revealed), -1, cap
-        if hit is not None and not hit[1] & revealed and rounds + hit[2] < cap:
-            return hit
+    def walk(family: Sequence[int], state: Any, rounds: int, revealed: int,
+             memo: dict | None) -> tuple[T, int, int]:
+        # The value, the union of the strategy's own queries (a subtree where
+        # ``normal`` reduces one is never stored), and the depth of its deepest
+        # query below this position (-1 where the game stops here).
+        if memo is not None:
+            key = (config, state, tuple(m & ~revealed for m in family) if revealed else tuple(family))
+            try:
+                hit = memo.get(key)
+            except TypeError:  # a state without a hash: fold below it unshared
+                hit = memo = None
+            if hit is not None and not hit[1] & revealed and rounds + hit[2] < cap:
+                return hit
         query = checked_query(strategy, config, state, rounds, revealed)
         if query is None:
             result = leaf(family, revealed), 0, -1
         else:
-            # The strategy's own query: a subtree where ``normal`` reduces one is never stored.
+            # A loop, not a comprehension: one frame per round of depth.
             used, deepest, branches = query.mask, 0, []
-            played, split = edges(family, query, revealed)
-            for feedback, group, below, drawn in split:
-                value, asked, depth = shared(group, step(state, query, drawn), rounds + 1, below)
+            played = StationSet(query.mask & ~revealed) if normal and query.mask & revealed else query
+            for feedback, group, below in split_edges(family, revealed, played.mask):
+                drawn = feedback if played is query else evaluate_query(query, StationSet(group[0]))
+                value, asked, depth = walk(group, step(state, query, drawn), rounds + 1, below, memo)
                 used |= asked
                 if depth >= deepest:
                     deepest = depth + 1
                 branches.append((feedback, below ^ revealed, value))
             result = node(played, branches), used, deepest
-        if not result[1] & revealed:
+        if memo is not None and not result[1] & revealed:
             memo[key] = result
         return result
 
-    state = replay(strategy, config, transcript)
-    rounds = len(transcript.rounds)
-    if memo is None or step is Transcript.extend:
-        return visit(position.family, state, rounds, position.revealed)
-    return shared(position.family, state, rounds, position.revealed)[0]
+    return walk(position.family, replay(strategy, config, transcript), len(transcript.rounds),
+                position.revealed, None if step is Transcript.extend else memo)[0]
 
 
 def _count(played: int, query: StationSet, feedback: Feedback) -> int:

@@ -3,7 +3,7 @@ for the built-in state machines, and random strategies for sweeps."""
 
 import random
 
-from macq import DomainError, StationSet, Strategy
+from macq import COLLISION, TREE_SPLIT, DomainError, StationSet, Strategy
 
 S = StationSet.from_ids
 
@@ -51,3 +51,21 @@ def random_adaptive(seed, n):
         return random_subset(rng, n)
 
     return Strategy(f"adaptive-{seed}", next_action)
+
+
+def _unboxed(state):
+    return state[0] if state.__class__ is list else state
+
+
+def _boxed_below_step(state, query, feedback):
+    stack = TREE_SPLIT.step(_unboxed(state), query, feedback)
+    if state.__class__ is list or feedback == COLLISION and len(query) <= 3:
+        return [stack]
+    return stack
+
+
+# tree_split with its interval stack boxed in a list once a query of at most
+# 3 stations collides: its states hash above that point and not below, so a
+# shared fold still stores the positions above the boxed subtrees.
+TREE_BOXED_BELOW = Strategy("tree", lambda config, state: TREE_SPLIT.query(config, _unboxed(state)),
+                            TREE_SPLIT.start, _boxed_below_step)

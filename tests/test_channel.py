@@ -1,6 +1,7 @@
 """Channel primitives: station sets, feedback, transcripts, serialization."""
 
 import copy
+import operator
 import pickle
 from itertools import combinations
 
@@ -81,6 +82,11 @@ def test_station_set_semantics_match_frozenset():
             assert set(sa - sb) == a - b
             assert sa.issubset(sb) == (a <= b)
             assert (sa == sb) == (a == b)
+    # A foreign operand is refused by Python, not read for a mask it lacks.
+    for other in (3, {1}, frozenset({1})):
+        for op in (operator.and_, operator.or_, operator.sub):
+            with pytest.raises(TypeError):
+                op(StationSet.from_ids([1]), other)
 
 
 def test_station_set_singleton_and_full():
@@ -125,6 +131,10 @@ def test_game_config_validation():
         GameConfig(3, 0)
     with pytest.raises(DomainError):
         GameConfig(3, 4)
+    # A live set must be a StationSet: set.issubset would take any iterable.
+    for live in ({1, 2}, [1, 2], frozenset({1, 2})):
+        with pytest.raises(DomainError, match="live set must be a StationSet, got"):
+            GameConfig(4, 2).check_live_set(live)
 
 
 def test_station_cap_env_override(monkeypatch):

@@ -43,6 +43,7 @@ from macq import (
 )
 from macq.engine import _first_in_id_order
 from reference_strategies import (
+    TREE_BOXED_BELOW,
     random_adaptive,
     random_subset,
     reference_scripted,
@@ -103,6 +104,10 @@ def test_run_fixed_validates_live_set():
         run_fixed(LINEAR_SCAN, GameConfig(3, 1), S([4]))
     with pytest.raises(DomainError):
         run_fixed(LINEAR_SCAN, GameConfig(3, 2), S([1]))
+    # A plain set or a list is refused, not left to fail on a missing mask.
+    for live in ({1, 2}, [1, 2]):
+        with pytest.raises(DomainError, match="live set must be a StationSet"):
+            run_fixed(TREE_SPLIT, GameConfig(4, 2), live)
 
 
 def test_run_fixed_rejects_query_beyond_n():
@@ -245,7 +250,7 @@ REDUCED = _machine("reduced", lambda config, k: (S([1, 2]), S([1, 3]), S([4]), N
 def test_shared_and_unshared_folds_agree():
     rng = random.Random(26)
     fixed = [LINEAR_SCAN, TREE_SPLIT, STALL, MACHINE_STALL, PREFIXES, CYCLE, REVISIT, REDUCED,
-             optimal_strategy(cap=(7, 3))]
+             TREE_BOXED_BELOW, optimal_strategy(cap=(7, 3))]
     # strategy -> (its unshared form, an exact adversary for each form); the
     # fixed strategies keep theirs, memo included, through every config.
     forms = {}

@@ -22,7 +22,9 @@ from macq import (
     check_normal_form,
     evaluate_query,
     linear_scan,
+    make_exact_adversary,
     normal_form_report,
+    run_adversarial,
     scripted,
     single,
     transmitted_set,
@@ -31,7 +33,7 @@ from macq import (
     worst_case_rounds,
 )
 from macq.strategies import replay
-from reference_strategies import reference_scripted, reference_tree_strategy
+from reference_strategies import TREE_BOXED_BELOW, reference_scripted, reference_tree_strategy
 
 S = StationSet.from_ids
 
@@ -316,6 +318,19 @@ def test_worst_case_sweep_shares_transposed_subtrees():
         report = normal_form_report(counted, cfg, normal=True)
         assert report == check_normal_form(build_tree(strategy, cfg, normal=True))
         assert report.property_holds
+        assert calls["query"] < 1000, (strategy.name, calls)
+    # Boxed below small collisions, tree still shares the positions above the
+    # boxes: 923 queries at (16,5), where storing nothing above them asks 4,017.
+    counted, calls = _counted(TREE_BOXED_BELOW)
+    cfg = GameConfig(16, 5)
+    assert worst_case_rounds(counted, cfg) == worst_case_rounds(TREE_SPLIT, cfg)
+    assert calls["query"] < 1000, calls
+    # The exact adversary's one memo shares subtrees across the rounds of a
+    # game: 122 queries (tree) and 75 (linear) in a whole (16,5) game.
+    for strategy in (TREE_SPLIT, LINEAR_SCAN):
+        counted, calls = _counted(strategy)
+        game = run_adversarial(counted, make_exact_adversary(counted), cfg)
+        assert game == run_adversarial(strategy, make_exact_adversary(strategy), cfg)
         assert calls["query"] < 1000, (strategy.name, calls)
 
 
