@@ -11,8 +11,8 @@ A position is a ``KnowledgeState``: the live sets consistent with the feedback
 so far plus the stations revealed by singles, starting from ``initial_state``
 (all C(n,d) live sets, within the enumeration budget).  The strategy walk,
 the adversaries and the oracle are built on ``split_by_feedback``, which
-groups a family of live sets by the feedback one query draws; ``split_edges``
-and ``branches`` move a position one round with it.  ``evaluate_query``
+groups a family of live sets by the feedback one query draws; ``branches``
+moves a position one round with it.  ``evaluate_query``
 answers for one live set: in ``engine.run_fixed``, and for the feedback drawn
 in the walk's normal mode.  ``feedback_to_json`` spells one round's feedback
 for the game document, which ``engine.game_result_to_doc`` writes.
@@ -25,7 +25,7 @@ import os
 from enum import Enum
 from itertools import combinations
 from operator import attrgetter, index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DomainError
 
@@ -189,9 +189,6 @@ class StationSet(Frozen, defaults={"mask": 0}):
     def __sub__(self, other: StationSet) -> StationSet:
         return StationSet(self.mask & ~other.mask) if other.__class__ is StationSet else NotImplemented
 
-    def issubset(self, other: StationSet) -> bool:
-        return self.mask & ~other.mask == 0
-
     def __lt__(self, other: StationSet) -> bool:
         return self.mask < other.mask if other.__class__ is StationSet else NotImplemented
 
@@ -238,7 +235,9 @@ class GameConfig(Frozen):
         """Refuse a live set that is no ``StationSet``, has ids beyond n or other than d stations."""
         if live.__class__ is not StationSet:
             raise DomainError(f"live set must be a StationSet, got {type(live).__name__}")
-        if not live.issubset(StationSet.full(self.n)):
+        if live.mask >> self.n:
+            if live.mask < 0:  # its bits never run out, so it cannot be listed
+                raise DomainError(f"live set has the negative mask {live.mask}")
             raise DomainError(f"live set {format_station_set(live)} exceeds n={self.n}")
         if len(live) != self.d:
             raise DomainError(f"live set must have exactly d={self.d} stations, got {len(live)}")
@@ -274,16 +273,11 @@ class Feedback(Frozen):
 
 SILENCE = Feedback(FeedbackTag.SILENCE)
 COLLISION = Feedback(FeedbackTag.COLLISION)
-_SINGLES: dict[int, Feedback] = {}  # station -> its single, stored once checked
 
 
 def single(station: int) -> Feedback:
-    """The one shared single feedback for ``station`` (compare feedback with ``==``)."""
-    feedback = _SINGLES.get(station) if type(station) is int else None  # 3.0 would find 3's
-    if feedback is None:  # Feedback checks the station and stores it as a plain int
-        built = Feedback(FeedbackTag.SINGLE, station)
-        feedback = _SINGLES.setdefault(built.station, built)
-    return feedback
+    """The single feedback for ``station``."""
+    return Feedback(FeedbackTag.SINGLE, station)
 
 
 def evaluate_query(query: StationSet, live: StationSet) -> Feedback:
@@ -302,23 +296,14 @@ def evaluate_query(query: StationSet, live: StationSet) -> Feedback:
     return COLLISION
 
 
-def split_by_feedback(members: Sequence[int], query: int) -> list[tuple[int, list[int]]]:
+def split_by_feedback(members: Iterable[int], query: int) -> list[tuple[int, list[int]]]:
     """Group member masks by the feedback ``query`` draws from each.
 
     Groups come in feedback order (silence, collision, then singles by
     sender), each keyed by its outcome: -1 for silence, -2 for collision, or
     the lone sender's bit for a single.  Members keep their input order within
-    a group; empty groups are left out.  ``members`` is read more than once.
-    A query of at most one station (by bit count) draws only silence or its
-    single, so two comprehensions split it.
+    a group; empty groups are left out.
     """
-    if query.bit_count() < 2:
-        silent = [member for member in members if not member & query]
-        if len(silent) == len(members):
-            return [(-1, silent)] if silent else []
-        if not silent:
-            return [(query, list(members))]
-        return [(-1, silent), (query, [member for member in members if member & query])]
     silence: list[int] = []
     collision: list[int] = []
     singles: dict[int, list[int]] = {}
@@ -361,19 +346,14 @@ def initial_state(config: GameConfig) -> KnowledgeState:
     return KnowledgeState(tuple(family), 0)
 
 
-def split_edges(family: Sequence[int], revealed: int,
-                query: int) -> list[tuple[Feedback, list[int], int]]:
-    """``branches`` on raw masks: (feedback, members, revealed) per
-    ``split_by_feedback`` group, a single adding its sender to ``revealed``."""
-    return [(single(outcome.bit_length()), group, revealed | outcome) if outcome > 0
-            else (SILENCE if outcome == -1 else COLLISION, group, revealed)
-            for outcome, group in split_by_feedback(family, query)]
-
-
 def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, KnowledgeState]]:
-    """The positions one round after ``state``, as (feedback, child) in feedback order."""
-    return [(feedback, KnowledgeState(tuple(group), revealed))
-            for feedback, group, revealed in split_edges(state.family, state.revealed, query.mask)]
+    """The positions one round after ``state``, as (feedback, child) in feedback
+    order, one per ``split_by_feedback`` group; a single reveals its sender."""
+    revealed = state.revealed
+    return [(single(outcome.bit_length()), KnowledgeState(tuple(group), revealed | outcome))
+            if outcome > 0 else
+            (SILENCE if outcome == -1 else COLLISION, KnowledgeState(tuple(group), revealed))
+            for outcome, group in split_by_feedback(state.family, query.mask)]
 
 
 class Transcript(Frozen, defaults={"rounds": ()}):

@@ -65,16 +65,9 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
     def node(
         query: StationSet, branches: list[tuple[Feedback, int, tuple[int, int]]]
     ) -> tuple[int, int]:
-        deepest = witness = -1
-        for _, fresh, (depth, live) in branches:
-            live |= fresh
-            if depth > deepest:
-                deepest, witness = depth, live
-            elif depth == deepest:
-                diff = witness ^ live
-                if diff & -diff & live:
-                    witness = live
-        return 1 + deepest, witness
+        deepest = max(depth for _, _, (depth, _) in branches)
+        return 1 + deepest, _first_in_id_order(
+            [live | fresh for _, fresh, (depth, live) in branches if depth == deepest])
 
     rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config),
                                     leaf, node, memo={})

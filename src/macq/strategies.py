@@ -32,9 +32,9 @@ from .channel import (
     KnowledgeState,
     StationSet,
     Transcript,
+    branches,
     evaluate_query,
     format_station_set,
-    split_edges,
     transmitted_set,
 )
 from .errors import CapExceeded, DomainError, InvalidQuery
@@ -119,11 +119,11 @@ def fold_strategy(
     ``position`` is the knowledge state the transcript leads to; the game's
     config comes from the transcript.  The game stops once d stations are
     revealed or the strategy returns None; such a position folds to
-    ``leaf(family, revealed)``.  Otherwise its query splits the family by
-    feedback and ``node(query, branches)`` combines the folded children as
-    (feedback, fresh, value) triples in feedback order, where ``fresh`` is the
-    mask of the stations that edge newly revealed: a single from a sender
-    revealed before reveals nothing.  The strategy's state is replayed from
+    ``leaf(family, revealed)``.  Otherwise ``channel.branches`` moves the
+    position by its query, and ``node(query, branches)`` combines the folded
+    children as (feedback, fresh, value) triples in feedback order, where
+    ``fresh`` is the mask of the stations that edge newly revealed: a single
+    from a sender revealed before reveals nothing.  The strategy's state is replayed from
     the transcript once, then moved one ``step`` down each edge.
 
     With ``normal`` set the walk plays each query minus the revealed
@@ -150,13 +150,14 @@ def fold_strategy(
     config, step = transcript.config, strategy.step
     cap = _round_cap(config)
 
-    def walk(family: Sequence[int], state: Any, rounds: int, revealed: int,
+    def walk(position: KnowledgeState, state: Any, rounds: int,
              memo: dict | None) -> tuple[T, int, int]:
         # The value, the union of the strategy's own queries (a subtree where
         # ``normal`` reduces one is never stored), and the depth of its deepest
         # query below this position (-1 where the game stops here).
+        family, revealed = position.family, position.revealed
         if memo is not None:
-            key = (config, state, tuple(m & ~revealed for m in family) if revealed else tuple(family))
+            key = (config, state, tuple(m & ~revealed for m in family) if revealed else family)
             try:
                 hit = memo.get(key)
             except TypeError:  # a state without a hash: fold below it unshared
@@ -168,22 +169,22 @@ def fold_strategy(
             result = leaf(family, revealed), 0, -1
         else:
             # A loop, not a comprehension: one frame per round of depth.
-            used, deepest, branches = query.mask, 0, []
+            used, deepest, folded = query.mask, 0, []
             played = StationSet(query.mask & ~revealed) if normal and query.mask & revealed else query
-            for feedback, group, below in split_edges(family, revealed, played.mask):
-                drawn = feedback if played is query else evaluate_query(query, StationSet(group[0]))
-                value, asked, depth = walk(group, step(state, query, drawn), rounds + 1, below, memo)
+            for feedback, child in branches(position, played):
+                drawn = feedback if played is query else evaluate_query(query, StationSet(child.family[0]))
+                value, asked, depth = walk(child, step(state, query, drawn), rounds + 1, memo)
                 used |= asked
                 if depth >= deepest:
                     deepest = depth + 1
-                branches.append((feedback, below ^ revealed, value))
-            result = node(played, branches), used, deepest
+                folded.append((feedback, child.revealed ^ revealed, value))
+            result = node(played, folded), used, deepest
         if memo is not None and not result[1] & revealed:
             memo[key] = result
         return result
 
-    return walk(position.family, replay(strategy, config, transcript), len(transcript.rounds),
-                position.revealed, None if step is Transcript.extend else memo)[0]
+    return walk(position, replay(strategy, config, transcript), len(transcript.rounds),
+                None if step is Transcript.extend else memo)[0]
 
 
 def _count(played: int, query: StationSet, feedback: Feedback) -> int:

@@ -108,6 +108,10 @@ def test_run_fixed_validates_live_set():
     for live in ({1, 2}, [1, 2]):
         with pytest.raises(DomainError, match="live set must be a StationSet"):
             run_fixed(TREE_SPLIT, GameConfig(4, 2), live)
+    # A negative mask holds every station past some bit, so it is refused
+    # without being listed.
+    with pytest.raises(DomainError, match="negative mask -1"):
+        run_fixed(TREE_SPLIT, GameConfig(4, 2), StationSet(-1))
 
 
 def test_run_fixed_rejects_query_beyond_n():
@@ -298,7 +302,7 @@ def test_shared_and_unshared_folds_agree():
 
 def _reference_run_fixed(strategy, config, live):
     """run_fixed with its own loop over the transcript (reference only)."""
-    if not live.issubset(StationSet.full(config.n)):
+    if live - StationSet.full(config.n):
         raise DomainError(f"live set {format_station_set(live)} exceeds n={config.n}")
     if len(live) != config.d:
         raise DomainError(f"live set must have exactly d={config.d} stations, got {len(live)}")
@@ -312,7 +316,7 @@ def _reference_run_fixed(strategy, config, live):
         if len(transcript.rounds) >= cap:
             raise CapExceeded(f"strategy {strategy.name!r} still querying after {cap} rounds "
                               f"(n={config.n}, d={config.d})")
-        if not action.issubset(StationSet.full(config.n)):
+        if action - StationSet.full(config.n):
             raise InvalidQuery(f"strategy {strategy.name!r} queried stations "
                                f"{format_station_set(action - StationSet.full(config.n))} "
                                f"beyond n={config.n}")

@@ -305,33 +305,36 @@ def test_worst_case_sweep_asks_once_per_internal_node():
 
 def test_worst_case_sweep_shares_transposed_subtrees():
     # The unshared walk asks 8,071 (tree) and 11,627 (linear) queries here;
-    # the positions hold a few hundred distinct states and residual families.
+    # the shared one asks 129 and 70.  Exact counts, so a change to the edge
+    # rule or the memo that alters which positions the walk visits shows here.
     cfg = GameConfig(18, 5)
-    for strategy in (LINEAR_SCAN, TREE_SPLIT):
+    for strategy, asked in ((LINEAR_SCAN, 70), (TREE_SPLIT, 129)):
         counted, calls = _counted(strategy)
         assert worst_case_rounds(counted, cfg) == worst_case_rounds(strategy, cfg)
-        assert calls["query"] < 1000, (strategy.name, calls)
-    # The normal-form report shares them too: building the normal-form tree
-    # asks 4,637 queries at tree (16,5) and 3,002 at linear (14,5).
-    for strategy, cfg in ((TREE_SPLIT, GameConfig(16, 5)), (LINEAR_SCAN, GameConfig(14, 5))):
+        assert calls["query"] == asked, (strategy.name, calls)
+    # The normal-form report shares them too: 108 queries at tree (16,5) and
+    # 50 at linear (14,5), where building the normal-form tree asks 4,637
+    # and 3,002.
+    for strategy, cfg, asked in ((TREE_SPLIT, GameConfig(16, 5), 108),
+                                 (LINEAR_SCAN, GameConfig(14, 5), 50)):
         counted, calls = _counted(strategy)
         report = normal_form_report(counted, cfg, normal=True)
         assert report == check_normal_form(build_tree(strategy, cfg, normal=True))
         assert report.property_holds
-        assert calls["query"] < 1000, (strategy.name, calls)
+        assert calls["query"] == asked, (strategy.name, calls)
     # Boxed below small collisions, tree still shares the positions above the
     # boxes: 923 queries at (16,5), where storing nothing above them asks 4,017.
     counted, calls = _counted(TREE_BOXED_BELOW)
     cfg = GameConfig(16, 5)
     assert worst_case_rounds(counted, cfg) == worst_case_rounds(TREE_SPLIT, cfg)
-    assert calls["query"] < 1000, calls
+    assert calls["query"] == 923, calls
     # The exact adversary's one memo shares subtrees across the rounds of a
     # game: 122 queries (tree) and 75 (linear) in a whole (16,5) game.
-    for strategy in (TREE_SPLIT, LINEAR_SCAN):
+    for strategy, asked in ((TREE_SPLIT, 122), (LINEAR_SCAN, 75)):
         counted, calls = _counted(strategy)
         game = run_adversarial(counted, make_exact_adversary(counted), cfg)
         assert game == run_adversarial(strategy, make_exact_adversary(strategy), cfg)
-        assert calls["query"] < 1000, (strategy.name, calls)
+        assert calls["query"] == asked, (strategy.name, calls)
 
 
 def test_transcript_strategies_keep_the_transcript_as_state():
