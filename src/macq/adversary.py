@@ -11,7 +11,7 @@ transcript verbatim.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .channel import (
     COLLISION,
@@ -38,16 +38,28 @@ def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> Know
     )
 
 
-def _rank(feedback: Feedback, score: int) -> tuple[int, bool, int]:
-    # Every adversary's answer rule, smallest first: the highest score, then
-    # collision, silence, and singles by lowest id.
-    return -score, feedback != COLLISION, feedback.station or 0
+def _best(scores: dict[Feedback, int]) -> Feedback:
+    # Every adversary's answer rule: the highest score, then collision,
+    # silence, and singles by lowest id.
+    return min(scores, key=lambda fb: (-scores[fb], fb != COLLISION, fb.station or 0))
 
 
 def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
-    """Feedback keeping the largest surviving family (ties broken by ``_rank``)."""
-    sizes = {feedback: len(child.family) for feedback, child in branches(state, query)}
-    return min(sizes, key=lambda fb: _rank(fb, sizes[fb]))
+    """Feedback keeping the largest surviving family (ties broken by ``_best``)."""
+    return _best({feedback: len(child.family) for feedback, child in branches(state, query)})
+
+
+def _longest(state: KnowledgeState, query: StationSet, strategy: Strategy,
+             transcript: Transcript, memo: dict | None) -> Feedback:
+    # Each branch scores the rounds the strategy can still be forced to play below it.
+    return _best({
+        feedback: fold_strategy(
+            strategy, child, transcript.extend(query, feedback),
+            lambda family, revealed: 0, lambda _, below: 1 + max(depth for _, _, depth in below),
+            memo=memo,
+        )
+        for feedback, child in branches(state, query)
+    })
 
 
 def exact_answer(
@@ -60,18 +72,10 @@ def exact_answer(
 
     The strategy's future moves are fixed by replaying it on the extended
     transcript, so the adversary simply maximizes over feedback branches
-    (ties broken by ``_rank``).  ``transcript`` must be the rounds that produced
-    ``state``.
+    (ties broken by ``_best``).  ``transcript`` must be the rounds that produced
+    ``state``.  Every branch is folded node by node, with no memo.
     """
-    lengths = {
-        # One round now, plus the rounds the strategy can be forced to play below.
-        feedback: 1 + fold_strategy(
-            strategy, child, transcript.extend(query, feedback),
-            lambda family, revealed: 0, lambda _, below: 1 + max(depth for _, _, depth in below),
-        )
-        for feedback, child in branches(state, query)
-    }
-    return min(lengths, key=lambda fb: _rank(fb, lengths[fb]))
+    return _longest(state, query, strategy, transcript, None)
 
 
 # An adversary as the engine sees it: (state, query, transcript) -> feedback.
@@ -82,43 +86,13 @@ def greedy_adversary(state: KnowledgeState, query: StationSet, transcript: Trans
     return greedy_answer(state, query)
 
 
-# The line an exact adversary forces below a position: (rounds left, the
-# strategy's query, the answer, the line below that answer), or
-# (0, None, None, None) where the game ends.
-Line = tuple[int, StationSet | None, Feedback | None, "Line | None"]
-
-
 def make_exact_adversary(strategy: Strategy) -> Adversary:
     """Worst-case foil for one specific strategy.
 
-    Every answer equals ``exact_answer``'s, but one fold serves a whole game.
-    The fold keeps only the line the adversary forces below each node, so
-    it holds one path, not the tree.  Each later call follows that line
-    while the game stays on it (the transcript the line starts from, and the
-    line's query), and any other position is folded afresh.  The adversary
-    keeps one fold memo for its whole life, keyed by config as well, so a
-    line below a strategy state and residual family met before, in this game
-    or an earlier one, is not folded again.
+    Every round is answered by ``exact_answer``'s rule, over one fold memo
+    the adversary keeps for its whole life, keyed by config as well: a
+    subtree below a strategy state and residual family met before, in this
+    game or an earlier one, is not folded again.
     """
-    expected: Transcript | None = None  # the position the line starts from
-    line: Line = (0, None, None, None)
     memo: dict = {}
-
-    def leaf(family: Sequence[int], revealed: int) -> Line:
-        return 0, None, None, None
-
-    def node(query: StationSet, children: list[tuple[Feedback, int, Line]]) -> Line:
-        feedback, _, below = min(children, key=lambda branch: _rank(branch[0], branch[2][0]))
-        return 1 + below[0], query, feedback, below
-
-    def answer(state: KnowledgeState, query: StationSet, transcript: Transcript) -> Feedback:
-        nonlocal expected, line
-        if transcript != expected or line[1] != query:
-            line = node(query, [(feedback, child.revealed ^ state.revealed, fold_strategy(
-                strategy, child, transcript.extend(query, feedback), leaf, node, memo=memo,
-            )) for feedback, child in branches(state, query)])
-        _, _, feedback, line = line
-        expected = transcript.extend(query, feedback)
-        return feedback
-
-    return answer
+    return lambda state, query, transcript: _longest(state, query, strategy, transcript, memo)

@@ -43,13 +43,14 @@ class Frozen:
     A subclass names its fields in ``__slots__``, and the class gets an
     ``__init__`` that takes them in that order, by position or by keyword;
     ``class Transcript(Frozen, defaults={"rounds": ()})`` gives trailing
-    fields their defaults (a default that names no field, or one given to a
-    class with its own ``__init__``, is a ``TypeError``).  The ``__init__``
-    is compiled once per class from source, as ``collections.namedtuple``
-    does, so it costs no more per call than a hand-written one.  Only a type that does more than store its
+    fields their defaults (a default that names no field or a field followed
+    by one without, or one given to a class with its own ``__init__``, is a
+    ``TypeError``).  The ``__init__`` is compiled once per class from
+    source, as ``collections.namedtuple`` does, so it costs no more per call
+    than a hand-written one.  Only a type that does more than store its
     fields writes its own ``__init__`` and sets each field once through
-    ``set_field``: ``GameConfig`` and ``Feedback`` check their arguments, and
-    ``qtree.QNode`` gives each node a fresh ``children`` dict.
+    ``set_field``: ``GameConfig`` and ``Feedback`` check their arguments,
+    and ``qtree.QNode`` gives each node a fresh ``children`` dict.
 
     Instances compare and hash by their fields in slot order, print as
     ``Name(field=value, ...)``, refuse assignment, and copy their fields in
@@ -74,6 +75,9 @@ class Frozen:
             unknown = set(defaults).difference(names)
             if unknown:
                 raise TypeError(f"defaults name no field of {cls.__name__}: {sorted(unknown)}")
+            if set(names[len(names) - len(defaults):]) != set(defaults):
+                raise TypeError(f"defaults of {cls.__name__} must be its last fields, "
+                                f"got {sorted(defaults)}")
         if "__init__" not in cls.__dict__:
             defaults = defaults or {}
             params = ", ".join(f"{name}=_default_{name}" if name in defaults else name
@@ -168,6 +172,11 @@ class StationSet(Frozen, defaults={"mask": 0}):
         n = _integer("set size", n)
         if n < 0:
             raise DomainError(f"set size must be non-negative, got {n}")
+        cap = station_cap()
+        if n > cap:
+            raise DomainError(
+                f"set size must be at most {cap} (raise {STATION_CAP_ENV} for more), got {n}"
+            )
         return cls((1 << n) - 1)
 
     def __iter__(self) -> Iterator[int]:

@@ -181,13 +181,14 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
     from .oracle import exact_optimal_rounds, optimal_strategy_tree
-    from .qtree import export_graph
 
     config = GameConfig(args.n, args.d)
     cap = (args.oracle_n_cap, args.oracle_d_cap)
     value = exact_optimal_rounds(config, cap=cap)
     out = f"{value}\n"
     if args.witness:
+        from .qtree import export_graph
+
         out += export_graph(optimal_strategy_tree(config, cap=cap))
     return out
 

@@ -39,7 +39,6 @@ from .adversary import refine
 from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, initial_state,
                       split_by_feedback)
 from .errors import BudgetExceeded
-from .qtree import QTree, build_tree
 from .strategies import Strategy
 
 
@@ -161,6 +160,8 @@ def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_
 
     It is ``optimal_strategy``'s tree, so it shares the process's solver.
     """
+    from .qtree import build_tree
+
     return build_tree(optimal_strategy(cap=cap), config)
 
 

@@ -204,15 +204,16 @@ def test_exact_adversary_answers_as_exact_answer_every_round():
                 adversary = make_exact_adversary(strategy)
                 start = initial_state(cfg)
                 positions = _play_checked(strategy, adversary, start, Transcript(cfg))
-                # The same adversary again, then positions off the line it follows:
-                # other queries at each position, and every sibling position.
+                # The same adversary again, then, over the memo those games
+                # filled, positions the game never reached: other queries at
+                # each position, and every sibling position.
                 assert _play_checked(strategy, adversary, start, Transcript(cfg)) == positions
                 for state, query, transcript in positions:
                     for asked in (S([1]), StationSet.full(cfg.n)):
                         assert _outcome(adversary, state, asked, transcript) == _outcome(
                             exact_answer, state, asked, strategy, transcript)
                     for feedback in {evaluate_query(query, StationSet(live)) for live in state.family}:
-                        adversary(state, query, transcript)  # the line now starts below
+                        adversary(state, query, transcript)  # back on the game between siblings
                         sibling = transcript.extend(query, feedback)
                         _play_checked(strategy, adversary, refine(state, query, feedback), sibling)
                 if not positions:

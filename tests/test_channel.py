@@ -88,7 +88,7 @@ def test_station_set_semantics_match_frozenset():
                 op(StationSet.from_ids([1]), other)
 
 
-def test_station_set_singleton_and_full():
+def test_station_set_singleton_and_full(monkeypatch):
     assert tuple(StationSet.from_ids((4,))) == (4,)
     assert tuple(StationSet.full(3)) == (1, 2, 3)
     assert tuple(StationSet.full(0)) == ()
@@ -99,6 +99,17 @@ def test_station_set_singleton_and_full():
         StationSet.full(-1)
     with pytest.raises(DomainError, match="set size must be an integer"):
         StationSet.full(2.5)
+    # The size is checked against the cap before the mask is built, so a huge
+    # one allocates nothing; a raised MACQ_MAX_N admits more.
+    cap = station_cap()
+    assert len(StationSet.full(cap)) == cap
+    for n in (cap + 1, 10**10):
+        with pytest.raises(DomainError, match=f"set size must be at most {cap} .*, got {n}$"):
+            StationSet.full(n)
+    monkeypatch.setenv("MACQ_MAX_N", str(cap + 100))
+    assert len(StationSet.full(cap + 100)) == cap + 100
+    with pytest.raises(DomainError, match=f"at most {cap + 100} "):
+        StationSet.full(cap + 101)
 
 
 def test_format_station_set():
@@ -375,6 +386,9 @@ def test_frozen_refuses_defaults_it_cannot_use():
     with pytest.raises(TypeError, match="no field of Misspelt"):
         class Misspelt(Frozen, defaults={"rouds": ()}):
             __slots__ = ("rounds",)
+    with pytest.raises(TypeError, match=r"defaults of Gapped must be its last fields, got \['b'\]"):
+        class Gapped(Frozen, defaults={"b": 1}):
+            __slots__ = ("a", "b", "c")
     with pytest.raises(TypeError, match="writes its own __init__"):
         class Handmade(Frozen, defaults={"x": 0}):
             __slots__ = ("x",)

@@ -344,13 +344,18 @@ SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
     ("import runpy; sys.argv = ['macq', '--help']\n"
      "try: runpy.run_module('macq', run_name='__main__', alter_sys=True)\n"
      "except SystemExit: pass", SLOW_IMPORTS),
-    # report loads every module that defines a value type, so this case shows
-    # that the constructors Frozen generates need neither dataclasses nor inspect.
-    ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])", SLOW_IMPORTS),
+    # report defines value types in the modules it loads, and the tree case
+    # below loads qtree's, so between them they show that the constructors
+    # Frozen generates need neither dataclasses nor inspect.  A value-only
+    # report or oracle builds no tree, so neither runs qtree.
+    ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])",
+     SLOW_IMPORTS + ("macq.qtree",)),
+    ("from macq.cli import dispatch; dispatch(['oracle', '--n', '4', '--d', '2'])",
+     SLOW_IMPORTS + ("macq.qtree",)),
     # A tree prints no JSON and needs no adversary: its start position is the channel's.
     ("from macq.cli import dispatch; dispatch(['tree', '--strategy', 'tree', '--n', '4', '--d', '2'])",
      SLOW_IMPORTS + ("json", "macq.adversary", "macq.engine", "macq.oracle", "macq.report")),
-], ids=["import", "bounds", "help", "report", "tree"])
+], ids=["import", "bounds", "help", "report", "oracle", "tree"])
 def test_commands_do_not_import_mpmath(code, absent):
     proc = subprocess.run(
         [sys.executable, "-c",

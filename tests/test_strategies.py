@@ -329,12 +329,18 @@ def test_worst_case_sweep_shares_transposed_subtrees():
     assert worst_case_rounds(counted, cfg) == worst_case_rounds(TREE_SPLIT, cfg)
     assert calls["query"] == 923, calls
     # The exact adversary's one memo shares subtrees across the rounds of a
-    # game: 122 queries (tree) and 75 (linear) in a whole (16,5) game.
-    for strategy, asked in ((TREE_SPLIT, 122), (LINEAR_SCAN, 75)):
+    # game: 122 queries (tree) and 75 (linear) in a whole (16,5) game.  It
+    # lasts the adversary's life, so a second game asks only the game loop's
+    # one query per round (15 and 16) and its folds ask none.
+    for strategy, asked, rounds in ((TREE_SPLIT, 122, 15), (LINEAR_SCAN, 75, 16)):
         counted, calls = _counted(strategy)
-        game = run_adversarial(counted, make_exact_adversary(counted), cfg)
+        adversary = make_exact_adversary(counted)
+        game = run_adversarial(counted, adversary, cfg)
         assert game == run_adversarial(strategy, make_exact_adversary(strategy), cfg)
         assert calls["query"] == asked, (strategy.name, calls)
+        calls["query"] = 0
+        assert run_adversarial(counted, adversary, cfg) == game
+        assert calls["query"] == game.rounds_used == rounds, (strategy.name, calls)
 
 
 def test_transcript_strategies_keep_the_transcript_as_state():
