@@ -23,12 +23,14 @@ from .channel import (
     feedback_to_json,
     format_station_set,
 )
-from .errors import Inconsistent
+from .errors import DomainError, Inconsistent
 from .strategies import Strategy, fold_strategy
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
     """Filter the candidate family by one observed round, keeping its order."""
+    if feedback.__class__ is not Feedback:
+        raise DomainError(f"feedback must be a Feedback, got {feedback!r}")
     for drawn, child in branches(state, query):
         if drawn == feedback:
             return child
@@ -49,8 +51,22 @@ def greedy_answer(state: KnowledgeState, query: StationSet) -> Feedback:
     return _best({feedback: len(child.family) for feedback, child in branches(state, query)})
 
 
-def _longest(state: KnowledgeState, query: StationSet, strategy: Strategy,
-             transcript: Transcript, memo: dict | None) -> Feedback:
+def exact_answer(
+    state: KnowledgeState,
+    query: StationSet,
+    strategy: Strategy,
+    transcript: Transcript,
+    memo: dict | None = None,
+) -> Feedback:
+    """Feedback maximizing how long the given strategy still has to run.
+
+    The strategy's future moves are fixed by replaying it on the extended
+    transcript, so the adversary simply maximizes over feedback branches
+    (ties broken by ``_best``).  ``transcript`` must be the rounds that produced
+    ``state``.  Without a ``memo`` every branch is folded node by node, the
+    reference ``make_exact_adversary`` is checked against; with one,
+    ``fold_strategy`` shares the subtrees it has folded before.
+    """
     # Each branch scores the rounds the strategy can still be forced to play below it.
     return _best({
         feedback: fold_strategy(
@@ -60,22 +76,6 @@ def _longest(state: KnowledgeState, query: StationSet, strategy: Strategy,
         )
         for feedback, child in branches(state, query)
     })
-
-
-def exact_answer(
-    state: KnowledgeState,
-    query: StationSet,
-    strategy: Strategy,
-    transcript: Transcript,
-) -> Feedback:
-    """Feedback maximizing how long the given strategy still has to run.
-
-    The strategy's future moves are fixed by replaying it on the extended
-    transcript, so the adversary simply maximizes over feedback branches
-    (ties broken by ``_best``).  ``transcript`` must be the rounds that produced
-    ``state``.  Every branch is folded node by node, with no memo.
-    """
-    return _longest(state, query, strategy, transcript, None)
 
 
 # An adversary as the engine sees it: (state, query, transcript) -> feedback.
@@ -89,10 +89,10 @@ def greedy_adversary(state: KnowledgeState, query: StationSet, transcript: Trans
 def make_exact_adversary(strategy: Strategy) -> Adversary:
     """Worst-case foil for one specific strategy.
 
-    Every round is answered by ``exact_answer``'s rule, over one fold memo
-    the adversary keeps for its whole life, keyed by config as well: a
-    subtree below a strategy state and residual family met before, in this
-    game or an earlier one, is not folded again.
+    Every round is answered by ``exact_answer``, given one fold memo the
+    adversary keeps for its whole life, keyed by config as well: a subtree
+    below a strategy state and residual family met before, in this game or
+    an earlier one, is not folded again.
     """
     memo: dict = {}
-    return lambda state, query, transcript: _longest(state, query, strategy, transcript, memo)
+    return lambda state, query, transcript: exact_answer(state, query, strategy, transcript, memo)

@@ -266,6 +266,8 @@ class Feedback(Frozen):
     station: int | None
 
     def __init__(self, tag: FeedbackTag, station: int | None = None) -> None:
+        if tag.__class__ is not FeedbackTag:
+            raise DomainError(f"feedback tag must be a FeedbackTag, got {tag!r}")
         if tag is FeedbackTag.SINGLE:
             station = None if station is None else _integer("station id", station)
             if station is None or station < 1:

@@ -60,32 +60,19 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
     """
 
     def leaf(family: Sequence[int], revealed: int) -> tuple[int, int]:
-        return 0, _first_in_id_order(family) & ~revealed
+        return 0, min(family, key=lambda live: tuple(StationSet(live))) & ~revealed
 
     def node(
         query: StationSet, branches: list[tuple[Feedback, int, tuple[int, int]]]
     ) -> tuple[int, int]:
         deepest = max(depth for _, _, (depth, _) in branches)
-        return 1 + deepest, _first_in_id_order(
-            [live | fresh for _, fresh, (depth, live) in branches if depth == deepest])
+        return 1 + deepest, min(
+            (live | fresh for _, fresh, (depth, live) in branches if depth == deepest),
+            key=lambda live: tuple(StationSet(live)))
 
     rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config),
                                     leaf, node, memo={})
     return rounds, StationSet(witness)
-
-
-def _first_in_id_order(masks: Sequence[int]) -> int:
-    """The first of some live sets in ascending id order.
-
-    All have d members, so of two sets the one holding the lowest station
-    where they differ comes first.
-    """
-    first = masks[0]
-    for live in masks[1:]:
-        diff = first ^ live
-        if diff & -diff & live:
-            first = live
-    return first
 
 
 def run_adversarial(strategy: Strategy, adversary: Adversary, config: GameConfig) -> GameResult:

@@ -16,7 +16,8 @@ class DomainError(MacqError, ValueError):
 
 
 class InvalidQuery(MacqError):
-    """A strategy produced a query containing stations outside 1..n."""
+    """A strategy produced a query that is not a ``StationSet``, or that
+    holds stations outside 1..n."""
 
 
 class CapExceeded(MacqError):

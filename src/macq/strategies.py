@@ -83,13 +83,15 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
                   revealed: int) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds, or
     None once the mask ``revealed`` holds d stations, the end of every game;
-    a query past the round cap of 4n + 16, beyond n or with a negative mask
-    is refused."""
+    a query past the round cap of 4n + 16, not a ``StationSet``, beyond n or
+    with a negative mask is refused."""
     if revealed.bit_count() >= config.d:
         return None
     action = strategy.query(config, state)
     if action is None:
         return None
+    if action.__class__ is not StationSet:
+        raise InvalidQuery(f"strategy {strategy.name!r} queried {action!r}, not a StationSet")
     cap = _round_cap(config)
     if rounds >= cap:
         raise CapExceeded(
@@ -142,10 +144,11 @@ def fold_strategy(
     revealed at either position, so each member draws the same feedback and
     ``normal`` reduces nothing, and where its deepest query still comes before
     the round cap, so ``CapExceeded`` is raised as without the memo.  One
-    recursion serves both cases, the memo its only switch: it is dropped for a
-    transcript-form strategy, whose states never repeat, and below a state with
-    no hash (a ``tree_strategy`` node), whose subtree is folded unshared while
-    the positions above it are still stored.
+    recursion serves both cases, the memo its only switch.  A transcript-form
+    strategy's state is its transcript, which never repeats within one walk,
+    so only a later walk over the same memo hits.  Below a state with no hash
+    (a ``tree_strategy`` node) the subtree is folded unshared, while the
+    positions above it are still stored.
     """
     config, step = transcript.config, strategy.step
     cap = _round_cap(config)
@@ -183,8 +186,7 @@ def fold_strategy(
             memo[key] = result
         return result
 
-    return walk(position, replay(strategy, config, transcript), len(transcript.rounds),
-                None if step is Transcript.extend else memo)[0]
+    return walk(position, replay(strategy, config, transcript), len(transcript.rounds), memo)[0]
 
 
 def _count(played: int, query: StationSet, feedback: Feedback) -> int:

@@ -196,6 +196,11 @@ def test_feedback_validation():
         Feedback(FeedbackTag.SILENCE, 1)
     with pytest.raises(DomainError):
         Feedback(FeedbackTag.COLLISION, 2)
+    # A tag must be a FeedbackTag; its value string is not one.
+    for tag, station in (("silence", None), ("single", 3), ("collision", None), (None, None)):
+        with pytest.raises(DomainError) as raised:
+            Feedback(tag, station)
+        assert str(raised.value) == f"feedback tag must be a FeedbackTag, got {tag!r}"
 
 
 def test_evaluate_query_exhaustive_small():

@@ -385,8 +385,10 @@ def test_bench_trace_mode_still_wraps_every_hot_function(tmp_path):
     # The commands import their modules on demand; the wrappers must still be
     # the functions that run, so the counts of those modules are not zero.
     assert trace["hot"]["adversary.refine"][0] > 0
-    spans = {span[2] for span in trace["spans"]}
-    assert {"cli.dispatch", "engine.run_adversarial"} <= spans
+    spans = [span[2] for span in trace["spans"]]
+    assert {"cli.dispatch", "engine.run_adversarial"} <= set(spans)
+    # The exact adversary answers every round through ``exact_answer``.
+    assert spans.count("adversary.exact_answer") == json.loads(proc.stdout)["rounds_used"] == 7
 
 
 def test_ctrl_c_prints_one_error_line_and_exits_130():

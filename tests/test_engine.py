@@ -13,6 +13,7 @@ from macq import (
     BudgetExceeded,
     CapExceeded,
     DomainError,
+    FeedbackTag,
     GameConfig,
     GameResult,
     Inconsistent,
@@ -41,7 +42,6 @@ from macq import (
     tree_strategy,
     worst_case_rounds,
 )
-from macq.engine import _first_in_id_order
 from reference_strategies import (
     TREE_BOXED_BELOW,
     random_adaptive,
@@ -118,6 +118,19 @@ def test_run_fixed_rejects_query_beyond_n():
     strat = scripted("overreach", [S([5])])
     with pytest.raises(InvalidQuery):
         run_fixed(strat, GameConfig(3, 1), S([1]))
+
+
+def test_query_that_is_not_a_station_set_is_refused():
+    # A set, an int, a list or a tuple is refused by name, not left to fail
+    # on a missing mask, in the game, the sweep and the tree alike.
+    cfg = GameConfig(3, 1)
+    for value in ({1}, 1, [1], (1,)):
+        bad = Strategy("bad", lambda config, transcript, value=value: value)
+        for run in (lambda: run_fixed(bad, cfg, S([1])), lambda: worst_case_rounds(bad, cfg),
+                    lambda: build_tree(bad, cfg)):
+            with pytest.raises(InvalidQuery) as raised:
+                run()
+            assert str(raised.value) == f"strategy 'bad' queried {value!r}, not a StationSet"
 
 
 # Queries the empty set forever: every game hits the round cap.
@@ -429,6 +442,11 @@ def test_adversary_answering_impossible_feedback_is_refused():
     with pytest.raises(Inconsistent) as excinfo:
         run_adversarial(LINEAR_SCAN, colliding, GameConfig(3, 1))
     assert str(excinfo.value) == "feedback 'collision' on query {1} eliminates every candidate"
+    # An answer that is no Feedback at all is refused before it is spelled.
+    for answer in ("silence", None, FeedbackTag.SILENCE):
+        with pytest.raises(DomainError) as excinfo:
+            run_adversarial(TREE_SPLIT, lambda state, query, transcript: answer, GameConfig(3, 1))
+        assert str(excinfo.value) == f"feedback must be a Feedback, got {answer!r}"
 
 
 def test_exact_adversary_forces_tree_split_worst_case():
@@ -462,17 +480,3 @@ def test_game_result_doc_is_json_ready():
         {"query": [3, 4], "feedback": {"single": 3}},
     ]
     json.dumps(doc)  # must not raise
-
-
-def test_first_in_id_order_matches_sorting_by_members():
-    rng = random.Random(3)
-    for n in range(1, 8):
-        for d in range(1, n + 1):
-            sets = [S(ids) for ids in combinations(range(1, n + 1), d)]
-            for a in sets:
-                for b in sets:
-                    assert _first_in_id_order([a.mask, b.mask]) == min(a, b, key=tuple).mask
-            for size in (1, 3, len(sets)):
-                picked = rng.sample(sets, min(size, len(sets)))
-                want = min(picked, key=tuple).mask
-                assert _first_in_id_order([s.mask for s in picked]) == want

@@ -341,6 +341,27 @@ def test_worst_case_sweep_shares_transposed_subtrees():
         calls["query"] = 0
         assert run_adversarial(counted, adversary, cfg) == game
         assert calls["query"] == game.rounds_used == rounds, (strategy.name, calls)
+    # A transcript-form strategy's state is its transcript, which hashes like
+    # any other state, so the memo is kept for it too.  Within one game no
+    # transcript recurs, but a second game with the same adversary replays the
+    # first and asks one query per round: 15 (tree) and 10 (linear) at (10,4).
+    # Its ``step`` stays ``Transcript.extend``; ``fn`` counts its own calls.
+    cfg = GameConfig(10, 4)
+    for fn, asked, rounds in ((tree_split, 309, 15), (linear_scan, 338, 10)):
+        calls = {"query": 0}
+
+        def counted_fn(config, transcript, fn=fn):
+            calls["query"] += 1
+            return fn(config, transcript)
+
+        strategy = Strategy(fn.__name__, counted_fn)
+        assert strategy.step is Transcript.extend
+        adversary = make_exact_adversary(strategy)
+        game = run_adversarial(strategy, adversary, cfg)
+        assert calls["query"] == asked, (fn.__name__, calls)
+        calls["query"] = 0
+        assert run_adversarial(strategy, adversary, cfg) == game
+        assert calls["query"] == game.rounds_used == rounds, (fn.__name__, calls)
 
 
 def test_transcript_strategies_keep_the_transcript_as_state():
