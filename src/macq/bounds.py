@@ -12,7 +12,16 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .channel import _integer
 from .errors import DomainError
+
+
+def _instance(n: int, d: int) -> tuple[int, int]:
+    """n and d as plain ints (see ``channel._integer``), with 1 <= d <= n."""
+    n, d = _integer("n", n), _integer("d", d)
+    if not 1 <= d <= n:
+        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
+    return n, d
 
 
 def info_lower_bound(n: int, d: int) -> int:
@@ -23,8 +32,7 @@ def info_lower_bound(n: int, d: int) -> int:
     outcomes, so for d = 1 and n >= 4 this quantity exceeds the true optimum;
     the report module flags exactly that discrepancy.
     """
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
+    n, d = _instance(n, d)
     target = math.comb(n, d)
     t = 0
     power = 1
@@ -41,6 +49,7 @@ def path_count_bound(x: int, d: int) -> int:
     distinct ordered station labels (d! orders), every other position one of
     two red symbols; in closed form  sum_h C(h,d) * 2**(h-d) * d!.
     """
+    x, d = _integer("x", x), _integer("d", d)
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
     if x < d:
@@ -62,8 +71,7 @@ def claimed_bound_combinatorial(n: int, d: int, factor: GrowthFactor) -> int:
     F is d! or d**d per ``factor``.  Found by a forward scan; the left side
     is nondecreasing in x, so the first hit is the threshold.
     """
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
+    n, d = _instance(n, d)
     if not isinstance(factor, GrowthFactor):
         raise DomainError(f"factor must be a GrowthFactor, got {factor!r}")
     scale = math.factorial(d) if factor is GrowthFactor.FACTORIAL else d**d
@@ -80,8 +88,7 @@ def claimed_bound_analytic(n: int, d: int) -> int:
     The right side is d*lg2(n) - d*lg2(d) - d*lg2(e) - d + 1; the comparison
     is exact (see module docstring).
     """
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
+    n, d = _instance(n, d)
     if n < 2:
         raise DomainError(f"the analytic threshold needs n >= 2, got n={n}")
     x = 1

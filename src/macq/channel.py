@@ -181,6 +181,8 @@ class StationSet(Frozen, defaults={"mask": 0}):
 
     def __iter__(self) -> Iterator[int]:
         mask = self.mask
+        if mask < 0:  # its bits never run out, so it cannot be listed
+            raise DomainError(f"station set has the negative mask {mask}")
         while mask:
             low = mask & -mask
             yield low.bit_length()
@@ -382,12 +384,10 @@ class Transcript(Frozen, defaults={"rounds": ()}):
 
 
 def transmitted_set(transcript: Transcript) -> StationSet:
-    """Stations that have transmitted alone so far (distinct single senders)."""
-    mask = 0
-    for _, feedback in transcript.rounds:
-        if feedback.is_single:
-            mask |= 1 << (feedback.station - 1)  # type: ignore[operator]
-    return StationSet(mask)
+    """Stations that have transmitted alone so far (distinct single senders),
+    through ``StationSet.from_ids``, which refuses one beyond ``station_cap()``."""
+    return StationSet.from_ids(feedback.station for _, feedback in transcript.rounds
+                               if feedback.is_single)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Subcommands: simulate, worst-case, tree, bounds, oracle, report.  Exit codes:
 printed to stderr as ``error: <ErrorName>: <details>``, and 130 on Ctrl-C,
 printed as ``error: Interrupted: <details>``.
 
-Only what building the parser needs is imported here; each command imports
-the modules it runs, so a short command does not pay for the others.
+Each handler returns its output as text or as a JSON document (a dict), and
+``dispatch`` writes it, encoding a document as one line of JSON.  Only what
+building the parser needs is imported here; each command imports the modules
+it runs, so a short command does not pay for the others.
 """
 
 from __future__ import annotations
@@ -112,9 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
-    import json
-
+def _cmd_simulate(args: argparse.Namespace) -> dict:
     from .adversary import greedy_adversary, make_exact_adversary
     from .engine import game_result_to_doc, run_adversarial, run_fixed
 
@@ -129,51 +129,39 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
             greedy_adversary if args.adversary == "greedy" else make_exact_adversary(strategy)
         )
         result = run_adversarial(strategy, adversary, config)
-    return json.dumps(game_result_to_doc(result)) + "\n"
+    return game_result_to_doc(result)
 
 
-def _cmd_worst_case(args: argparse.Namespace) -> str:
+def _cmd_worst_case(args: argparse.Namespace) -> str | dict:
     from .engine import worst_case_rounds
 
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     rounds, witness = worst_case_rounds(strategy, config)
     if args.format == "json-lines":
-        import json
-
-        doc = {
-            "n": config.n,
-            "d": config.d,
-            "strategy": strategy.name,
-            "rounds": rounds,
-            "witness": list(witness),
-        }
-        return json.dumps(doc) + "\n"
+        return {"n": config.n, "d": config.d, "strategy": strategy.name, "rounds": rounds,
+                "witness": list(witness)}
     return f"rounds={rounds} witness={format_station_set(witness)}\n"
 
 
-def _cmd_tree(args: argparse.Namespace) -> str:
+def _cmd_tree(args: argparse.Namespace) -> str | dict:
     from .qtree import build_tree, export_graph, normal_form_report
 
     config = GameConfig(args.n, args.d)
     strategy = STRATEGIES[args.strategy]
     if args.check:
-        import json
-
         report = normal_form_report(strategy, config, normal=args.normalize)
-        return json.dumps({name: getattr(report, name) for name in report.__slots__}) + "\n"
+        return {name: getattr(report, name) for name in report.__slots__}
     return export_graph(build_tree(strategy, config, normal=args.normalize))
 
 
-def _cmd_bounds(args: argparse.Namespace) -> str:
+def _cmd_bounds(args: argparse.Namespace) -> str | dict:
     from .bounds import counting_columns
 
     config = GameConfig(args.n, args.d)
     values = {"n": config.n, "d": config.d, **counting_columns(config.n, config.d)}
     if args.format == "json-lines":
-        import json
-
-        return json.dumps(values) + "\n"
+        return values
     header = ",".join(values)
     row = ",".join(str(v) for v in values.values())
     return f"{header}\n{row}\n"
@@ -208,6 +196,10 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         output = args.handler(args)
+        if isinstance(output, dict):
+            import json
+
+            output = json.dumps(output) + "\n"
         if args.out is None:
             try:
                 sys.stdout.write(output)

@@ -180,7 +180,7 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
             return _measure_leaf(lives[-1], senders)
         branches = []
         for feedback, child in node.children.items():
-            sender = 1 << (feedback.station - 1) if feedback.is_single else 0
+            sender = StationSet.from_ids((feedback.station,)).mask if feedback.is_single else 0
             branches.append((feedback, sender & ~senders, walk(child, senders | sender)))
         return _measure_node(node.query, branches)
 

@@ -8,7 +8,7 @@ bound does (LB_VIOLATION, which genuinely occurs for d = 1, n >= 4).
 from __future__ import annotations
 
 from .bounds import counting_columns
-from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, check_enumeration_budget
+from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, _integer, check_enumeration_budget
 from .engine import worst_case_rounds
 from .errors import BudgetExceeded, DomainError
 from .oracle import exact_optimal_rounds
@@ -18,9 +18,9 @@ FLAG_CLAIM_EXCEEDS_OPT = "CLAIM_EXCEEDS_OPT"
 FLAG_LB_VIOLATION = "LB_VIOLATION"
 
 
-class ReportRow(Frozen, defaults={"notes": ()}):
+class ReportRow(Frozen):
     __slots__ = ("n", "d", "oracle_opt", "tree_worst", "linear_worst", "info_lb",
-                 "claimed_factorial", "claimed_power", "claimed_analytic", "flags", "notes")
+                 "claimed_factorial", "claimed_power", "claimed_analytic", "flags")
     n: int
     d: int
     oracle_opt: int | None
@@ -31,20 +31,16 @@ class ReportRow(Frozen, defaults={"notes": ()}):
     claimed_power: int
     claimed_analytic: int
     flags: tuple[str, ...]
-    notes: tuple[str, ...]
 
 
-_CSV_COLUMNS = ReportRow.__slots__[:-1]  # every field but notes
-CSV_HEADER = ",".join(_CSV_COLUMNS)
+CSV_HEADER = ",".join(ReportRow.__slots__)
 
 
 def _build_row(config: GameConfig, oracle_cap: tuple[int, int]) -> ReportRow:
-    notes: list[str] = []
     try:
         oracle_opt: int | None = exact_optimal_rounds(config, cap=oracle_cap)
-    except BudgetExceeded as exc:
+    except BudgetExceeded:  # beyond the oracle cap: generate_report checked the enumeration budget
         oracle_opt = None
-        notes.append(f"oracle_opt absent: BudgetExceeded: {exc}")
     tree_worst = worst_case_rounds(TREE_SPLIT, config)[0]
     linear_worst = worst_case_rounds(LINEAR_SCAN, config)[0]
     columns = counting_columns(config.n, config.d)
@@ -57,7 +53,7 @@ def _build_row(config: GameConfig, oracle_cap: tuple[int, int]) -> ReportRow:
         if columns["info_lb"] > oracle_opt:
             flags.append(FLAG_LB_VIOLATION)
     return ReportRow(n=config.n, d=config.d, oracle_opt=oracle_opt, tree_worst=tree_worst,
-                     linear_worst=linear_worst, **columns, flags=tuple(flags), notes=tuple(notes))
+                     linear_worst=linear_worst, **columns, flags=tuple(flags))
 
 
 def generate_report(
@@ -68,11 +64,12 @@ def generate_report(
     """Rows for every 2 <= n <= n_max, 1 <= d <= min(n, d_max).
 
     The grid starts at n = 2 because the analytic threshold is undefined at
-    n = 1.  Per-cell oracle failures beyond the cap become absent values with
-    a note.  Every cell is checked first (n within the station cap, C(n,d)
-    within the enumeration budget), so a grid with a cell out of range fails
-    at once, with that first cell's error.
+    n = 1.  A cell beyond the oracle cap gets an absent ``oracle_opt``.  Every
+    cell is checked first (n within the station cap, C(n,d) within the
+    enumeration budget), so a grid with a cell out of range fails at once,
+    with that first cell's error.
     """
+    n_max, d_max = _integer("n_max", n_max), _integer("d_max", d_max)
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max}")
     if d_max < 1:
@@ -90,7 +87,7 @@ def report_to_csv(rows: list[ReportRow]) -> str:
     """Deterministic CSV: absent values render empty, flags join with ';'."""
     lines = [CSV_HEADER]
     for row in rows:
-        cells = (getattr(row, name) for name in _CSV_COLUMNS)
+        cells = (getattr(row, name) for name in ReportRow.__slots__)
         lines.append(",".join("" if cell is None else ";".join(cell) if isinstance(cell, tuple)
                               else str(cell) for cell in cells))
     return "\n".join(lines) + "\n"

@@ -1,11 +1,22 @@
 """Strategies shared by several test modules: transcript-function references
-for the built-in state machines, and random strategies for sweeps."""
+for the built-in state machines, and random strategies for sweeps; also
+``Index``, an integer type other than int."""
 
 import random
 
 from macq import COLLISION, TREE_SPLIT, DomainError, StationSet, Strategy
 
 S = StationSet.from_ids
+
+
+class Index:
+    """An integer type other than int, as numpy's are: it converts through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def reference_scripted(queries):

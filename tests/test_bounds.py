@@ -17,6 +17,7 @@ from macq import (
     path_count_bound,
 )
 from macq.bounds import _analytic_threshold_holds
+from reference_strategies import Index
 
 
 def _pascal_table(rows: int) -> list[list[int]]:
@@ -219,3 +220,22 @@ def test_bounds_reject_d_outside_one_to_n(n, d):
         claimed_bound_combinatorial(n, d, GrowthFactor.FACTORIAL)
     with pytest.raises(DomainError, match="need 1 <= d <= n"):
         claimed_bound_analytic(n, d)
+
+
+@pytest.mark.parametrize("bad", [4.0, "4", None])
+def test_bounds_refuse_what_is_not_an_integer(bad):
+    for bound in (info_lower_bound, claimed_bound_analytic, path_count_bound,
+                  lambda n, d: claimed_bound_combinatorial(n, d, GrowthFactor.POWER)):
+        for args in ((bad, 2), (4, bad)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                bound(*args)
+
+
+def test_bounds_convert_integer_types():
+    assert info_lower_bound(Index(4), Index(2)) == info_lower_bound(4, 2)
+    assert info_lower_bound(Index(3), True) == info_lower_bound(3, 1)
+    assert path_count_bound(Index(4), True) == path_count_bound(4, 1)
+    assert claimed_bound_analytic(Index(10), True) == claimed_bound_analytic(10, 1)
+    for factor in GrowthFactor:
+        assert claimed_bound_combinatorial(Index(10), Index(2), factor) == \
+            claimed_bound_combinatorial(10, 2, factor)

@@ -42,6 +42,7 @@ from macq.channel import (
     feedback_to_json,
     station_cap,
 )
+from reference_strategies import Index
 
 
 def test_station_set_from_ids_dedups_and_sorts():
@@ -62,6 +63,15 @@ def test_station_set_rejects_nonpositive_ids():
     for station in (2.5, "3"):
         with pytest.raises(DomainError, match="station id must be an integer"):
             StationSet.from_ids([station])
+
+
+def test_station_set_with_a_negative_mask_cannot_be_listed():
+    # Its bits never run out, so listing it is refused rather than looping.
+    with pytest.raises(DomainError, match="negative mask -1"):
+        next(iter(StationSet(-1)))
+    for listing in (repr, list, format_station_set, lambda s: 0 in s):
+        with pytest.raises(DomainError, match="negative mask -6"):
+            listing(StationSet(-6))
 
 
 def test_station_set_semantics_match_frozenset():
@@ -93,8 +103,8 @@ def test_station_set_singleton_and_full(monkeypatch):
     assert tuple(StationSet.full(3)) == (1, 2, 3)
     assert tuple(StationSet.full(0)) == ()
     # Integer types convert, as in GameConfig; a float size is refused.
-    assert tuple(StationSet.from_ids([_Index(3), True])) == (1, 3)
-    assert StationSet.full(_Index(2)) == StationSet.full(2)
+    assert tuple(StationSet.from_ids([Index(3), True])) == (1, 3)
+    assert StationSet.full(Index(2)) == StationSet.full(2)
     with pytest.raises(DomainError):
         StationSet.full(-1)
     with pytest.raises(DomainError, match="set size must be an integer"):
@@ -117,20 +127,11 @@ def test_format_station_set():
     assert format_station_set(StationSet.from_ids([3, 1])) == "{1,3}"
 
 
-class _Index:
-    """An integer type other than int, as numpy's are: it converts through ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
 
 def test_game_config_validation():
     GameConfig(5, 2)  # accepted
     # Integer types convert to plain ints; floats and strings are refused.
-    config = GameConfig(_Index(4), True)
+    config = GameConfig(Index(4), True)
     assert config == GameConfig(4, 1) and type(config.n) is int and type(config.d) is int
     for n, d in ((4.0, 2), (4, 2.0), ("4", 2), (None, 1)):
         with pytest.raises(DomainError, match="must be an integer"):
@@ -184,7 +185,7 @@ def test_feedback_validation():
             single(station)
         with pytest.raises(DomainError, match="station id must be an integer"):
             Feedback(FeedbackTag.SINGLE, station)
-    for station in (True, _Index(7)):
+    for station in (True, Index(7)):
         assert single(station.__index__()) == single(station)
         assert type(single(station).station) is int
         assert type(Feedback(FeedbackTag.SINGLE, station).station) is int
@@ -234,7 +235,7 @@ def test_transcript_extend_is_persistent():
     assert transmitted_set(t1) == StationSet()
 
 
-def test_transmitted_set_collects_distinct_singles():
+def test_transmitted_set_collects_distinct_singles(monkeypatch):
     cfg = GameConfig(5, 3)
     t = Transcript(cfg)
     t = t.extend(StationSet.from_ids([1]), single(1))
@@ -242,6 +243,10 @@ def test_transmitted_set_collects_distinct_singles():
     t = t.extend(StationSet.from_ids([2]), single(2))
     t = t.extend(StationSet.from_ids([1]), single(1))
     assert transmitted_set(t) == StationSet.from_ids([1, 2])
+    # A sender's bit is set by StationSet.from_ids, which refuses one beyond the cap.
+    monkeypatch.setenv("MACQ_MAX_N", "8")
+    with pytest.raises(DomainError, match="at most 8 .*got 9"):
+        transmitted_set(t.extend(StationSet.from_ids([3]), single(9)))
 
 
 def test_feedback_json_round_trip():
@@ -328,7 +333,7 @@ def test_value_types_are_immutable_values(monkeypatch):
         NormalFormReport: ("max_depth", "leaf_count", "black_per_path",
                            "repeated_transmitter_paths", "property_holds"),
         ReportRow: ("n", "d", "oracle_opt", "tree_worst", "linear_worst", "info_lb",
-                    "claimed_factorial", "claimed_power", "claimed_analytic", "flags", "notes"),
+                    "claimed_factorial", "claimed_power", "claimed_analytic", "flags"),
     }
     values = [
         live, cfg, single(2), initial_state(cfg), Transcript(cfg, ((live, COLLISION),)),
@@ -374,8 +379,6 @@ def test_value_types_are_immutable_values(monkeypatch):
     assert StationSet().mask == 0 and Transcript(cfg).rounds == ()
     plain = Strategy("s", linear_scan)
     assert plain.start is Transcript and plain.step is Transcript.extend
-    row = values[-1]
-    assert ReportRow(*(getattr(row, name) for name in fields[ReportRow][:-1])).notes == ()
     # A copy or a load restores the fields; it does not rerun the checks of
     # __init__, so a config made under a raised cap loads under the default.
     monkeypatch.setenv("MACQ_MAX_N", "128")

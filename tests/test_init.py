@@ -59,8 +59,9 @@ def _own_imports(scope):
 def test_no_module_imports_a_name_twice():
     # The unused-import check above passes a name imported twice, since the
     # name is used.  A function may import what a sibling function imports
-    # (cli.py's handlers each import json), but not a name its module or an
-    # enclosing function already imports, nor one name twice itself.
+    # (cli.py's tree and oracle handlers each import export_graph), but not a
+    # name its module or an enclosing function already imports, nor one name
+    # twice itself.
     repeated = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         pending = [(ast.parse(path.read_text(encoding="utf-8")), set())]

@@ -10,6 +10,7 @@ from macq import (
     COLLISION,
     SILENCE,
     AmbiguousLeaf,
+    DomainError,
     FeedbackTag,
     GameConfig,
     LINEAR_SCAN,
@@ -176,6 +177,14 @@ def test_normal_form_needs_one_leaf_per_live_set():
     # A leaf whose black senders are not its live set breaks the form too.
     wrong = QNode(query=S([1]), children={single(1): leaf(2), SILENCE: probe(2, leaf(1))})
     assert not check_normal_form(QTree(GameConfig(2, 1), wrong)).property_holds
+
+
+def test_normal_form_refuses_a_sender_beyond_the_station_cap(monkeypatch):
+    # A sender's bit is set by StationSet.from_ids, which refuses one beyond the cap.
+    monkeypatch.setenv("MACQ_MAX_N", "8")
+    root = QNode(query=S([1]), children={single(9): QNode(resolved_live=S([1]))})
+    with pytest.raises(DomainError, match="at most 8 .*got 9"):
+        check_normal_form(QTree(GameConfig(2, 1), root))
 
 
 def test_normalizing_linear_scan_changes_nothing():

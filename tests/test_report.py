@@ -19,6 +19,7 @@ from macq import (
     worst_case_rounds,
 )
 from macq import report
+from reference_strategies import Index
 
 # Full grid up to (6,3) with the default oracle cap.  Every oracle_opt,
 # worst-case, and bound column is re-derived against its own module in
@@ -87,7 +88,6 @@ def test_rows_beyond_oracle_cap_have_empty_opt_and_no_flags():
     row = capped[0]
     assert row.oracle_opt is None
     assert row.flags == ()
-    assert row.notes  # explains the missing value
     csv = report_to_csv(rows)
     line = next(l for l in csv.splitlines() if l.startswith("7,1,"))
     assert line == "7,1,,1,7,2,2,2,2,"
@@ -107,6 +107,18 @@ def test_report_rejects_tiny_grids():
         generate_report(1, 1)
     with pytest.raises(DomainError):
         generate_report(4, 0)
+
+
+@pytest.mark.parametrize("bad", [3.0, "3", None])
+def test_report_refuses_grid_limits_that_are_not_integers(bad):
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        generate_report(bad, 1)
+    with pytest.raises(DomainError, match="d_max must be an integer"):
+        generate_report(3, bad)
+
+
+def test_report_converts_integer_types():
+    assert generate_report(Index(3), True) == generate_report(3, 1)
 
 
 def test_report_checks_the_whole_grid_before_computing_a_row(monkeypatch):
