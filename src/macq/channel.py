@@ -49,8 +49,9 @@ class Frozen:
     source, as ``collections.namedtuple`` does, so it costs no more per call
     than a hand-written one.  Only a type that does more than store its
     fields writes its own ``__init__`` and sets each field once through
-    ``set_field``: ``GameConfig`` and ``Feedback`` check their arguments,
-    and ``qtree.QNode`` gives each node a fresh ``children`` dict.
+    ``set_field``: ``StationSet``, ``GameConfig`` and ``Feedback`` check
+    their arguments, and ``qtree.QNode`` gives each node a fresh
+    ``children`` dict.
 
     Instances compare and hash by their fields in slot order, print as
     ``Name(field=value, ...)``, refuse assignment, and copy their fields in
@@ -138,18 +139,26 @@ def station_cap() -> int:
     return cap
 
 
-class StationSet(Frozen, defaults={"mask": 0}):
+class StationSet(Frozen):
     """Immutable set of 1-based station ids, stored as a bitmask.
 
-    Bit i-1 of ``mask`` is set when station i belongs to the set.  Python
-    integers are unbounded, so sets work unchanged past the default 64-station
-    cap when the cap is raised.  Sets order by mask.  Python derives the
-    rest: truthiness from ``__len__``, ``in`` from ``__iter__``, and ``>`` and
-    ``>=`` by reflecting ``<`` and ``<=``.
+    Bit i-1 of ``mask`` is set when station i belongs to the set.  The mask
+    is checked where the set is made, so every operation may trust it: it
+    must be an integer (a bool or a numpy integer converts) and not negative
+    (``DomainError``).  Python integers are unbounded, so sets work unchanged
+    past the default 64-station cap when the cap is raised.  Sets order by
+    mask.  Python derives the rest: truthiness from ``__len__``, ``in`` from
+    ``__iter__``, and ``>`` and ``>=`` by reflecting ``<`` and ``<=``.
     """
 
     __slots__ = ("mask",)
     mask: int
+
+    def __init__(self, mask: int = 0) -> None:
+        mask = _integer("station set mask", mask)
+        if mask < 0:  # its bits never run out, so it is no set
+            raise DomainError(f"station set has the negative mask {mask}")
+        set_field(self, "mask", mask)
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> StationSet:
@@ -181,8 +190,6 @@ class StationSet(Frozen, defaults={"mask": 0}):
 
     def __iter__(self) -> Iterator[int]:
         mask = self.mask
-        if mask < 0:  # its bits never run out, so it cannot be listed
-            raise DomainError(f"station set has the negative mask {mask}")
         while mask:
             low = mask & -mask
             yield low.bit_length()
@@ -247,8 +254,6 @@ class GameConfig(Frozen):
         if live.__class__ is not StationSet:
             raise DomainError(f"live set must be a StationSet, got {type(live).__name__}")
         if live.mask >> self.n:
-            if live.mask < 0:  # its bits never run out, so it cannot be listed
-                raise DomainError(f"live set has the negative mask {live.mask}")
             raise DomainError(f"live set {format_station_set(live)} exceeds n={self.n}")
         if len(live) != self.d:
             raise DomainError(f"live set must have exactly d={self.d} stations, got {len(live)}")
@@ -361,7 +366,10 @@ def initial_state(config: GameConfig) -> KnowledgeState:
 
 def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, KnowledgeState]]:
     """The positions one round after ``state``, as (feedback, child) in feedback
-    order, one per ``split_by_feedback`` group; a single reveals its sender."""
+    order, one per ``split_by_feedback`` group; a single reveals its sender.
+    A query that is no ``StationSet`` is a ``DomainError``."""
+    if query.__class__ is not StationSet:
+        raise DomainError(f"query must be a StationSet, got {query!r}")
     revealed = state.revealed
     return [(single(outcome.bit_length()), KnowledgeState(tuple(group), revealed | outcome))
             if outcome > 0 else

@@ -36,9 +36,9 @@ from __future__ import annotations
 from itertools import product
 
 from .adversary import refine
-from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, initial_state,
-                      split_by_feedback)
-from .errors import BudgetExceeded
+from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, _integer,
+                      initial_state, split_by_feedback)
+from .errors import BudgetExceeded, DomainError
 from .strategies import Strategy
 
 
@@ -175,9 +175,12 @@ def optimal_strategy(*, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:
     the process's solver about the candidates with the revealed stations
     struck.  ``start`` refuses an instance beyond ``cap`` = (n, d) with
     ``BudgetExceeded``, so the cap bounds every game, tree and adversary fold
-    the strategy starts.
+    the strategy starts.  A cap that is not a tuple of two integers is a
+    ``DomainError``.
     """
-    n_cap, d_cap = cap
+    if cap.__class__ is not tuple or len(cap) != 2:
+        raise DomainError(f"oracle cap must be a tuple of two integers (n, d), got {cap!r}")
+    n_cap, d_cap = _integer("oracle cap n", cap[0]), _integer("oracle cap d", cap[1])
 
     def start(config: GameConfig) -> KnowledgeState:
         if config.n > n_cap or config.d > d_cap:

@@ -83,8 +83,8 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
                   revealed: int) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds, or
     None once the mask ``revealed`` holds d stations, the end of every game;
-    a query past the round cap of 4n + 16, not a ``StationSet``, beyond n or
-    with a negative mask is refused."""
+    a query past the round cap of 4n + 16, not a ``StationSet`` or beyond n
+    is refused."""
     if revealed.bit_count() >= config.d:
         return None
     action = strategy.query(config, state)
@@ -98,8 +98,6 @@ def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: in
             f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
         )
     if action.mask >> config.n:
-        if action.mask < 0:  # its bits never run out, so it cannot be listed
-            raise InvalidQuery(f"strategy {strategy.name!r} queried the negative mask {action.mask}")
         raise InvalidQuery(
             f"strategy {strategy.name!r} queried stations "
             f"{format_station_set(action - StationSet.full(config.n))} beyond n={config.n}"

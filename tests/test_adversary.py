@@ -10,6 +10,7 @@ from macq import (
     SILENCE,
     BudgetExceeded,
     CapExceeded,
+    DomainError,
     GameConfig,
     Inconsistent,
     LINEAR_SCAN,
@@ -93,6 +94,19 @@ def test_refine_rejects_impossible_feedback():
         refine(state, S([1]), single(2))
     with pytest.raises(Inconsistent):
         refine(state, S([1]), COLLISION)  # a singleton query cannot collide
+
+
+def test_query_that_is_not_a_station_set_is_refused_by_name():
+    # branches, the one edge rule, refuses it for every answer built on it.
+    cfg = GameConfig(3, 1)
+    state = initial_state(cfg)
+    for query in ({1}, 1, [1], (1,)):
+        for answer in (lambda: refine(state, query, SILENCE), lambda: greedy_answer(state, query),
+                       lambda: exact_answer(state, query, TREE_SPLIT, Transcript(cfg)),
+                       lambda: channel.branches(state, query)):
+            with pytest.raises(DomainError) as raised:
+                answer()
+            assert str(raised.value) == f"query must be a StationSet, got {query!r}"
 
 
 def _greedy_oracle(state: KnowledgeState, query: StationSet):

@@ -65,13 +65,29 @@ def test_station_set_rejects_nonpositive_ids():
             StationSet.from_ids([station])
 
 
-def test_station_set_with_a_negative_mask_cannot_be_listed():
-    # Its bits never run out, so listing it is refused rather than looping.
-    with pytest.raises(DomainError, match="negative mask -1"):
-        next(iter(StationSet(-1)))
-    for listing in (repr, list, format_station_set, lambda s: 0 in s):
+def test_station_set_with_a_negative_mask_cannot_be_built():
+    # Its bits never run out, so it is no set: it is refused where it is made,
+    # before it can be listed, counted or intersected.
+    with pytest.raises(DomainError) as raised:
+        StationSet(-1)
+    assert str(raised.value) == "station set has the negative mask -1"
+    for use in (repr, list, format_station_set, lambda s: 0 in s, len,
+                lambda s: s & StationSet(3)):
         with pytest.raises(DomainError, match="negative mask -6"):
-            listing(StationSet(-6))
+            use(StationSet(-6))
+
+
+def test_station_set_mask_must_be_an_integer():
+    for mask in (2.5, "3", None):
+        with pytest.raises(DomainError) as raised:
+            StationSet(mask)
+        assert str(raised.value) == f"station set mask must be an integer, got {mask!r}"
+    # A bool or an __index__ type (a numpy integer, say) converts to an int.
+    assert StationSet(True) == StationSet(1) and StationSet(True).mask.__class__ is int
+    live = StationSet(Index(5))
+    assert live == StationSet.from_ids([1, 3])
+    cfg = GameConfig(4, 2)
+    assert run_fixed(TREE_SPLIT, cfg, live) == run_fixed(TREE_SPLIT, cfg, StationSet(5))
 
 
 def test_station_set_semantics_match_frozenset():
@@ -372,9 +388,9 @@ def test_value_types_are_immutable_values(monkeypatch):
         StationSet(2), StationSet(4), StationSet(5)]
     assert QNode().children == {} and QNode().children is not QNode().children
     # Frozen writes the constructor of every type that only stores its fields;
-    # only the other three have one written in a source file.
+    # only the other four have one written in a source file.
     written = {kind for kind in fields if kind.__init__.__code__.co_filename.endswith(".py")}
-    assert written == {GameConfig, Feedback, QNode}
+    assert written == {StationSet, GameConfig, Feedback, QNode}
     assert all(kind.__init__.__module__ == kind.__module__ for kind in fields)
     assert StationSet().mask == 0 and Transcript(cfg).rounds == ()
     plain = Strategy("s", linear_scan)

@@ -155,17 +155,17 @@ def test_round_cap_turns_livelock_into_error():
 
 
 def test_negative_query_mask_is_refused():
-    # A negative mask has no highest bit, so listing its stations beyond n
-    # never ends; it is refused first, in the transcript and machine forms.
+    # A negative mask is no set, so a strategy cannot build it as its query:
+    # the construction is refused, in the transcript and machine forms.
     cfg = GameConfig(3, 1)
     for neg in (Strategy("neg", lambda config, transcript: StationSet(-1)),
                 Strategy("neg", lambda config, state: StationSet(-1), lambda config: 0,
                          lambda state, query, feedback: state)):
         for run in (lambda: run_fixed(neg, cfg, S([1])), lambda: worst_case_rounds(neg, cfg),
                     lambda: build_tree(neg, cfg)):
-            with pytest.raises(InvalidQuery) as raised:
+            with pytest.raises(DomainError) as raised:
                 run()
-            assert str(raised.value) == "strategy 'neg' queried the negative mask -1"
+            assert str(raised.value) == "station set has the negative mask -1"
 
 
 def _recurring(wait, box=tuple):

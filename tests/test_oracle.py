@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from macq import (
     COLLISION,
     BudgetExceeded,
+    DomainError,
     GameConfig,
     Inconsistent,
     StationSet,
@@ -20,6 +21,7 @@ from macq import (
     check_normal_form,
     evaluate_query,
     exact_optimal_rounds,
+    generate_report,
     greedy_adversary,
     initial_state,
     make_exact_adversary,
@@ -37,6 +39,7 @@ from macq.oracle import (
     _class_queries,
     _twin_classes,
 )
+from reference_strategies import Index
 
 S = StationSet.from_ids
 
@@ -102,6 +105,36 @@ def test_oracle_cap_enforced_and_overridable():
     with pytest.raises(BudgetExceeded, match=beyond):
         run_adversarial(optimal_strategy(), greedy_adversary, cfg)
     assert worst_case_rounds(optimal_strategy(cap=(7, 2)), cfg)[0] == 4
+
+
+def test_oracle_cap_must_be_two_integers():
+    # optimal_strategy is the cap's one reader, so every entry point refuses alike.
+    entries = (
+        lambda cfg, cap: worst_case_rounds(optimal_strategy(cap=cap), cfg)[0],
+        lambda cfg, cap: exact_optimal_rounds(cfg, cap=cap),
+        lambda cfg, cap: check_normal_form(optimal_strategy_tree(cfg, cap=cap)).max_depth,
+        lambda cfg, cap: generate_report(cfg.n, cfg.d, oracle_cap=cap)[-1].oracle_opt,
+    )
+    refusals = [
+        (None, "oracle cap must be a tuple of two integers (n, d), got None"),
+        ((6,), "oracle cap must be a tuple of two integers (n, d), got (6,)"),
+        ({6, 3}, "oracle cap must be a tuple of two integers (n, d), got {3, 6}"),  # no order
+        (("6", 3), "oracle cap n must be an integer, got '6'"),
+        ((6.0, 3), "oracle cap n must be an integer, got 6.0"),
+        ((6, 3.0), "oracle cap d must be an integer, got 3.0"),
+    ]
+    for entry in entries:
+        for cap, message in refusals:
+            with pytest.raises(DomainError) as raised:
+                entry(GameConfig(3, 1), cap)
+            assert str(raised.value) == message
+        # A bool or an __index__ type converts and keeps its meaning.
+        assert entry(GameConfig(7, 1), (Index(7), Index(3))) == 1
+    assert exact_optimal_rounds(GameConfig(1, 1), cap=(True, 1)) == 1
+    with pytest.raises(BudgetExceeded, match=r"n <= 1, d <= 1\)$"):
+        exact_optimal_rounds(GameConfig(2, 1), cap=(True, 1))
+    # A cap of 0 leaves every cell beyond it.
+    assert [row.oracle_opt for row in generate_report(3, 1, oracle_cap=(0, 0))] == [None, None]
 
 
 def test_repeat_calls_hit_the_shared_memo():
