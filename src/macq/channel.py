@@ -162,31 +162,17 @@ class StationSet(Frozen):
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> StationSet:
-        """The set of ``ids``; an id is checked before its bit is set, so one
-        beyond ``station_cap()``, which no game holds, allocates nothing."""
-        mask, cap = 0, station_cap()
+        """The set of ``ids``; ``_within_cap`` checks each id before its bit is
+        set, so one beyond the station cap, which no game holds, allocates nothing."""
+        mask = 0
         for i in ids:
-            i = _integer("station id", i)
-            if i < 1:
-                raise DomainError(f"station ids are 1-based, got {i}")
-            if i > cap:
-                raise DomainError(
-                    f"station ids must be at most {cap} (raise {STATION_CAP_ENV} for more), got {i}"
-                )
-            mask |= 1 << (i - 1)
+            mask |= 1 << (_within_cap("station id", i, 1) - 1)
         return cls(mask)
 
     @classmethod
     def full(cls, n: int) -> StationSet:
-        n = _integer("set size", n)
-        if n < 0:
-            raise DomainError(f"set size must be non-negative, got {n}")
-        cap = station_cap()
-        if n > cap:
-            raise DomainError(
-                f"set size must be at most {cap} (raise {STATION_CAP_ENV} for more), got {n}"
-            )
-        return cls((1 << n) - 1)
+        """All stations 1..n, with n checked by ``_within_cap`` before the mask is built."""
+        return cls((1 << _within_cap("set size", n, 0)) - 1)
 
     def __iter__(self) -> Iterator[int]:
         mask = self.mask
@@ -230,6 +216,16 @@ def _integer(name: str, value: int) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _within_cap(name: str, value: int, low: int) -> int:
+    """The one reader of the station cap: ``value`` as an int from ``low`` to ``station_cap()``."""
+    value, cap = _integer(name, value), station_cap()
+    if value < low:
+        raise DomainError(f"{name} must be at least {low}, got {value}")
+    if value > cap:
+        raise DomainError(f"{name} must be at most {cap} (raise {STATION_CAP_ENV} for more), got {value}")
+    return value
+
+
 class GameConfig(Frozen):
     """Instance parameters: n stations, exactly d of them live."""
 
@@ -238,12 +234,7 @@ class GameConfig(Frozen):
     d: int
 
     def __init__(self, n: int, d: int) -> None:
-        n, d = _integer("n", n), _integer("d", d)
-        cap = station_cap()
-        if not 1 <= n <= cap:
-            raise DomainError(
-                f"n must satisfy 1 <= n <= {cap} (raise {STATION_CAP_ENV} for more), got {n}"
-            )
+        n, d = _within_cap("n", n, 1), _integer("d", d)
         if not 1 <= d <= n:
             raise DomainError(f"d must satisfy 1 <= d <= n={n}, got {d}")
         set_field(self, "n", n)
@@ -367,7 +358,10 @@ def initial_state(config: GameConfig) -> KnowledgeState:
 def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, KnowledgeState]]:
     """The positions one round after ``state``, as (feedback, child) in feedback
     order, one per ``split_by_feedback`` group; a single reveals its sender.
-    A query that is no ``StationSet`` is a ``DomainError``."""
+    A state that is no ``KnowledgeState`` or a query that is no ``StationSet``
+    is a ``DomainError``."""
+    if state.__class__ is not KnowledgeState:
+        raise DomainError(f"state must be a KnowledgeState, got {type(state).__name__}")
     if query.__class__ is not StationSet:
         raise DomainError(f"query must be a StationSet, got {query!r}")
     revealed = state.revealed

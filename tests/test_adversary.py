@@ -109,6 +109,19 @@ def test_query_that_is_not_a_station_set_is_refused_by_name():
             assert str(raised.value) == f"query must be a StationSet, got {query!r}"
 
 
+def test_state_that_is_not_a_knowledge_state_is_refused_by_name():
+    # A bare candidate family in place of the state is refused by branches,
+    # not left to fail reading its revealed mask.
+    cfg = GameConfig(3, 1)
+    family = initial_state(cfg).family
+    for answer in (lambda: refine(family, S([1]), SILENCE), lambda: greedy_answer(family, S([1])),
+                   lambda: exact_answer(family, S([1]), TREE_SPLIT, Transcript(cfg)),
+                   lambda: channel.branches(family, S([1]))):
+        with pytest.raises(DomainError) as raised:
+            answer()
+        assert str(raised.value) == "state must be a KnowledgeState, got tuple"
+
+
 def _greedy_oracle(state: KnowledgeState, query: StationSet):
     # Independent recount with plain dicts: largest surviving family wins,
     # ties broken collision first, then silence, then smallest single id.

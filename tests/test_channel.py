@@ -182,6 +182,27 @@ def test_station_cap_env_override(monkeypatch):
         station_cap()
 
 
+@pytest.mark.parametrize("make, name, low", [
+    (lambda v: GameConfig(v, 1), "n", 1),
+    (lambda v: StationSet.from_ids([1, v]), "station id", 1),
+    (StationSet.full, "set size", 0),
+])
+def test_station_cap_rule_is_one_rule(monkeypatch, make, name, low):
+    # n, every station id and every set size are bounded by low and the cap,
+    # worded alike; a value beyond the cap allocates nothing.
+    monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    with pytest.raises(DomainError) as raised:
+        make(low - 1)
+    assert str(raised.value) == f"{name} must be at least {low}, got {low - 1}"
+    with pytest.raises(DomainError) as raised:
+        make(65)
+    assert str(raised.value) == f"{name} must be at most 64 (raise MACQ_MAX_N for more), got 65"
+    monkeypatch.setenv("MACQ_MAX_N", "100")
+    make(65)
+    with pytest.raises(DomainError, match=f"^{name} must be at most 100 .*, got {10**19}$"):
+        make(10**19)
+
+
 def test_feedback_validation():
     assert single(3).station == 3
     assert single(3).is_single

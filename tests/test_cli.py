@@ -311,6 +311,13 @@ def test_station_cap_env_raises_limit(capsys, monkeypatch):
     assert json.loads(out)["rounds_used"] == 5
 
 
+def test_n_beyond_the_station_cap_names_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    code, out, err = run_cli(capsys, "worst-case", "--strategy", "tree", "--n", "65", "--d", "1")
+    assert code == 1 and out == ""
+    assert err == "error: DomainError: n must be at most 64 (raise MACQ_MAX_N for more), got 65\n"
+
+
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_recorded_command_stdout_is_byte_identical(capsys, monkeypatch, command):
     monkeypatch.delenv("MACQ_MAX_N", raising=False)
