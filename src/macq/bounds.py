@@ -12,16 +12,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .channel import _integer
+from .channel import _at_least, _instance, _integer
 from .errors import DomainError
-
-
-def _instance(n: int, d: int) -> tuple[int, int]:
-    """n and d as plain ints (see ``channel._integer``), with 1 <= d <= n."""
-    n, d = _integer("n", n), _integer("d", d)
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
-    return n, d
 
 
 def info_lower_bound(n: int, d: int) -> int:
@@ -49,9 +41,7 @@ def path_count_bound(x: int, d: int) -> int:
     distinct ordered station labels (d! orders), every other position one of
     two red symbols; in closed form  sum_h C(h,d) * 2**(h-d) * d!.
     """
-    x, d = _integer("x", x), _integer("d", d)
-    if d < 1:
-        raise DomainError(f"d must be positive, got {d}")
+    x, d = _integer("x", x), _at_least("d", d, 1)
     if x < d:
         raise DomainError(f"need x >= d, got x={x} d={d}")
     factor = math.factorial(d)

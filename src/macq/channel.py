@@ -133,10 +133,7 @@ def station_cap() -> int:
         return DEFAULT_STATION_CAP
     if not is_decimal(raw.removeprefix("-")):
         raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {raw!r}")
-    cap = int(raw)
-    if cap < 1:
-        raise DomainError(f"{STATION_CAP_ENV} must be positive, got {cap}")
-    return cap
+    return _at_least(STATION_CAP_ENV, int(raw), 1)
 
 
 class StationSet(Frozen):
@@ -216,14 +213,28 @@ def _integer(name: str, value: int) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _within_cap(name: str, value: int, low: int) -> int:
-    """The one reader of the station cap: ``value`` as an int from ``low`` to ``station_cap()``."""
-    value, cap = _integer(name, value), station_cap()
+def _at_least(name: str, value: int, low: int) -> int:
+    """``value`` as a plain int (see ``_integer``) no less than ``low``."""
+    value = _integer(name, value)
     if value < low:
         raise DomainError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _within_cap(name: str, value: int, low: int) -> int:
+    """The one reader of the station cap: ``value`` as an int from ``low`` to ``station_cap()``."""
+    value, cap = _at_least(name, value, low), station_cap()
     if value > cap:
         raise DomainError(f"{name} must be at most {cap} (raise {STATION_CAP_ENV} for more), got {value}")
     return value
+
+
+def _instance(n: int, d: int) -> tuple[int, int]:
+    """n and d as plain ints (see ``_integer``), with 1 <= d <= n."""
+    n, d = _integer("n", n), _integer("d", d)
+    if not 1 <= d <= n:
+        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
+    return n, d
 
 
 class GameConfig(Frozen):
@@ -234,9 +245,7 @@ class GameConfig(Frozen):
     d: int
 
     def __init__(self, n: int, d: int) -> None:
-        n, d = _within_cap("n", n, 1), _integer("d", d)
-        if not 1 <= d <= n:
-            raise DomainError(f"d must satisfy 1 <= d <= n={n}, got {d}")
+        n, d = _instance(_within_cap("n", n, 1), d)
         set_field(self, "n", n)
         set_field(self, "d", d)
 
@@ -267,9 +276,9 @@ class Feedback(Frozen):
         if tag.__class__ is not FeedbackTag:
             raise DomainError(f"feedback tag must be a FeedbackTag, got {tag!r}")
         if tag is FeedbackTag.SINGLE:
-            station = None if station is None else _integer("station id", station)
-            if station is None or station < 1:
-                raise DomainError("single feedback needs a station id >= 1")
+            if station is None:
+                raise DomainError("single feedback needs a station id")
+            station = _at_least("station id", station, 1)
         elif station is not None:
             raise DomainError(f"{tag.value} feedback carries no station id")
         set_field(self, "tag", tag)

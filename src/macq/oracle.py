@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import qtree
 from .adversary import refine
 from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, _integer,
                       initial_state, split_by_feedback)
@@ -155,14 +156,13 @@ def exact_optimal_rounds(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_O
     return _SOLVER.value(optimal_strategy(cap=cap).start(config).family)
 
 
-def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> QTree:
+def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> qtree.QTree:
     """A witness decision tree whose worst path length equals the optimum.
 
     It is ``optimal_strategy``'s tree, so it shares the process's solver.
+    ``qtree`` is bound lazily by ``import macq`` and runs on the first call.
     """
-    from .qtree import build_tree
-
-    return build_tree(optimal_strategy(cap=cap), config)
+    return qtree.build_tree(optimal_strategy(cap=cap), config)
 
 
 def optimal_strategy(*, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:

@@ -8,9 +8,9 @@ bound does (LB_VIOLATION, which genuinely occurs for d = 1, n >= 4).
 from __future__ import annotations
 
 from .bounds import counting_columns
-from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, _integer, check_enumeration_budget
+from .channel import DEFAULT_ORACLE_CAP, Frozen, GameConfig, _at_least, check_enumeration_budget
 from .engine import worst_case_rounds
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded
 from .oracle import exact_optimal_rounds
 from .strategies import LINEAR_SCAN, TREE_SPLIT
 
@@ -69,11 +69,7 @@ def generate_report(
     enumeration budget), so a grid with a cell out of range fails at once,
     with that first cell's error.
     """
-    n_max, d_max = _integer("n_max", n_max), _integer("d_max", d_max)
-    if n_max < 2:
-        raise DomainError(f"n_max must be at least 2, got {n_max}")
-    if d_max < 1:
-        raise DomainError(f"d_max must be at least 1, got {d_max}")
+    n_max, d_max = _at_least("n_max", n_max, 2), _at_least("d_max", d_max, 1)
     configs = []
     for n in range(2, n_max + 1):
         for d in range(1, min(n, d_max) + 1):

@@ -214,6 +214,10 @@ def test_claimed_analytic_rejects_n_below_two():
 
 @pytest.mark.parametrize("n, d", [(3, 4), (3, 0)])
 def test_bounds_reject_d_outside_one_to_n(n, d):
+    # A game takes its instance through the same rule as the counting bounds.
+    with pytest.raises(DomainError) as raised:
+        GameConfig(n, d)
+    assert str(raised.value) == f"need 1 <= d <= n, got n={n} d={d}"
     with pytest.raises(DomainError, match="need 1 <= d <= n"):
         info_lower_bound(n, d)
     with pytest.raises(DomainError, match="need 1 <= d <= n"):

@@ -32,6 +32,7 @@ from macq import (
     generate_report,
     initial_state,
     linear_scan,
+    path_count_bound,
     refine,
     run_fixed,
     single,
@@ -178,7 +179,7 @@ def test_station_cap_env_override(monkeypatch):
         with pytest.raises(DomainError, match="must be an integer"):
             station_cap()
     monkeypatch.setenv("MACQ_MAX_N", "0")
-    with pytest.raises(DomainError, match="must be positive"):
+    with pytest.raises(DomainError, match="must be at least 1"):
         station_cap()
 
 
@@ -201,6 +202,20 @@ def test_station_cap_rule_is_one_rule(monkeypatch, make, name, low):
     make(65)
     with pytest.raises(DomainError, match=f"^{name} must be at most 100 .*, got {10**19}$"):
         make(10**19)
+
+
+@pytest.mark.parametrize("make, name, low", [
+    (lambda mp, v: generate_report(v, 1), "n_max", 2),
+    (lambda mp, v: generate_report(2, v), "d_max", 1),
+    (lambda mp, v: path_count_bound(3, v), "d", 1),
+    (lambda mp, v: single(v), "station id", 1),
+    (lambda mp, v: mp.setenv("MACQ_MAX_N", str(v)) or station_cap(), "MACQ_MAX_N", 1),
+], ids=["n_max", "d_max", "path_count_bound", "single", "MACQ_MAX_N"])
+def test_lower_bound_rule_is_one_rule(monkeypatch, make, name, low):
+    # Every "at least" rule is one rule, worded alike, with the value refused.
+    with pytest.raises(DomainError) as raised:
+        make(monkeypatch, low - 1)
+    assert str(raised.value) == f"{name} must be at least {low}, got {low - 1}"
 
 
 def test_feedback_validation():
@@ -226,7 +241,7 @@ def test_feedback_validation():
         assert single(station.__index__()) == single(station)
         assert type(single(station).station) is int
         assert type(Feedback(FeedbackTag.SINGLE, station).station) is int
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^single feedback needs a station id$"):
         Feedback(FeedbackTag.SINGLE)
     with pytest.raises(DomainError):
         Feedback(FeedbackTag.SINGLE, 0)

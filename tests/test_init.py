@@ -1,7 +1,9 @@
 """The package's public names, and the names each module imports."""
 
 import ast
+import typing
 from pathlib import Path
+from types import FunctionType
 
 import macq
 
@@ -16,6 +18,29 @@ def test_every_exported_name_resolves_once():
     exec("from macq import *", namespace)
     assert set(macq.__all__) <= set(namespace)
     assert set(macq.__all__) <= set(dir(macq))
+
+
+def _public_functions():
+    """Every function in ``macq.__all__`` and every function an exported class
+    defines (methods, the functions behind class and static methods, property getters)."""
+    for name in macq.__all__:
+        value = getattr(macq, name)
+        for member in vars(value).values() if isinstance(value, type) else (value,):
+            member = getattr(member, "fget", getattr(member, "__func__", member))
+            if isinstance(member, FunctionType):
+                yield member
+
+
+def test_every_public_annotation_resolves():
+    # Annotations are strings (from __future__ import annotations), so a name
+    # the module never binds fails only when someone calls get_type_hints.
+    unresolved = []
+    for function in _public_functions():
+        try:
+            typing.get_type_hints(function)
+        except NameError as error:
+            unresolved.append(f"{function.__module__}.{function.__qualname__}: {error}")
+    assert not unresolved
 
 
 def _imported_names(node):

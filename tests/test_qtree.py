@@ -25,6 +25,7 @@ from macq import (
     check_normal_form,
     evaluate_query,
     export_graph,
+    normal_form_report,
     run_fixed,
     scripted,
     single,
@@ -187,15 +188,19 @@ def test_normal_form_refuses_a_sender_beyond_the_station_cap(monkeypatch):
         check_normal_form(QTree(GameConfig(2, 1), root))
 
 
-def test_normalizing_linear_scan_changes_nothing():
-    # linear_scan never queries a revealed station, so its tree is already
-    # in normal form and normalization must reproduce it verbatim.
-    raw = build_tree(LINEAR_SCAN, GameConfig(3, 1))
-    normal = build_tree(LINEAR_SCAN, GameConfig(3, 1), normal=True)
-    assert export_graph(raw) == export_graph(normal)
-    report = check_normal_form(normal)
-    assert report.property_holds
-    assert report.leaf_count == 3
+def test_normalizing_a_builtin_strategy_changes_nothing():
+    # The built-in strategies never query a revealed station, so their trees
+    # are already in normal form and normalization must reproduce them verbatim.
+    for strategy in (LINEAR_SCAN, TREE_SPLIT):
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                cfg = GameConfig(n, d)
+                where = (strategy.name, n, d)
+                normal = build_tree(strategy, cfg, normal=True)
+                assert export_graph(build_tree(strategy, cfg)) == export_graph(normal), where
+                report = normal_form_report(strategy, cfg, normal=True)
+                assert report == normal_form_report(strategy, cfg), where
+                assert report.property_holds and report.leaf_count == math.comb(n, d)
 
 
 def test_normalized_tree_split_4_2():
