@@ -160,10 +160,11 @@ class StationSet(Frozen):
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> StationSet:
         """The set of ``ids``; ``_within_cap`` checks each id before its bit is
-        set, so one beyond the station cap, which no game holds, allocates nothing."""
-        mask = 0
+        set, so one beyond the station cap, which no game holds, allocates nothing.
+        The cap is read once per call."""
+        mask, cap = 0, station_cap()
         for i in ids:
-            mask |= 1 << (_within_cap("station id", i, 1) - 1)
+            mask |= 1 << (_within_cap("station id", i, 1, cap) - 1)
         return cls(mask)
 
     @classmethod
@@ -221,9 +222,12 @@ def _at_least(name: str, value: int, low: int) -> int:
     return value
 
 
-def _within_cap(name: str, value: int, low: int) -> int:
-    """The one reader of the station cap: ``value`` as an int from ``low`` to ``station_cap()``."""
-    value, cap = _at_least(name, value, low), station_cap()
+def _within_cap(name: str, value: int, low: int, cap: int | None = None) -> int:
+    """``value`` as an int from ``low`` to the station cap, the one wording of
+    both refusals; ``cap`` is ``station_cap()``, read here unless given."""
+    value = _at_least(name, value, low)
+    if cap is None:
+        cap = station_cap()
     if value > cap:
         raise DomainError(f"{name} must be at most {cap} (raise {STATION_CAP_ENV} for more), got {value}")
     return value

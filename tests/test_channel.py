@@ -25,6 +25,7 @@ from macq import (
     Strategy,
     Transcript,
     build_tree,
+    channel,
     check_normal_form,
     evaluate_query,
     format_station_set,
@@ -64,6 +65,17 @@ def test_station_set_rejects_nonpositive_ids():
     for station in (2.5, "3"):
         with pytest.raises(DomainError, match="station id must be an integer"):
             StationSet.from_ids([station])
+
+
+def test_from_ids_reads_the_cap_once_and_names_the_first_id_beyond_it(monkeypatch):
+    reads = []
+    monkeypatch.setattr(channel, "station_cap", lambda: reads.append(None) or 64)
+    assert StationSet.from_ids(range(1, 17)) == StationSet.full(16)
+    assert len(reads) == 2  # one for from_ids, one for full
+    with pytest.raises(DomainError) as raised:
+        StationSet.from_ids([1, 70, 65, 10**19])
+    assert str(raised.value) == "station id must be at most 64 (raise MACQ_MAX_N for more), got 70"
+    assert len(reads) == 3
 
 
 def test_station_set_with_a_negative_mask_cannot_be_built():

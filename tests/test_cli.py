@@ -23,6 +23,7 @@ from macq import (
     report_to_csv,
     run_fixed,
 )
+from macq import cli
 from macq.cli import dispatch
 
 S = StationSet.from_ids
@@ -326,6 +327,32 @@ def test_recorded_command_stdout_is_byte_identical(capsys, monkeypatch, command)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
 
 
+COMMANDS = [name for name, *_ in cli._COMMANDS]
+
+
+def test_parser_built_for_argv_answers_as_the_full_parser(capsys, monkeypatch):
+    # build_parser sets up only the subcommands argv names; argparse parses
+    # with the one whose name is an argv token, so setting up all six must
+    # print the same bytes and exit alike, for answers, help and usage errors.
+    monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    cases = [command.split() for command in sorted(DIGESTS)]
+    cases += [[name, "--help"] for name in COMMANDS]
+    cases += [
+        [], ["--help"], ["bogus", "--n", "3", "--d", "1"], ["bounds", "--n", "8"],
+        ["simulate", "--strategy", "bogus", "--n", "2", "--d", "1", "--live", "1"],
+        ["simulate", "--strategy", "tree", "--n", "3", "--d", "2", "--adversary", "greedy"],
+        ["--out", "bounds.csv", "bounds", "--n", "8", "--d", "2"],
+    ]
+    built_for_argv = [run_cli(capsys, *argv) for argv in cases]
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build_parser(COMMANDS))
+    for argv, outcome in zip(cases, built_for_argv):
+        assert run_cli(capsys, *argv) == outcome, argv
+    # The top-level help sets up no subcommand and still lists all six.
+    top_help = built_for_argv[cases.index(["--help"])][1]
+    assert all(f"\n    {name} " in top_help for name in COMMANDS)
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "macq", "oracle", "--n", "3", "--d", "2"],
@@ -345,12 +372,14 @@ SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
 
 
 @pytest.mark.parametrize("code, absent", [
-    ("import macq.cli", SLOW_IMPORTS),
+    ("import macq.cli", SLOW_IMPORTS + ("macq.channel",)),
+    # bounds sets up no --strategy, so it needs no strategy.
     ("from macq.cli import dispatch; dispatch(['bounds', '--n', '8', '--d', '2'])",
-     SLOW_IMPORTS + SOLVERS),
+     SLOW_IMPORTS + SOLVERS + ("macq.strategies",)),
+    # The top-level help sets up no subcommand's arguments and runs no model code.
     ("import runpy; sys.argv = ['macq', '--help']\n"
      "try: runpy.run_module('macq', run_name='__main__', alter_sys=True)\n"
-     "except SystemExit: pass", SLOW_IMPORTS),
+     "except SystemExit: pass", SLOW_IMPORTS + ("macq.channel", "macq.strategies")),
     # report defines value types in the modules it loads, and the tree case
     # below loads qtree's, so between them they show that the constructors
     # Frozen generates need neither dataclasses nor inspect.  A value-only

@@ -212,12 +212,17 @@ def test_normalized_tree_split_4_2():
 
 
 def test_normalization_never_deepens_the_tree():
-    for strategy in (LINEAR_SCAN, TREE_SPLIT):
-        for n in range(1, 7):
-            for d in range(1, n + 1):
-                cfg = GameConfig(n, d)
-                report = check_normal_form(build_tree(strategy, cfg, normal=True))
-                assert report.max_depth <= check_normal_form(build_tree(strategy, cfg)).max_depth
+    # Each script queries a station again after a single may have revealed it.
+    # With d >= 2 some path reveals one before it is queried again, so the
+    # normalized tree differs from the raw one; it must not be deeper.
+    for n, queries in ((3, [S([1]), S([1, 2]), S([2]), S([2, 3]), S([3])]),
+                       (4, [S([1, 2]), S([1]), S([1, 2, 3]), S([2]), S([3, 4]), S([3]), S([4])])):
+        requery = scripted("requery", queries)
+        for d in range(2, n + 1):
+            cfg = GameConfig(n, d)
+            raw, normal = build_tree(requery, cfg), build_tree(requery, cfg, normal=True)
+            assert export_graph(normal) != export_graph(raw), (n, d)
+            assert check_normal_form(normal).max_depth <= check_normal_form(raw).max_depth, (n, d)
 
 
 def _lift_feedback(derived, base_query, revealed):
