@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from enum import Enum
 from itertools import combinations
 from operator import attrgetter, index
@@ -119,11 +120,14 @@ class Frozen:
 
 
 def is_decimal(text: str) -> bool:
-    """True iff ``text`` is one or more ASCII digits, the package's integer syntax.
+    """True iff ``text`` is one or more ASCII digits, the package's integer syntax,
+    and no more of them than ``int()`` converts (``sys.get_int_max_str_digits()``;
+    0, or a Python without the function, sets no limit).
 
     ``int()`` would also take "1_00", " +100" and other scripts' digits ("２").
     """
-    return text.isascii() and text.isdecimal()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return text.isascii() and text.isdecimal() and not 0 < limit < len(text)
 
 
 def station_cap() -> int:

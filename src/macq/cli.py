@@ -7,13 +7,13 @@ printed as ``error: Interrupted: <details>``.
 
 Each handler returns its output as text or as a JSON document (a dict), and
 ``dispatch`` writes it, encoding a document as one line of JSON.  Start-up
-is paid per command, so a command builds and imports only what it runs.
+is paid per command, so a command builds and runs only what it needs.
 ``build_parser(argv)`` adds every subcommand's name and help, but sets up
 the arguments only of those named by a token of ``argv``: argparse parses
 with the one subparser whose name is exactly such a token, so the others
-would only cost time.  ``channel`` and ``strategies`` are bound as the lazy
-modules ``import macq`` registers and run on first use, and each handler
-imports the other modules it runs; ``macq --help`` runs no model code.
+would only cost time.  The modules are bound as the lazy placeholders
+``import macq`` registers, each run when a handler first reads a name from
+it, so ``macq --help`` runs no model code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import channel, strategies
+from . import adversary, bounds, channel, engine, oracle, qtree, report, strategies
 from .errors import DomainError, MacqError
 
 
@@ -54,30 +54,24 @@ def _integer(text: str) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    from .adversary import greedy_adversary, make_exact_adversary
-    from .engine import game_result_to_doc, run_adversarial, run_fixed
-
     config = channel.GameConfig(args.n, args.d)
     strategy = strategies.STRATEGIES[args.strategy]
     if args.live is not None:
         if args.live[-1] > config.n:  # so the error names n, not the station cap
             shown = channel.format_station_set(args.live)
             raise DomainError(f"live set {shown} exceeds n={config.n}")
-        result = run_fixed(strategy, config, channel.StationSet.from_ids(args.live))
+        result = engine.run_fixed(strategy, config, channel.StationSet.from_ids(args.live))
     else:
-        adversary = (
-            greedy_adversary if args.adversary == "greedy" else make_exact_adversary(strategy)
-        )
-        result = run_adversarial(strategy, adversary, config)
-    return game_result_to_doc(result)
+        opponent = (adversary.greedy_adversary if args.adversary == "greedy"
+                    else adversary.make_exact_adversary(strategy))
+        result = engine.run_adversarial(strategy, opponent, config)
+    return engine.game_result_to_doc(result)
 
 
 def _cmd_worst_case(args: argparse.Namespace) -> str | dict:
-    from .engine import worst_case_rounds
-
     config = channel.GameConfig(args.n, args.d)
     strategy = strategies.STRATEGIES[args.strategy]
-    rounds, witness = worst_case_rounds(strategy, config)
+    rounds, witness = engine.worst_case_rounds(strategy, config)
     if args.format == "json-lines":
         return {"n": config.n, "d": config.d, "strategy": strategy.name, "rounds": rounds,
                 "witness": list(witness)}
@@ -85,21 +79,17 @@ def _cmd_worst_case(args: argparse.Namespace) -> str | dict:
 
 
 def _cmd_tree(args: argparse.Namespace) -> str | dict:
-    from .qtree import build_tree, export_graph, normal_form_report
-
     config = channel.GameConfig(args.n, args.d)
     strategy = strategies.STRATEGIES[args.strategy]
     if args.check:
-        report = normal_form_report(strategy, config, normal=args.normalize)
-        return {name: getattr(report, name) for name in report.__slots__}
-    return export_graph(build_tree(strategy, config, normal=args.normalize))
+        found = qtree.normal_form_report(strategy, config, normal=args.normalize)
+        return {name: getattr(found, name) for name in found.__slots__}
+    return qtree.export_graph(qtree.build_tree(strategy, config, normal=args.normalize))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str | dict:
-    from .bounds import counting_columns
-
     config = channel.GameConfig(args.n, args.d)
-    values = {"n": config.n, "d": config.d, **counting_columns(config.n, config.d)}
+    values = {"n": config.n, "d": config.d, **bounds.counting_columns(config.n, config.d)}
     if args.format == "json-lines":
         return values
     header = ",".join(values)
@@ -108,24 +98,17 @@ def _cmd_bounds(args: argparse.Namespace) -> str | dict:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> str:
-    from .oracle import exact_optimal_rounds, optimal_strategy_tree
-
     config = channel.GameConfig(args.n, args.d)
     cap = (args.oracle_n_cap, args.oracle_d_cap)
-    value = exact_optimal_rounds(config, cap=cap)
-    out = f"{value}\n"
+    out = f"{oracle.exact_optimal_rounds(config, cap=cap)}\n"
     if args.witness:
-        from .qtree import export_graph
-
-        out += export_graph(optimal_strategy_tree(config, cap=cap))
+        out += qtree.export_graph(oracle.optimal_strategy_tree(config, cap=cap))
     return out
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
-    from .report import generate_report, report_to_csv
-
     cap = (args.oracle_n_cap, args.oracle_d_cap)
-    return report_to_csv(generate_report(args.n_max, args.d_max, cap))
+    return report.report_to_csv(report.generate_report(args.n_max, args.d_max, cap))
 
 
 def _add_common(p: argparse.ArgumentParser, *, n_d: bool = True) -> None:

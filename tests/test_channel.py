@@ -313,13 +313,13 @@ def test_transmitted_set_collects_distinct_singles(monkeypatch):
         transmitted_set(t.extend(StationSet.from_ids([3]), single(9)))
 
 
-def test_feedback_json_round_trip():
+def test_feedback_json_spelling():
     assert feedback_to_json(SILENCE) == "silence"
     assert feedback_to_json(COLLISION) == "collision"
     assert feedback_to_json(single(3)) == {"single": 3}
 
 
-def test_transcript_doc_round_trip():
+def test_game_result_doc_lists_every_round():
     cfg = GameConfig(4, 2)
     t = Transcript(cfg)
     t = t.extend(StationSet.from_ids([1, 2, 3, 4]), COLLISION)

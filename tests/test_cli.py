@@ -266,6 +266,37 @@ def test_integer_options_take_only_decimal_digits(capsys, argv):
     assert ("expected a positive integer" if cap_option else "expected an integer") in err
 
 
+# int() refuses more digits than sys.get_int_max_str_digits() allows with a
+# ValueError, which would be a traceback or argparse's "invalid <function>
+# value"; the package's integer syntax refuses them first.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (INT_DIGITS + 1)
+converts_any_length = pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+
+
+@converts_any_length
+def test_station_cap_env_beyond_int_digits_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("MACQ_MAX_N", TOO_LONG)
+    code, out, err = run_cli(capsys, "bounds", "--n", "8", "--d", "2")
+    assert code == 1 and out == ""
+    assert err == f"error: DomainError: MACQ_MAX_N must be an integer, got {TOO_LONG!r}\n"
+
+
+@converts_any_length
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "--n", TOO_LONG, "--d", "2"), "argument --n: expected an integer"),
+    (("bounds", "--n", "-" + TOO_LONG, "--d", "2"), "argument --n: expected an integer"),
+    (("oracle", "--n", "3", "--d", "2", "--oracle-n-cap", TOO_LONG),
+     "argument --oracle-n-cap: expected a positive integer"),
+    (("simulate", "--strategy", "tree", "--n", "3", "--d", "2", "--live", f"1,{TOO_LONG}"),
+     "argument --live: live set must be comma-separated ids"),
+], ids=["n", "negative-n", "oracle-n-cap", "live"])
+def test_options_beyond_int_digits_get_the_cli_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "invalid" not in err
+
+
 def test_domain_errors_exit_1(capsys):
     # |live| != d is a runtime error, not a usage error.
     code, _, err = run_cli(
@@ -369,6 +400,7 @@ def test_module_entry_point_runs():
 # the plain module type.
 SLOW_IMPORTS = ("mpmath", "dataclasses", "inspect")
 SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
+NO_ANALYSIS = ("macq.oracle", "macq.qtree", "macq.report", "macq.bounds")
 
 
 @pytest.mark.parametrize("code, absent", [
@@ -391,8 +423,20 @@ SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
     # A tree prints no JSON and needs no adversary: its start position is the channel's.
     ("from macq.cli import dispatch; dispatch(['tree', '--strategy', 'tree', '--n', '4', '--d', '2'])",
      SLOW_IMPORTS + ("json", "macq.adversary", "macq.engine", "macq.oracle", "macq.report")),
-], ids=["import", "bounds", "help", "report", "oracle", "tree"])
-def test_commands_do_not_import_mpmath(code, absent):
+    # A text worst-case sweeps live sets with the engine alone and prints no JSON.
+    ("from macq.cli import dispatch; dispatch(['worst-case', '--strategy', 'tree', '--n', '4', '--d', '2'])",
+     SLOW_IMPORTS + NO_ANALYSIS + ("json",)),
+    # A game, fixed or against an adversary, builds no tree and solves nothing.
+    ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
+     "'--live', '1,3'])", SLOW_IMPORTS + NO_ANALYSIS),
+    ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
+     "'--adversary', 'greedy'])", SLOW_IMPORTS + NO_ANALYSIS),
+    # A live id beyond n is refused before any game is set up.
+    ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
+     "'--live', '1,9'])", SLOW_IMPORTS + ("macq.engine", "macq.adversary")),
+], ids=["import", "bounds", "help", "report", "oracle", "tree", "worst-case", "simulate-live",
+        "simulate-greedy", "simulate-beyond-n"])
+def test_each_command_runs_only_the_modules_it_needs(code, absent):
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys; {code}\nprint([m for m in {absent!r} if type(sys.modules.get(m)) is type(sys)])"],

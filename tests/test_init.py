@@ -83,10 +83,9 @@ def _own_imports(scope):
 
 def test_no_module_imports_a_name_twice():
     # The unused-import check above passes a name imported twice, since the
-    # name is used.  A function may import what a sibling function imports
-    # (cli.py's tree and oracle handlers each import export_graph), but not a
-    # name its module or an enclosing function already imports, nor one name
-    # twice itself.
+    # name is used.  A function may import what a sibling function imports,
+    # but not a name its module or an enclosing function already imports, nor
+    # one name twice itself.
     repeated = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         pending = [(ast.parse(path.read_text(encoding="utf-8")), set())]
@@ -98,6 +97,32 @@ def test_no_module_imports_a_name_twice():
                          if names.count(name) > 1 or name in outer]
             pending += [(function, outer | set(names)) for function in functions]
     assert repeated == []
+
+
+def _imports_macq(node):
+    """True iff ``node`` imports a ``macq`` module, relatively or by name."""
+    if isinstance(node, ast.ImportFrom):
+        names = ["macq" if node.level else node.module]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return False
+    return any(name == "macq" or name.startswith("macq.") for name in names)
+
+
+def test_no_function_imports_a_macq_module():
+    # A module binds the macq modules it uses at its top, as the placeholders
+    # `import macq` registers, which run on first use; an import inside a
+    # function would be a second way to load a module late.  A function may
+    # still import a standard library module, as cli.dispatch imports json.
+    local = [
+        f"{path.name}:{function.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function) if _imports_macq(node)
+    ]
+    assert local == []
 
 
 def test_package_parses_under_the_declared_python_floor():

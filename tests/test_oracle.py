@@ -87,7 +87,7 @@ def _fresh_value(cfg):
     return _Solver().value(initial_state(cfg).family)
 
 
-def test_canonical_and_plain_memo_agree():
+def test_process_solver_and_a_fresh_solver_agree():
     for (n, d), expected in OPTIMAL_ROUNDS.items():
         assert exact_optimal_rounds(GameConfig(n, d)) == _fresh_value(GameConfig(n, d)) == expected
 
