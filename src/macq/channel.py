@@ -130,13 +130,18 @@ def is_decimal(text: str) -> bool:
     return text.isascii() and text.isdecimal() and not 0 < limit < len(text)
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)`` to echo a refused value; past 40 characters, its first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def station_cap() -> int:
     """Largest permitted n; override with the MACQ_MAX_N environment variable."""
     raw = os.environ.get(STATION_CAP_ENV)
     if raw is None:
         return DEFAULT_STATION_CAP
     if not is_decimal(raw.removeprefix("-")):
-        raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {raw!r}")
+        raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {_quoted(raw)}")
     return _at_least(STATION_CAP_ENV, int(raw), 1)
 
 

@@ -34,13 +34,12 @@ itself).
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable
 
-from . import qtree
-from .adversary import refine
+from . import adversary, qtree, strategies
 from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, _integer,
                       initial_state, split_by_feedback)
 from .errors import BudgetExceeded, DomainError
-from .strategies import Strategy
 
 
 def _support(fam: tuple[int, ...]) -> int:
@@ -146,38 +145,10 @@ class _Solver:
 _SOLVER = _Solver()
 
 
-def exact_optimal_rounds(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> int:
-    """Minimum over strategies of the worst-case rounds to resolve (n, d).
-
-    The value comes from the decision search over residual families, with
-    queries taken up to twin classes, on the process's one solver.  The cap
-    is ``optimal_strategy``'s: a solve starts where its game would.
-    """
-    return _SOLVER.value(optimal_strategy(cap=cap).start(config).family)
-
-
-def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> qtree.QTree:
-    """A witness decision tree whose worst path length equals the optimum.
-
-    It is ``optimal_strategy``'s tree, so it shares the process's solver.
-    ``qtree`` is bound lazily by ``import macq`` and runs on the first call.
-    """
-    return qtree.build_tree(optimal_strategy(cap=cap), config)
-
-
-def optimal_strategy(*, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:
-    """Strategy that answers optimally from any consistent position.
-
-    Unlike a replayed witness tree this works from arbitrary openings, which
-    makes it a convenient optimal continuation for adversary analysis.  Like
-    the built-in strategies it takes its instance from the game it plays.
-    Its state is the knowledge state, so each round costs one split; it asks
-    the process's solver about the candidates with the revealed stations
-    struck.  ``start`` refuses an instance beyond ``cap`` = (n, d) with
-    ``BudgetExceeded``, so the cap bounds every game, tree and adversary fold
-    the strategy starts.  A cap that is not a tuple of two integers is a
-    ``DomainError``.
-    """
+def _capped_start(cap: tuple[int, int]) -> Callable[[GameConfig], KnowledgeState]:
+    """The start of every solve and game under ``cap`` = (n, d), the cap's one
+    reader: a cap that is not a tuple of two integers is a ``DomainError``, an
+    instance beyond it ``BudgetExceeded``."""
     if cap.__class__ is not tuple or len(cap) != 2:
         raise DomainError(f"oracle cap must be a tuple of two integers (n, d), got {cap!r}")
     n_cap, d_cap = _integer("oracle cap n", cap[0]), _integer("oracle cap d", cap[1])
@@ -189,8 +160,41 @@ def optimal_strategy(*, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> Strategy:
             )
         return initial_state(config)
 
+    return start
+
+
+def exact_optimal_rounds(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> int:
+    """Minimum over strategies of the worst-case rounds to resolve (n, d).
+
+    The value comes from the decision search over residual families, with
+    queries taken up to twin classes, on the process's one solver, from the
+    start ``optimal_strategy``'s game takes, so a value runs no strategy code.
+    """
+    return _SOLVER.value(_capped_start(cap)(config).family)
+
+
+def optimal_strategy_tree(config: GameConfig, *, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> qtree.QTree:
+    """A witness decision tree whose worst path length equals the optimum.
+
+    It is ``optimal_strategy``'s tree, so it shares the process's solver.
+    ``qtree`` is bound lazily by ``import macq`` and runs on the first call.
+    """
+    return qtree.build_tree(optimal_strategy(cap=cap), config)
+
+
+def optimal_strategy(*, cap: tuple[int, int] = DEFAULT_ORACLE_CAP) -> strategies.Strategy:
+    """Strategy that answers optimally from any consistent position.
+
+    Unlike a replayed witness tree this works from arbitrary openings, which
+    makes it a convenient optimal continuation for adversary analysis.  Like
+    the built-in strategies it takes its instance from the game it plays.
+    Its state is the knowledge state, so each round costs one split; it asks
+    the process's solver about the candidates with the revealed stations
+    struck.  Its ``start`` checks ``cap``, so the cap bounds every game, tree
+    and adversary fold the strategy starts.
+    """
     def query(cfg: GameConfig, state: KnowledgeState) -> StationSet:
         # Striking stations that every member holds keeps the masks ascending.
         return StationSet(_SOLVER.best_query(tuple(m & ~state.revealed for m in state.family)))
 
-    return Strategy("minimax", query, start, refine)
+    return strategies.Strategy("minimax", query, _capped_start(cap), adversary.refine)

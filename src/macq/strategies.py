@@ -32,10 +32,11 @@ from .channel import (
     KnowledgeState,
     StationSet,
     Transcript,
+    _within_cap,
     branches,
     evaluate_query,
     format_station_set,
-    transmitted_set,
+    station_cap,
 )
 from .errors import CapExceeded, DomainError, InvalidQuery
 
@@ -61,8 +62,12 @@ class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have
-        transmitted alone in it (the walk's own stop rule)."""
-        if len(transmitted_set(transcript)) >= config.d:
+        transmitted alone in it (the walk's own stop rule).  A sender beyond
+        the station cap, which no game holds, is a ``DomainError``."""
+        cap = station_cap()
+        senders = {_within_cap("station id", feedback.station, 1, cap)
+                   for _, feedback in transcript.rounds if feedback.is_single}
+        if len(senders) >= config.d:
             return None
         return self.query(config, replay(self, config, transcript))
 

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macq import (
     GameConfig,
@@ -279,7 +281,9 @@ def test_station_cap_env_beyond_int_digits_is_one_error_line(capsys, monkeypatch
     monkeypatch.setenv("MACQ_MAX_N", TOO_LONG)
     code, out, err = run_cli(capsys, "bounds", "--n", "8", "--d", "2")
     assert code == 1 and out == ""
-    assert err == f"error: DomainError: MACQ_MAX_N must be an integer, got {TOO_LONG!r}\n"
+    # The echoed value is cut short: its first 40 characters and its length.
+    assert err == (f"error: DomainError: MACQ_MAX_N must be an integer, "
+                   f"got {TOO_LONG[:40]!r}... ({len(TOO_LONG)} characters)\n")
 
 
 @converts_any_length
@@ -295,6 +299,7 @@ def test_options_beyond_int_digits_get_the_cli_message(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err and "invalid" not in err
+    assert max(map(len, err.splitlines())) < 160  # the value is echoed cut short
 
 
 def test_domain_errors_exit_1(capsys):
@@ -384,6 +389,44 @@ def test_parser_built_for_argv_answers_as_the_full_parser(capsys, monkeypatch):
     assert all(f"\n    {name} " in top_help for name in COMMANDS)
 
 
+def test_reader_takes_every_recorded_command():
+    # The digest commands are what the benchmark runs, so they must all take
+    # the fast path that never imports argparse.
+    for command in sorted(DIGESTS):
+        assert cli._read(command.split()) is not None, command
+
+
+OPTIONS = {name: listing() for name, _, listing, _ in cli._COMMANDS}
+FLAGS = sorted({flag for options, _ in OPTIONS.values() for flag, _ in options})
+VALUES = ["3", "-3", "0", "x", "", "tree", "bogus", "1,2", "2,1"]
+STRAY = COMMANDS + FLAGS + VALUES + ["-h", "--", "--n=3", "--wit"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with its required options and some others, each with a value
+    it takes ("3" or a choice) or one from VALUES, and a few stray tokens."""
+    name = draw(st.sampled_from(COMMANDS))
+    argv = [name]
+    for flag, keywords in draw(st.permutations(OPTIONS[name][0])):
+        if keywords.get("required") or draw(st.booleans()):
+            takes = st.sampled_from(keywords.get("choices", ["3"]))
+            argv += [flag] if "action" in keywords else [flag, draw(takes | st.sampled_from(VALUES))]
+    for _ in range(draw(st.integers(0, 3)) // 2):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_reader_parses_as_argparse_or_leaves_the_line_to_it(argv):
+    # The reader may decline any line, which argparse then parses; a line it
+    # reads must give argparse's namespace exactly.
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser(COMMANDS).parse_args(argv))
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "macq", "oracle", "--n", "3", "--d", "2"],
@@ -401,41 +444,51 @@ def test_module_entry_point_runs():
 SLOW_IMPORTS = ("mpmath", "dataclasses", "inspect")
 SOLVERS = ("macq.oracle", "macq.qtree", "macq.engine", "macq.report")
 NO_ANALYSIS = ("macq.oracle", "macq.qtree", "macq.report", "macq.bounds")
+# A well-formed command line is read without argparse, and so without the
+# gettext and locale modules behind its messages; help and usage errors
+# still load all three.
+ARGPARSE = ("argparse", "gettext", "locale")
+USES_ARGPARSE = f"\nassert set({ARGPARSE!r}) <= set(sys.modules)"
 
 
 @pytest.mark.parametrize("code, absent", [
-    ("import macq.cli", SLOW_IMPORTS + ("macq.channel",)),
+    ("import macq.cli", SLOW_IMPORTS + ARGPARSE + ("macq.channel",)),
     # bounds sets up no --strategy, so it needs no strategy.
     ("from macq.cli import dispatch; dispatch(['bounds', '--n', '8', '--d', '2'])",
-     SLOW_IMPORTS + SOLVERS + ("macq.strategies",)),
+     SLOW_IMPORTS + ARGPARSE + SOLVERS + ("macq.strategies",)),
     # The top-level help sets up no subcommand's arguments and runs no model code.
     ("import runpy; sys.argv = ['macq', '--help']\n"
      "try: runpy.run_module('macq', run_name='__main__', alter_sys=True)\n"
-     "except SystemExit: pass", SLOW_IMPORTS + ("macq.channel", "macq.strategies")),
+     "except SystemExit: pass" + USES_ARGPARSE,
+     SLOW_IMPORTS + ("macq.channel", "macq.strategies")),
+    # A usage error is argparse's to print; the missing --d runs no handler.
+    ("from macq.cli import dispatch; dispatch(['bounds', '--n', '8'])" + USES_ARGPARSE,
+     SLOW_IMPORTS + ("macq.bounds",)),
     # report defines value types in the modules it loads, and the tree case
     # below loads qtree's, so between them they show that the constructors
     # Frozen generates need neither dataclasses nor inspect.  A value-only
     # report or oracle builds no tree, so neither runs qtree.
     ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])",
-     SLOW_IMPORTS + ("macq.qtree",)),
+     SLOW_IMPORTS + ARGPARSE + ("macq.qtree",)),
+    # A value-only oracle checks its cap and solves: no strategy code runs.
     ("from macq.cli import dispatch; dispatch(['oracle', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + ("macq.qtree",)),
+     SLOW_IMPORTS + ARGPARSE + ("macq.qtree", "macq.strategies", "macq.adversary")),
     # A tree prints no JSON and needs no adversary: its start position is the channel's.
     ("from macq.cli import dispatch; dispatch(['tree', '--strategy', 'tree', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + ("json", "macq.adversary", "macq.engine", "macq.oracle", "macq.report")),
+     SLOW_IMPORTS + ARGPARSE + ("json", "macq.adversary", "macq.engine", "macq.oracle", "macq.report")),
     # A text worst-case sweeps live sets with the engine alone and prints no JSON.
     ("from macq.cli import dispatch; dispatch(['worst-case', '--strategy', 'tree', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + NO_ANALYSIS + ("json",)),
+     SLOW_IMPORTS + ARGPARSE + NO_ANALYSIS + ("json",)),
     # A game, fixed or against an adversary, builds no tree and solves nothing.
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
-     "'--live', '1,3'])", SLOW_IMPORTS + NO_ANALYSIS),
+     "'--live', '1,3'])", SLOW_IMPORTS + ARGPARSE + NO_ANALYSIS),
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
-     "'--adversary', 'greedy'])", SLOW_IMPORTS + NO_ANALYSIS),
+     "'--adversary', 'greedy'])", SLOW_IMPORTS + ARGPARSE + NO_ANALYSIS),
     # A live id beyond n is refused before any game is set up.
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
-     "'--live', '1,9'])", SLOW_IMPORTS + ("macq.engine", "macq.adversary")),
-], ids=["import", "bounds", "help", "report", "oracle", "tree", "worst-case", "simulate-live",
-        "simulate-greedy", "simulate-beyond-n"])
+     "'--live', '1,9'])", SLOW_IMPORTS + ARGPARSE + ("macq.engine", "macq.adversary")),
+], ids=["import", "bounds", "help", "usage-error", "report", "oracle", "tree", "worst-case",
+        "simulate-live", "simulate-greedy", "simulate-beyond-n"])
 def test_each_command_runs_only_the_modules_it_needs(code, absent):
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -32,6 +32,7 @@ from macq import (
     tree_strategy,
     worst_case_rounds,
 )
+from macq import strategies
 from macq.strategies import replay
 from reference_strategies import TREE_BOXED_BELOW, reference_scripted, reference_tree_strategy
 
@@ -127,6 +128,18 @@ def test_scripted_plays_list_then_stops():
     t = t.extend(S([3]), SILENCE)
     assert strat.next_action(cfg, t) is None
     assert strat.name == "fixed"
+
+
+def test_transcript_form_counts_distinct_senders_and_refuses_one_beyond_the_cap(monkeypatch):
+    reads = []
+    monkeypatch.setattr(strategies, "station_cap", lambda: reads.append(None) or 64)
+    cfg = GameConfig(4, 2)
+    t = Transcript(cfg).extend(S([1]), single(1)).extend(S([1]), single(1))
+    assert linear_scan(cfg, t) == S([3])  # a repeated sender counts once
+    assert linear_scan(cfg, t.extend(S([3]), single(3))) is None
+    assert len(reads) == 2  # once per call
+    with pytest.raises(DomainError, match="station id must be at most 64"):
+        linear_scan(cfg, Transcript(cfg).extend(S([1]), single(65)))
 
 
 # ---------------------------------------------------------------------------
