@@ -11,7 +11,7 @@ transcript verbatim.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .channel import (
     COLLISION,

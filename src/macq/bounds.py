@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .channel import _at_least, _instance, _integer
+from .channel import _at_least, _instance, _integer, _shown
 from .errors import DomainError
 
 
@@ -43,7 +43,7 @@ def path_count_bound(x: int, d: int) -> int:
     """
     x, d = _integer("x", x), _at_least("d", d, 1)
     if x < d:
-        raise DomainError(f"need x >= d, got x={x} d={d}")
+        raise DomainError(f"need x >= d, got x={_shown(x)} d={_shown(d)}")
     factor = math.factorial(d)
     return sum(math.comb(h, d) * (1 << (h - d)) * factor for h in range(d, x + 1))
 

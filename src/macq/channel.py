@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import combinations
 from operator import attrgetter, index
-from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DomainError
 
@@ -135,6 +135,17 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def _shown(value: int) -> str:
+    """``value`` to echo a refused integer; past 40 digits, its first 40 and its number
+    of digits, counted without ``str()``, which refuses more than ``int()`` converts."""
+    size = abs(value)
+    if size < 10**40:
+        return str(value)
+    digits = int(size.bit_length() * 0.30102999566398120)  # times log10(2): the count or one less
+    digits += size >= 10**digits
+    return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 40)}... ({digits} digits)"
+
+
 def station_cap() -> int:
     """Largest permitted n; override with the MACQ_MAX_N environment variable."""
     raw = os.environ.get(STATION_CAP_ENV)
@@ -227,7 +238,7 @@ def _at_least(name: str, value: int, low: int) -> int:
     """``value`` as a plain int (see ``_integer``) no less than ``low``."""
     value = _integer(name, value)
     if value < low:
-        raise DomainError(f"{name} must be at least {low}, got {value}")
+        raise DomainError(f"{name} must be at least {low}, got {_shown(value)}")
     return value
 
 
@@ -238,7 +249,8 @@ def _within_cap(name: str, value: int, low: int, cap: int | None = None) -> int:
     if cap is None:
         cap = station_cap()
     if value > cap:
-        raise DomainError(f"{name} must be at most {cap} (raise {STATION_CAP_ENV} for more), got {value}")
+        raise DomainError(
+            f"{name} must be at most {cap} (raise {STATION_CAP_ENV} for more), got {_shown(value)}")
     return value
 
 
@@ -246,7 +258,7 @@ def _instance(n: int, d: int) -> tuple[int, int]:
     """n and d as plain ints (see ``_integer``), with 1 <= d <= n."""
     n, d = _integer("n", n), _integer("d", d)
     if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got n={n} d={d}")
+        raise DomainError(f"need 1 <= d <= n, got n={_shown(n)} d={_shown(d)}")
     return n, d
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import adversary, bounds, channel, engine, oracle, qtree, report, strategies
@@ -122,7 +121,7 @@ def _cmd_report(args: SimpleNamespace) -> str:
 # options and the flags of its required mutually exclusive group, if any.
 _N_D = (("--n", {"type": _integer, "required": True, "help": "number of stations"}),
         ("--d", {"type": _integer, "required": True, "help": "number of live stations"}))
-_OUT = (("--out", {"type": Path, "default": None, "help": "write output to this file"}),)
+_OUT = (("--out", {"default": None, "help": "write output to this file"}),)
 
 
 def _with_strategy() -> tuple:
@@ -258,7 +257,8 @@ def dispatch(argv: list[str] | None = None) -> int:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 raise
         else:
-            args.out.write_text(output, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as file:
+                file.write(output)
     except (MacqError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

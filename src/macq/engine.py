@@ -11,7 +11,7 @@ the game loop and the tree walk alike, and applies the fixed round cap of
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .adversary import Adversary, refine
 from .channel import (

@@ -33,8 +33,8 @@ itself).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import product
-from typing import Callable
 
 from . import adversary, qtree, strategies
 from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, _integer,

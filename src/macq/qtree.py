@@ -22,7 +22,7 @@ relative to the revealed stations, as ``worst_case_rounds``'s witness is.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .channel import (
     Feedback,
@@ -35,7 +35,7 @@ from .channel import (
     set_field,
 )
 from .errors import AmbiguousLeaf, DomainError
-from .strategies import Strategy, T, fold_strategy
+from .strategies import Strategy, fold_strategy
 
 
 class QNode(Frozen):
@@ -67,14 +67,14 @@ class QTree(Frozen):
     root: QNode
 
 
-def _fold_tree(strategy: Strategy, config: GameConfig, normal: bool, leaf: Callable[[int, int], T],
-               node: Callable[..., T], memo: dict | None = None) -> T:
+def _fold_tree(strategy: Strategy, config: GameConfig, normal: bool, leaf: Callable[[int, int], object],
+               node: Callable[..., object], memo: dict | None = None) -> object:
     """Fold the strategy's tree over all C(n,d) live sets, ``leaf(live, revealed)``
     at each live set left; with ``normal`` errors name it ``<name>-normal``."""
     if normal:
         strategy = Strategy(f"{strategy.name}-normal", strategy.query, strategy.start, strategy.step)
 
-    def resolved(family: Sequence[int], revealed: int) -> T:
+    def resolved(family: Sequence[int], revealed: int) -> object:
         if len(family) > 1:
             raise AmbiguousLeaf(
                 f"strategy {strategy.name!r} stopped with {len(family)} live sets "

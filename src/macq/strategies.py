@@ -22,7 +22,7 @@ and the normal-form report pass one; the decision tree is built node by node.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, TypeVar
+from collections.abc import Callable, Sequence
 
 from .channel import (
     Feedback,
@@ -41,7 +41,6 @@ from .channel import (
 from .errors import CapExceeded, DomainError, InvalidQuery
 
 NextAction = StationSet | None
-T = TypeVar("T")
 
 
 class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}):
@@ -56,9 +55,9 @@ class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}
 
     __slots__ = ("name", "query", "start", "step")
     name: str
-    query: Callable[[GameConfig, Any], NextAction]
-    start: Callable[[GameConfig], Any]
-    step: Callable[[Any, StationSet, Feedback], Any]
+    query: Callable[[GameConfig, object], NextAction]
+    start: Callable[[GameConfig], object]
+    step: Callable[[object, StationSet, Feedback], object]
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have
@@ -72,7 +71,7 @@ class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}
         return self.query(config, replay(self, config, transcript))
 
 
-def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> Any:
+def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> object:
     """The strategy's state after the transcript's rounds, one ``step`` each."""
     state = strategy.start(config)
     for query, feedback in transcript.rounds:
@@ -84,7 +83,7 @@ def _round_cap(config: GameConfig) -> int:
     return 4 * config.n + 16
 
 
-def checked_query(strategy: Strategy, config: GameConfig, state: Any, rounds: int,
+def checked_query(strategy: Strategy, config: GameConfig, state: object, rounds: int,
                   revealed: int) -> NextAction:
     """The strategy's next query from ``state`` after ``rounds`` rounds, or
     None once the mask ``revealed`` holds d stations, the end of every game;
@@ -114,11 +113,11 @@ def fold_strategy(
     strategy: Strategy,
     position: KnowledgeState,
     transcript: Transcript,
-    leaf: Callable[[Sequence[int], int], T],
-    node: Callable[[StationSet, list[tuple[Feedback, int, T]]], T],
+    leaf: Callable[[Sequence[int], int], object],
+    node: Callable[[StationSet, list[tuple[Feedback, int, object]]], object],
     normal: bool = False,
     memo: dict | None = None,
-) -> T:
+) -> object:
     """Fold the strategy's decision tree below one position.
 
     ``position`` is the knowledge state the transcript leads to; the game's
@@ -156,8 +155,8 @@ def fold_strategy(
     config, step = transcript.config, strategy.step
     cap = _round_cap(config)
 
-    def walk(position: KnowledgeState, state: Any, rounds: int,
-             memo: dict | None) -> tuple[T, int, int]:
+    def walk(position: KnowledgeState, state: object, rounds: int,
+             memo: dict | None) -> tuple[object, int, int]:
         # The value, the union of the strategy's own queries (a subtree where
         # ``normal`` reduces one is never stored), and the depth of its deepest
         # query below this position (-1 where the game stops here).

@@ -226,6 +226,18 @@ def test_bounds_reject_d_outside_one_to_n(n, d):
         claimed_bound_analytic(n, d)
 
 
+def test_bounds_echo_integers_beyond_40_digits_short():
+    # str() refuses an int of more digits than int() converts, so a refused
+    # value is echoed as its first 40 digits and its number of digits.
+    shown = f"1{'0' * 39}... (5001 digits)"
+    with pytest.raises(DomainError) as raised:
+        claimed_bound_analytic(-10**5000, 2)
+    assert str(raised.value) == f"need 1 <= d <= n, got n=-{shown} d=2"
+    with pytest.raises(DomainError) as raised:
+        path_count_bound(1, 10**5000)
+    assert str(raised.value) == f"need x >= d, got x=1 d={shown}"
+
+
 @pytest.mark.parametrize("bad", [4.0, "4", None])
 def test_bounds_refuse_what_is_not_an_integer(bad):
     for bound in (info_lower_bound, claimed_bound_analytic, path_count_bound,

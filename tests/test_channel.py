@@ -214,6 +214,13 @@ def test_station_cap_rule_is_one_rule(monkeypatch, make, name, low):
     make(65)
     with pytest.raises(DomainError, match=f"^{name} must be at most 100 .*, got {10**19}$"):
         make(10**19)
+    # Past 40 digits a value is echoed as its first 40 and its number of
+    # digits, which str() would refuse past sys.get_int_max_str_digits().
+    shown = rf"{'9' * 40}\.\.\. \(5000 digits\)$"
+    with pytest.raises(DomainError, match=f"^{name} must be at most 100 .*, got {shown}"):
+        make(10**5000 - 1)
+    with pytest.raises(DomainError, match=f"^{name} must be at least {low}, got -{shown}"):
+        make(1 - 10**5000)
 
 
 @pytest.mark.parametrize("make, name, low", [

@@ -184,6 +184,16 @@ def test_out_to_missing_directory_is_a_runtime_error(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_out_ending_in_a_separator_is_a_runtime_error(capsys, tmp_path):
+    # The path is opened as given: a trailing separator names a directory,
+    # not a file to create.
+    target = tmp_path / "new"
+    code, out, err = run_cli(capsys, "bounds", "--n", "4", "--d", "2", "--out", f"{target}{os.sep}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: IsADirectoryError:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_too_deep_strategy_walk_is_a_runtime_error(capsys, monkeypatch):
     monkeypatch.setenv("MACQ_MAX_N", "2000")
     code, out, err = run_cli(
@@ -302,6 +312,23 @@ def test_options_beyond_int_digits_get_the_cli_message(capsys, argv, message):
     assert max(map(len, err.splitlines())) < 160  # the value is echoed cut short
 
 
+LONGEST = "9" * (INT_DIGITS or 4300)  # the most digits int() converts
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n", LONGEST, "--d", "2"),
+    ("bounds", "--n", "-" + LONGEST, "--d", "2"),
+    ("bounds", "--n", "8", "--d", LONGEST),
+], ids=["n", "negative-n", "d"])
+def test_integers_beyond_40_digits_are_echoed_short(capsys, argv):
+    # A value that parses but is out of range is echoed as its first 40
+    # digits and its number of digits.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: DomainError:") and err.count("\n") == 1 and len(err) < 160
+    assert f"{LONGEST[:40]}... ({len(LONGEST)} digits)" in err
+
+
 def test_domain_errors_exit_1(capsys):
     # |live| != d is a runtime error, not a usage error.
     code, _, err = run_cli(
@@ -370,7 +397,9 @@ def test_parser_built_for_argv_answers_as_the_full_parser(capsys, monkeypatch):
     # build_parser sets up only the subcommands argv names; argparse parses
     # with the one whose name is an argv token, so setting up all six must
     # print the same bytes and exit alike, for answers, help and usage errors.
+    # The reader declines every line, so argparse answers in both runs.
     monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
     cases = [command.split() for command in sorted(DIGESTS)]
     cases += [[name, "--help"] for name in COMMANDS]
     cases += [
@@ -449,13 +478,18 @@ NO_ANALYSIS = ("macq.oracle", "macq.qtree", "macq.report", "macq.bounds")
 # still load all three.
 ARGPARSE = ("argparse", "gettext", "locale")
 USES_ARGPARSE = f"\nassert set({ARGPARSE!r}) <= set(sys.modules)"
+# Annotations need no typing and --out no pathlib; only JSON output loads re.
+# The children run with -S, since a site hook (a .pth file) may load these
+# modules before macq starts.
+NO_TYPING = ("typing", "pathlib")
+NO_RE = NO_TYPING + ("re",)
 
 
 @pytest.mark.parametrize("code, absent", [
-    ("import macq.cli", SLOW_IMPORTS + ARGPARSE + ("macq.channel",)),
+    ("import macq.cli", SLOW_IMPORTS + ARGPARSE + NO_RE + ("macq.channel",)),
     # bounds sets up no --strategy, so it needs no strategy.
     ("from macq.cli import dispatch; dispatch(['bounds', '--n', '8', '--d', '2'])",
-     SLOW_IMPORTS + ARGPARSE + SOLVERS + ("macq.strategies",)),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + SOLVERS + ("macq.strategies",)),
     # The top-level help sets up no subcommand's arguments and runs no model code.
     ("import runpy; sys.argv = ['macq', '--help']\n"
      "try: runpy.run_module('macq', run_name='__main__', alter_sys=True)\n"
@@ -469,21 +503,22 @@ USES_ARGPARSE = f"\nassert set({ARGPARSE!r}) <= set(sys.modules)"
     # Frozen generates need neither dataclasses nor inspect.  A value-only
     # report or oracle builds no tree, so neither runs qtree.
     ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])",
-     SLOW_IMPORTS + ARGPARSE + ("macq.qtree",)),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + ("macq.qtree",)),
     # A value-only oracle checks its cap and solves: no strategy code runs.
     ("from macq.cli import dispatch; dispatch(['oracle', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + ARGPARSE + ("macq.qtree", "macq.strategies", "macq.adversary")),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + ("macq.qtree", "macq.strategies", "macq.adversary")),
     # A tree prints no JSON and needs no adversary: its start position is the channel's.
     ("from macq.cli import dispatch; dispatch(['tree', '--strategy', 'tree', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + ARGPARSE + ("json", "macq.adversary", "macq.engine", "macq.oracle", "macq.report")),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + ("json", "macq.adversary", "macq.engine", "macq.oracle",
+                                        "macq.report")),
     # A text worst-case sweeps live sets with the engine alone and prints no JSON.
     ("from macq.cli import dispatch; dispatch(['worst-case', '--strategy', 'tree', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + ARGPARSE + NO_ANALYSIS + ("json",)),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + NO_ANALYSIS + ("json",)),
     # A game, fixed or against an adversary, builds no tree and solves nothing.
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
-     "'--live', '1,3'])", SLOW_IMPORTS + ARGPARSE + NO_ANALYSIS),
+     "'--live', '1,3'])", SLOW_IMPORTS + ARGPARSE + NO_TYPING + NO_ANALYSIS),
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
-     "'--adversary', 'greedy'])", SLOW_IMPORTS + ARGPARSE + NO_ANALYSIS),
+     "'--adversary', 'greedy'])", SLOW_IMPORTS + ARGPARSE + NO_TYPING + NO_ANALYSIS),
     # A live id beyond n is refused before any game is set up.
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
      "'--live', '1,9'])", SLOW_IMPORTS + ARGPARSE + ("macq.engine", "macq.adversary")),
@@ -491,7 +526,7 @@ USES_ARGPARSE = f"\nassert set({ARGPARSE!r}) <= set(sys.modules)"
         "simulate-live", "simulate-greedy", "simulate-beyond-n"])
 def test_each_command_runs_only_the_modules_it_needs(code, absent):
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-S", "-c",
          f"import sys; {code}\nprint([m for m in {absent!r} if type(sys.modules.get(m)) is type(sys)])"],
         capture_output=True, text=True, env=child_env(),
     )

@@ -99,15 +99,14 @@ def test_no_module_imports_a_name_twice():
     assert repeated == []
 
 
-def _imports_macq(node):
-    """True iff ``node`` imports a ``macq`` module, relatively or by name."""
+def _imported_packages(node):
+    """The top-level packages an import statement loads, ``macq`` for a
+    relative one; none for any other node."""
     if isinstance(node, ast.ImportFrom):
-        names = ["macq" if node.level else node.module]
-    elif isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    else:
-        return False
-    return any(name == "macq" or name.startswith("macq.") for name in names)
+        return ["macq" if node.level else node.module.split(".")[0]]
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    return []
 
 
 def test_no_function_imports_a_macq_module():
@@ -120,9 +119,21 @@ def test_no_function_imports_a_macq_module():
         for path in sorted(PACKAGE.glob("*.py"))
         for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(function) if _imports_macq(node)
+        for node in ast.walk(function) if "macq" in _imported_packages(node)
     ]
     assert local == []
+
+
+def test_no_module_imports_typing_or_pathlib():
+    # Annotations name collections.abc types and builtin generics, and --out
+    # is opened as given, so no command pays to load either module.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if {"typing", "pathlib"} & set(_imported_packages(node))
+    ]
+    assert found == []
 
 
 def test_package_parses_under_the_declared_python_floor():
