@@ -19,9 +19,9 @@ from .channel import (
     KnowledgeState,
     StationSet,
     Transcript,
+    _shown,
     branches,
     feedback_to_json,
-    format_station_set,
 )
 from .errors import DomainError, Inconsistent
 from .strategies import Strategy, fold_strategy
@@ -30,12 +30,12 @@ from .strategies import Strategy, fold_strategy
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
     """Filter the candidate family by one observed round, keeping its order."""
     if feedback.__class__ is not Feedback:
-        raise DomainError(f"feedback must be a Feedback, got {feedback!r}")
+        raise DomainError(f"feedback must be a Feedback, got {_shown(feedback)}")
     for drawn, child in branches(state, query):
         if drawn == feedback:
             return child
     raise Inconsistent(
-        f"feedback {feedback_to_json(feedback)!r} on query {format_station_set(query)} "
+        f"feedback {feedback_to_json(feedback)!r} on query {_shown(query)} "
         "eliminates every candidate"
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .channel import _at_least, _instance, _integer, _shown
+from .channel import _at_least, _instance, _integer, _round_cap, _shown, _within_cap
 from .errors import DomainError
 
 
@@ -39,11 +39,13 @@ def path_count_bound(x: int, d: int) -> int:
 
     Counts colored sequences: length h in d..x, d positions black carrying
     distinct ordered station labels (d! orders), every other position one of
-    two red symbols; in closed form  sum_h C(h,d) * 2**(h-d) * d!.
+    two red symbols; in closed form  sum_h C(h,d) * 2**(h-d) * d!.  x is at
+    most the longest game the station cap admits, 4 * cap + 16 rounds.
     """
     x, d = _integer("x", x), _at_least("d", d, 1)
     if x < d:
         raise DomainError(f"need x >= d, got x={_shown(x)} d={_shown(d)}")
+    _within_cap("x", x, d, _round_cap())
     factor = math.factorial(d)
     return sum(math.comb(h, d) * (1 << (h - d)) * factor for h in range(d, x + 1))
 
@@ -63,7 +65,7 @@ def claimed_bound_combinatorial(n: int, d: int, factor: GrowthFactor) -> int:
     """
     n, d = _instance(n, d)
     if not isinstance(factor, GrowthFactor):
-        raise DomainError(f"factor must be a GrowthFactor, got {factor!r}")
+        raise DomainError(f"factor must be a GrowthFactor, got {_shown(factor)}")
     scale = math.factorial(d) if factor is GrowthFactor.FACTORIAL else d**d
     target = math.comb(n, d)
     x = d

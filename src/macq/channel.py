@@ -25,7 +25,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from operator import attrgetter, index
 
 from .errors import BudgetExceeded, DomainError
@@ -130,20 +130,28 @@ def is_decimal(text: str) -> bool:
     return text.isascii() and text.isdecimal() and not 0 < limit < len(text)
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)`` to echo a refused value; past 40 characters, its first 40 and its length."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-
-
-def _shown(value: int) -> str:
-    """``value`` to echo a refused integer; past 40 digits, its first 40 and its number
-    of digits, counted without ``str()``, which refuses more than ``int()`` converts."""
-    size = abs(value)
-    if size < 10**40:
-        return str(value)
-    digits = int(size.bit_length() * 0.30102999566398120)  # times log10(2): the count or one less
-    digits += size >= 10**digits
-    return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 40)}... ({digits} digits)"
+def _shown(value: object) -> str:
+    """``value`` as a refusal echoes it: past 40 digits an int is its first 40 and
+    its digit count (not by ``str()``, which refuses more than ``int()`` converts);
+    a ``StationSet`` lists its stations while they fit in 40 characters, then
+    ``...`` and its size; a string, or any other value's ``repr``, past 40
+    characters is its first 40 and its length."""
+    if isinstance(value, int):
+        size = abs(value)
+        if size < 10**40:
+            return str(value)
+        digits = int(size.bit_length() * 0.30102999566398120)  # times log10(2): the count or one less
+        digits += size >= 10**digits
+        return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 40)}... ({digits} digits)"
+    if value.__class__ is StationSet:  # 41 stations take more than 40 characters
+        listed = format_station_set(islice(value, 41))
+        if len(listed) <= 42:
+            return listed
+        return f"{listed[:listed.rindex(',', 0, 42)]},...}} ({len(value)} stations)"
+    quoted = isinstance(value, str)
+    text = value if quoted else repr(value)
+    cut = repr(text[:40]) if quoted else text[:40]
+    return cut if len(text) <= 40 else f"{cut}... ({len(text)} characters)"
 
 
 def station_cap() -> int:
@@ -152,8 +160,13 @@ def station_cap() -> int:
     if raw is None:
         return DEFAULT_STATION_CAP
     if not is_decimal(raw.removeprefix("-")):
-        raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {_quoted(raw)}")
+        raise DomainError(f"{STATION_CAP_ENV} must be an integer, got {_shown(raw)}")
     return _at_least(STATION_CAP_ENV, int(raw), 1)
+
+
+def _round_cap(n: int | None = None) -> int:
+    """Most rounds a game on n stations (the station cap unless given) may take: 4n + 16."""
+    return 4 * (station_cap() if n is None else n) + 16
 
 
 class StationSet(Frozen):
@@ -231,7 +244,7 @@ def _integer(name: str, value: int) -> int:
     try:
         return index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 def _at_least(name: str, value: int, low: int) -> int:
@@ -243,8 +256,8 @@ def _at_least(name: str, value: int, low: int) -> int:
 
 
 def _within_cap(name: str, value: int, low: int, cap: int | None = None) -> int:
-    """``value`` as an int from ``low`` to the station cap, the one wording of
-    both refusals; ``cap`` is ``station_cap()``, read here unless given."""
+    """``value`` as an int from ``low`` to ``cap``, the one wording of both refusals;
+    ``cap`` is ``station_cap()`` (read here) unless given, or a limit set by it."""
     value = _at_least(name, value, low)
     if cap is None:
         cap = station_cap()
@@ -279,7 +292,7 @@ class GameConfig(Frozen):
         if live.__class__ is not StationSet:
             raise DomainError(f"live set must be a StationSet, got {type(live).__name__}")
         if live.mask >> self.n:
-            raise DomainError(f"live set {format_station_set(live)} exceeds n={self.n}")
+            raise DomainError(f"live set {_shown(live)} exceeds n={self.n}")
         if len(live) != self.d:
             raise DomainError(f"live set must have exactly d={self.d} stations, got {len(live)}")
 
@@ -299,7 +312,7 @@ class Feedback(Frozen):
 
     def __init__(self, tag: FeedbackTag, station: int | None = None) -> None:
         if tag.__class__ is not FeedbackTag:
-            raise DomainError(f"feedback tag must be a FeedbackTag, got {tag!r}")
+            raise DomainError(f"feedback tag must be a FeedbackTag, got {_shown(tag)}")
         if tag is FeedbackTag.SINGLE:
             if station is None:
                 raise DomainError("single feedback needs a station id")
@@ -397,7 +410,7 @@ def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, K
     if state.__class__ is not KnowledgeState:
         raise DomainError(f"state must be a KnowledgeState, got {type(state).__name__}")
     if query.__class__ is not StationSet:
-        raise DomainError(f"query must be a StationSet, got {query!r}")
+        raise DomainError(f"query must be a StationSet, got {_shown(query)}")
     revealed = state.revealed
     return [(single(outcome.bit_length()), KnowledgeState(tuple(group), revealed | outcome))
             if outcome > 0 else

@@ -35,10 +35,10 @@ def _live_set(text: str) -> tuple[int, ...]:
     """The ids as given, strictly ascending and >= 1; n is not known yet."""
     parts = text.split(",")
     if not all(channel.is_decimal(part) for part in parts):
-        raise _malformed(f"live set must be comma-separated ids, got {channel._quoted(text)}")
+        raise _malformed(f"live set must be comma-separated ids, got {channel._shown(text)}")
     ids = [int(part) for part in parts]
     if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise _malformed(f"live ids must be strictly ascending, got {channel._quoted(text)}")
+        raise _malformed(f"live ids must be strictly ascending, got {channel._shown(text)}")
     if ids[0] < 1:
         raise _malformed("station ids are 1-based")
     return tuple(ids)
@@ -46,14 +46,14 @@ def _live_set(text: str) -> tuple[int, ...]:
 
 def _positive_int(text: str) -> int:
     if not channel.is_decimal(text) or int(text) < 1:
-        raise _malformed(f"expected a positive integer, got {channel._quoted(text)}")
+        raise _malformed(f"expected a positive integer, got {channel._shown(text)}")
     return int(text)
 
 
 def _integer(text: str) -> int:
     """ASCII digits with an optional leading ``-``; the range is checked later."""
     if not channel.is_decimal(text.removeprefix("-")):
-        raise _malformed(f"expected an integer, got {channel._quoted(text)}")
+        raise _malformed(f"expected an integer, got {channel._shown(text)}")
     return int(text)
 
 

@@ -38,7 +38,7 @@ from itertools import product
 
 from . import adversary, qtree, strategies
 from .channel import (DEFAULT_ORACLE_CAP, GameConfig, KnowledgeState, StationSet, _integer,
-                      initial_state, split_by_feedback)
+                      _shown, initial_state, split_by_feedback)
 from .errors import BudgetExceeded, DomainError
 
 
@@ -150,7 +150,7 @@ def _capped_start(cap: tuple[int, int]) -> Callable[[GameConfig], KnowledgeState
     reader: a cap that is not a tuple of two integers is a ``DomainError``, an
     instance beyond it ``BudgetExceeded``."""
     if cap.__class__ is not tuple or len(cap) != 2:
-        raise DomainError(f"oracle cap must be a tuple of two integers (n, d), got {cap!r}")
+        raise DomainError(f"oracle cap must be a tuple of two integers (n, d), got {_shown(cap)}")
     n_cap, d_cap = _integer("oracle cap n", cap[0]), _integer("oracle cap d", cap[1])
 
     def start(config: GameConfig) -> KnowledgeState:

@@ -32,11 +32,11 @@ from .channel import (
     KnowledgeState,
     StationSet,
     Transcript,
-    _within_cap,
+    _round_cap,
+    _shown,
     branches,
     evaluate_query,
-    format_station_set,
-    station_cap,
+    transmitted_set,
 )
 from .errors import CapExceeded, DomainError, InvalidQuery
 
@@ -61,12 +61,9 @@ class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have
-        transmitted alone in it (the walk's own stop rule).  A sender beyond
-        the station cap, which no game holds, is a ``DomainError``."""
-        cap = station_cap()
-        senders = {_within_cap("station id", feedback.station, 1, cap)
-                   for _, feedback in transcript.rounds if feedback.is_single}
-        if len(senders) >= config.d:
+        transmitted alone in it (the walk's own stop rule); ``transmitted_set``
+        refuses a sender beyond the station cap, which no game holds."""
+        if len(transmitted_set(transcript)) >= config.d:
             return None
         return self.query(config, replay(self, config, transcript))
 
@@ -77,10 +74,6 @@ def replay(strategy: Strategy, config: GameConfig, transcript: Transcript) -> ob
     for query, feedback in transcript.rounds:
         state = strategy.step(state, query, feedback)
     return state
-
-
-def _round_cap(config: GameConfig) -> int:
-    return 4 * config.n + 16
 
 
 def checked_query(strategy: Strategy, config: GameConfig, state: object, rounds: int,
@@ -95,16 +88,16 @@ def checked_query(strategy: Strategy, config: GameConfig, state: object, rounds:
     if action is None:
         return None
     if action.__class__ is not StationSet:
-        raise InvalidQuery(f"strategy {strategy.name!r} queried {action!r}, not a StationSet")
-    cap = _round_cap(config)
+        raise InvalidQuery(f"strategy {_shown(strategy.name)} queried {_shown(action)}, not a StationSet")
+    cap = _round_cap(config.n)
     if rounds >= cap:
         raise CapExceeded(
-            f"strategy {strategy.name!r} still querying after {cap} rounds (n={config.n}, d={config.d})"
+            f"strategy {_shown(strategy.name)} still querying after {cap} rounds (n={config.n}, d={config.d})"
         )
     if action.mask >> config.n:
         raise InvalidQuery(
-            f"strategy {strategy.name!r} queried stations "
-            f"{format_station_set(action - StationSet.full(config.n))} beyond n={config.n}"
+            f"strategy {_shown(strategy.name)} queried stations "
+            f"{_shown(action - StationSet.full(config.n))} beyond n={config.n}"
         )
     return action
 
@@ -153,7 +146,7 @@ def fold_strategy(
     positions above it are still stored.
     """
     config, step = transcript.config, strategy.step
-    cap = _round_cap(config)
+    cap = _round_cap(config.n)
 
     def walk(position: KnowledgeState, state: object, rounds: int,
              memo: dict | None) -> tuple[object, int, int]:

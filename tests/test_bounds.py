@@ -1,6 +1,7 @@
 """Counting bounds, checked against independently coded oracles."""
 
 import math
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -236,6 +237,21 @@ def test_bounds_echo_integers_beyond_40_digits_short():
     with pytest.raises(DomainError) as raised:
         path_count_bound(1, 10**5000)
     assert str(raised.value) == f"need x >= d, got x=1 d={shown}"
+
+
+def test_path_count_bound_refuses_x_beyond_the_longest_game(monkeypatch):
+    # x is at most 4 * 64 + 16 = 272 rounds, the longest game the default
+    # station cap admits, so a huge x is refused at once, not summed.
+    monkeypatch.delenv("MACQ_MAX_N", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(DomainError) as raised:
+        path_count_bound(10**5000, 2)
+    assert time.perf_counter() - started < 1
+    assert str(raised.value) == ("x must be at most 272 (raise MACQ_MAX_N for more), "
+                                 f"got 1{'0' * 39}... (5001 digits)")
+    factor = math.factorial(5)
+    assert path_count_bound(272, 5) == sum(math.comb(h, 5) * 2 ** (h - 5) * factor
+                                           for h in range(5, 273))
 
 
 @pytest.mark.parametrize("bad", [4.0, "4", None])

@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+import time
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from macq import (
     GameConfig,
     GameResult,
     KnowledgeState,
+    MacqError,
     NormalFormReport,
     QNode,
     QTree,
@@ -27,7 +29,9 @@ from macq import (
     build_tree,
     channel,
     check_normal_form,
+    claimed_bound_combinatorial,
     evaluate_query,
+    exact_optimal_rounds,
     format_station_set,
     game_result_to_doc,
     generate_report,
@@ -235,6 +239,51 @@ def test_lower_bound_rule_is_one_rule(monkeypatch, make, name, low):
     with pytest.raises(DomainError) as raised:
         make(monkeypatch, low - 1)
     assert str(raised.value) == f"{name} must be at least {low}, got {low - 1}"
+
+
+LONG_TEXT = "9" * 100_000
+WIDE_SET = StationSet((1 << 10**5) - 1)  # stations 1..100000
+
+
+def _querying(action):
+    """A strategy whose every query is ``action``."""
+    return Strategy("s", lambda config, state: action, lambda config: 0, lambda *step: 0)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: GameConfig(LONG_TEXT, 2),
+    lambda: Feedback(LONG_TEXT),
+    lambda: branches(initial_state(GameConfig(4, 2)), LONG_TEXT),
+    lambda: refine(initial_state(GameConfig(4, 2)), StationSet(1), LONG_TEXT),
+    lambda: claimed_bound_combinatorial(4, 2, LONG_TEXT),
+    lambda: exact_optimal_rounds(GameConfig(4, 2), cap=LONG_TEXT),
+    lambda: run_fixed(_querying(LONG_TEXT), GameConfig(4, 2), StationSet(3)),
+    lambda: GameConfig(4, 2).check_live_set(WIDE_SET),
+    lambda: run_fixed(_querying(WIDE_SET), GameConfig(4, 2), StationSet(3)),
+    lambda: refine(initial_state(GameConfig(4, 2)), WIDE_SET, single(3)),
+], ids=["integer", "feedback-tag", "branches-query", "refine-feedback", "growth-factor",
+        "oracle-cap", "query-type", "live-set", "query-beyond-n", "inconsistent"])
+def test_every_refusal_echoes_a_long_value_short(refuse):
+    # Each refusal echoes the refused value through channel._shown: a text
+    # past 40 characters or a set past 40 characters of listing is cut short,
+    # and a wide set is not walked to its end.
+    started = time.perf_counter()
+    with pytest.raises(MacqError) as raised:
+        refuse()
+    assert time.perf_counter() - started < 0.1
+    assert len(str(raised.value)) < 160
+
+
+def test_a_refused_set_is_listed_while_it_fits():
+    with pytest.raises(DomainError) as raised:
+        GameConfig(4, 2).check_live_set(StationSet.from_ids([1, 5]))
+    assert str(raised.value) == "live set {1,5} exceeds n=4"
+    with pytest.raises(DomainError) as raised:
+        GameConfig(4, 2).check_live_set(WIDE_SET)
+    assert str(raised.value) == ("live set {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,...} "
+                                 "(100000 stations) exceeds n=4")
+    # The refusal's cut is not format_station_set's, which lists every station.
+    assert format_station_set(StationSet.full(64)) == "{" + ",".join(map(str, range(1, 65))) + "}"
 
 
 def test_feedback_validation():

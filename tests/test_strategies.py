@@ -19,6 +19,7 @@ from macq import (
     Strategy,
     Transcript,
     build_tree,
+    channel,
     check_normal_form,
     evaluate_query,
     linear_scan,
@@ -32,7 +33,6 @@ from macq import (
     tree_strategy,
     worst_case_rounds,
 )
-from macq import strategies
 from macq.strategies import replay
 from reference_strategies import TREE_BOXED_BELOW, reference_scripted, reference_tree_strategy
 
@@ -131,15 +131,17 @@ def test_scripted_plays_list_then_stops():
 
 
 def test_transcript_form_counts_distinct_senders_and_refuses_one_beyond_the_cap(monkeypatch):
-    reads = []
-    monkeypatch.setattr(strategies, "station_cap", lambda: reads.append(None) or 64)
+    # The sets and transcripts are built first, so only the two calls read the cap.
     cfg = GameConfig(4, 2)
     t = Transcript(cfg).extend(S([1]), single(1)).extend(S([1]), single(1))
-    assert linear_scan(cfg, t) == S([3])  # a repeated sender counts once
-    assert linear_scan(cfg, t.extend(S([3]), single(3))) is None
+    done, third = t.extend(S([3]), single(3)), S([3])
+    reads = []
+    monkeypatch.setattr(channel, "station_cap", lambda: reads.append(None) or 64)
+    assert linear_scan(cfg, t) == third  # a repeated sender counts once
+    assert linear_scan(cfg, done) is None
     assert len(reads) == 2  # once per call
     with pytest.raises(DomainError, match="station id must be at most 64"):
-        linear_scan(cfg, Transcript(cfg).extend(S([1]), single(65)))
+        linear_scan(cfg, Transcript(cfg).extend(third, single(65)))
 
 
 # ---------------------------------------------------------------------------
