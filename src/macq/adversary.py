@@ -21,7 +21,6 @@ from .channel import (
     Transcript,
     _shown,
     branches,
-    feedback_to_json,
 )
 from .errors import DomainError, Inconsistent
 from .strategies import Strategy, fold_strategy
@@ -34,10 +33,8 @@ def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> Know
     for drawn, child in branches(state, query):
         if drawn == feedback:
             return child
-    raise Inconsistent(
-        f"feedback {feedback_to_json(feedback)!r} on query {_shown(query)} "
-        "eliminates every candidate"
-    )
+    heard = f"{{'single': {_shown(feedback.station)}}}" if feedback.station else repr(feedback.tag.value)
+    raise Inconsistent(f"feedback {heard} on query {_shown(query)} eliminates every candidate")
 
 
 def _best(scores: dict[Feedback, int]) -> Feedback:

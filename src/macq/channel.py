@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from enum import Enum
 from itertools import combinations, islice
 from operator import attrgetter, index
@@ -143,15 +143,22 @@ def _shown(value: object) -> str:
         digits = int(size.bit_length() * 0.30102999566398120)  # times log10(2): the count or one less
         digits += size >= 10**digits
         return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 40)}... ({digits} digits)"
-    if value.__class__ is StationSet:  # 41 stations take more than 40 characters
-        listed = format_station_set(islice(value, 41))
-        if len(listed) <= 42:
-            return listed
-        return f"{listed[:listed.rindex(',', 0, 42)]},...}} ({len(value)} stations)"
+    if value.__class__ is StationSet:
+        return _listed(value)
     quoted = isinstance(value, str)
     text = value if quoted else repr(value)
     cut = repr(text[:40]) if quoted else text[:40]
     return cut if len(text) <= 40 else f"{cut}... ({len(text)} characters)"
+
+
+def _listed(stations: Collection[int]) -> str:
+    """A set, or ascending ids, as a refusal echoes it: as ``format_station_set``
+    lists it while that fits in 40 characters, then ``...`` and its size."""
+    listed = format_station_set(islice(stations, 41))  # 41 stations take more than 40 characters
+    if len(listed) <= 42:
+        return listed
+    kept = listed[:listed.rfind(",", 0, 42) + 1] or "{"  # "{" if not even the first id fits
+    return f"{kept}...}} ({len(stations)} stations)"
 
 
 def station_cap() -> int:

@@ -17,6 +17,7 @@ handler first reads a name from it, so ``macq --help`` runs no model code.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -62,8 +63,7 @@ def _cmd_simulate(args: SimpleNamespace) -> dict:
     strategy = strategies.STRATEGIES[args.strategy]
     if args.live is not None:
         if args.live[-1] > config.n:  # so the error names n, not the station cap
-            shown = channel.format_station_set(args.live)
-            raise DomainError(f"live set {shown} exceeds n={config.n}")
+            raise DomainError(f"live set {channel._listed(args.live)} exceeds n={config.n}")
         result = engine.run_fixed(strategy, config, channel.StationSet.from_ids(args.live))
     else:
         opponent = (adversary.greedy_adversary if args.adversary == "greedy"
@@ -269,4 +269,17 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    """The entry of the ``macq`` script and of ``python -m macq``: run ``dispatch``
+    and exit with its code.
+
+    Exit is paid per command, like start-up: the interpreter's shutdown runs
+    full collections over every object still tracked, mostly the modules and
+    functions start-up made, which live until the end anyway.  So the heap is
+    frozen first: ``gc.freeze`` moves it to the permanent generation, which
+    those collections skip.  Unlike ``os._exit``, this still runs the atexit
+    handlers and flushes the streams.  ``dispatch`` does not freeze, so a
+    library or test caller keeps its collector.
+    """
+    code = dispatch(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)

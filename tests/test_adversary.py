@@ -94,6 +94,9 @@ def test_refine_rejects_impossible_feedback():
         refine(state, S([1]), single(2))
     with pytest.raises(Inconsistent):
         refine(state, S([1]), COLLISION)  # a singleton query cannot collide
+    with pytest.raises(Inconsistent) as raised:
+        refine(initial_state(GameConfig(4, 2)), S([1, 2]), single(4))
+    assert str(raised.value) == "feedback {'single': 4} on query {1,2} eliminates every candidate"
 
 
 def test_query_that_is_not_a_station_set_is_refused_by_name():

@@ -261,8 +261,10 @@ def _querying(action):
     lambda: GameConfig(4, 2).check_live_set(WIDE_SET),
     lambda: run_fixed(_querying(WIDE_SET), GameConfig(4, 2), StationSet(3)),
     lambda: refine(initial_state(GameConfig(4, 2)), WIDE_SET, single(3)),
+    lambda: refine(initial_state(GameConfig(4, 2)), StationSet(15), single(10**5000)),
 ], ids=["integer", "feedback-tag", "branches-query", "refine-feedback", "growth-factor",
-        "oracle-cap", "query-type", "live-set", "query-beyond-n", "inconsistent"])
+        "oracle-cap", "query-type", "live-set", "query-beyond-n", "inconsistent",
+        "inconsistent-sender"])
 def test_every_refusal_echoes_a_long_value_short(refuse):
     # Each refusal echoes the refused value through channel._shown: a text
     # past 40 characters or a set past 40 characters of listing is cut short,

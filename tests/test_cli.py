@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, files, environment cap."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -352,6 +353,21 @@ def test_live_ids_beyond_n_exit_1(capsys, live):
     assert err == f"error: DomainError: live set {{{live}}} exceeds n=4\n"
 
 
+def test_a_long_live_list_beyond_n_is_echoed_short(capsys):
+    # The ids may exceed the station cap, so the list is cut as a refusal
+    # cuts a StationSet, without building one.
+    argv = ("simulate", "--strategy", "tree", "--n", "4", "--d", "2", "--live")
+    code, out, err = run_cli(capsys, *argv, ",".join(map(str, range(1, 20001))))
+    assert code == 1 and out == ""
+    assert err == ("error: DomainError: live set {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,...} "
+                   "(20000 stations) exceeds n=4\n")
+    assert len(err) < 160
+    # Not even the first id fits in 40 characters.
+    code, out, err = run_cli(capsys, *argv, str(10**60))
+    assert code == 1 and out == ""
+    assert err == "error: DomainError: live set {...} (1 stations) exceeds n=4\n"
+
+
 def test_station_cap_env_raises_limit(capsys, monkeypatch):
     monkeypatch.delenv("MACQ_MAX_N", raising=False)
     code, _, err = run_cli(
@@ -463,6 +479,34 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--n", "8", "--d", "2"], 0),
+    (["--help"], 0),
+    (["bounds", "--n", "8"], 2),
+], ids=["bounds", "help", "usage-error"])
+def test_main_freezes_the_heap_before_the_process_exits(capsys, monkeypatch, argv, code):
+    # A frozen heap is skipped by the interpreter's exit-time collections.  An
+    # atexit hook, which runs after main's sys.exit, sees the freeze, and the
+    # command's output and exit code are those dispatch gives in-process.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to this width
+    in_process, out, err = run_cli(capsys, *argv)
+    assert in_process == code
+    hook = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['macq', *{argv!r}]\n"
+            "runpy.run_module('macq', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-S", "-c", hook], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "True\n", err)
+
+
+def test_dispatch_leaves_the_collector_unfrozen(capsys):
+    # Only main, after which the process exits, freezes: a library or test
+    # caller of dispatch keeps collecting what it frees.
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "bounds", "--n", "8", "--d", "2")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 # mpmath is only the tests' reference for the analytic threshold, and
