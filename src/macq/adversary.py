@@ -33,7 +33,7 @@ def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> Know
     for drawn, child in branches(state, query):
         if drawn == feedback:
             return child
-    heard = f"{{'single': {_shown(feedback.station)}}}" if feedback.station else repr(feedback.tag.value)
+    heard = f"{{'single': {_shown(feedback.station)}}}" if feedback.is_single else repr(feedback.tag.value)
     raise Inconsistent(f"feedback {heard} on query {_shown(query)} eliminates every candidate")
 
 

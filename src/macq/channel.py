@@ -183,9 +183,9 @@ class StationSet(Frozen):
     is checked where the set is made, so every operation may trust it: it
     must be an integer (a bool or a numpy integer converts) and not negative
     (``DomainError``).  Python integers are unbounded, so sets work unchanged
-    past the default 64-station cap when the cap is raised.  Sets order by
-    mask.  Python derives the rest: truthiness from ``__len__``, ``in`` from
-    ``__iter__``, and ``>`` and ``>=`` by reflecting ``<`` and ``<=``.
+    past the default 64-station cap when the cap is raised.  Sets have no
+    order (``<`` is a ``TypeError``); Python derives truthiness from
+    ``__len__`` and ``in`` from ``__iter__``.
     """
 
     __slots__ = ("mask",)
@@ -230,12 +230,6 @@ class StationSet(Frozen):
 
     def __sub__(self, other: StationSet) -> StationSet:
         return StationSet(self.mask & ~other.mask) if other.__class__ is StationSet else NotImplemented
-
-    def __lt__(self, other: StationSet) -> bool:
-        return self.mask < other.mask if other.__class__ is StationSet else NotImplemented
-
-    def __le__(self, other: StationSet) -> bool:
-        return self.mask <= other.mask if other.__class__ is StationSet else NotImplemented
 
     def __repr__(self) -> str:
         return f"StationSet({{{', '.join(map(str, self))}}})"
@@ -404,9 +398,9 @@ def initial_state(config: GameConfig) -> KnowledgeState:
     """Knowledge state before any round: the masks of every size-d subset of
     1..n, ascending, with nothing revealed."""
     check_enumeration_budget(config)
-    bits = [1 << i for i in range(config.n)]
-    family = sorted(sum(combo) for combo in combinations(bits, config.d))
-    return KnowledgeState(tuple(family), 0)
+    bits = [1 << i for i in reversed(range(config.n))]  # top bit first, so the masks descend
+    family = [sum(combo) for combo in combinations(bits, config.d)]
+    return KnowledgeState(tuple(reversed(family)), 0)
 
 
 def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, KnowledgeState]]:
@@ -435,9 +429,6 @@ class Transcript(Frozen, defaults={"rounds": ()}):
     def extend(self, query: StationSet, feedback: Feedback) -> Transcript:
         return Transcript(self.config, self.rounds + ((query, feedback),))
 
-    def __len__(self) -> int:
-        return len(self.rounds)
-
 
 def transmitted_set(transcript: Transcript) -> StationSet:
     """Stations that have transmitted alone so far (distinct single senders),
@@ -452,4 +443,4 @@ def transmitted_set(transcript: Transcript) -> StationSet:
 
 def feedback_to_json(feedback: Feedback) -> str | dict[str, int]:
     """A round's feedback as ``engine.game_result_to_doc`` writes it."""
-    return {"single": feedback.station} if feedback.station else feedback.tag.value
+    return {"single": feedback.station} if feedback.is_single else feedback.tag.value

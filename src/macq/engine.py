@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .adversary import Adversary, refine
+from . import adversary
 from .channel import (
     Feedback,
     Frozen,
@@ -75,7 +75,7 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
     return rounds, StationSet(witness)
 
 
-def run_adversarial(strategy: Strategy, adversary: Adversary, config: GameConfig) -> GameResult:
+def run_adversarial(strategy: Strategy, adversary: adversary.Adversary, config: GameConfig) -> GameResult:
     """Play one game with feedback chosen by an adversary.
 
     The witness is the least surviving candidate; replaying it as a fixed
@@ -85,7 +85,7 @@ def run_adversarial(strategy: Strategy, adversary: Adversary, config: GameConfig
     return _play(strategy, adversary, config, initial_state(config))
 
 
-def _play(strategy: Strategy, answer: Adversary, config: GameConfig,
+def _play(strategy: Strategy, answer: adversary.Adversary, config: GameConfig,
           state: KnowledgeState) -> GameResult:
     """Play ``config``'s game from ``state`` until d stations are revealed or the strategy stops."""
     transcript, memory = Transcript(config), strategy.start(config)
@@ -94,7 +94,7 @@ def _play(strategy: Strategy, answer: Adversary, config: GameConfig,
         if action is None:
             break
         feedback = answer(state, action, transcript)
-        state = refine(state, action, feedback)
+        state = adversary.refine(state, action, feedback)
         transcript = transcript.extend(action, feedback)
         memory = strategy.step(memory, action, feedback)
     witness = min(state.family)

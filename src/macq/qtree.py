@@ -192,7 +192,7 @@ def check_normal_form(tree: QTree) -> NormalFormReport:
 # ---------------------------------------------------------------------------
 
 def _feedback_label(feedback: Feedback) -> str:
-    return f"{feedback.tag.value}:{feedback.station}" if feedback.station else feedback.tag.value
+    return f"{feedback.tag.value}:{feedback.station}" if feedback.is_single else feedback.tag.value
 
 
 def export_graph(tree: QTree) -> str:

@@ -41,7 +41,7 @@ def test_initial_state_enumerates_all_candidates():
     assert set(state.family) == {S(ids).mask for ids in combinations(range(1, 5), 2)}
     assert state.revealed == 0
     # Witness order and tree leaf order follow this ascending mask order.
-    for n in range(1, 8):
+    for n in range(1, 13):
         for d in range(1, n + 1):
             cfg = GameConfig(n, d)
             masks = sorted(S(ids).mask for ids in combinations(range(1, n + 1), d))

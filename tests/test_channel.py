@@ -351,7 +351,7 @@ def test_transcript_extend_is_persistent():
     t0 = Transcript(cfg)
     t1 = t0.extend(StationSet.from_ids([1, 2]), COLLISION)
     t2 = t1.extend(StationSet.from_ids([1]), single(1))
-    assert len(t0) == 0 and len(t1) == 1 and len(t2) == 2
+    assert len(t0.rounds) == 0 and len(t1.rounds) == 1 and len(t2.rounds) == 2
     assert t1.rounds[0] == (StationSet.from_ids([1, 2]), COLLISION)
     assert transmitted_set(t2) == StationSet.from_ids([1])
     assert transmitted_set(t1) == StationSet()
@@ -488,10 +488,10 @@ def test_value_types_are_immutable_values(monkeypatch):
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
     assert repr(live) == "StationSet({1, 3})"
-    assert StationSet(1) < StationSet(2) < StationSet(3) <= StationSet(3) < StationSet(4)
-    assert StationSet.from_ids([3]) > StationSet.from_ids([1, 2])
-    assert sorted([StationSet(5), StationSet(2), StationSet(4)]) == [
-        StationSet(2), StationSet(4), StationSet(5)]
+    # Sets have no order, as no other value type has.
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(StationSet(1), StationSet(2))
     assert QNode().children == {} and QNode().children is not QNode().children
     # Frozen writes the constructor of every type that only stores its fields;
     # only the other four have one written in a source file.

@@ -545,9 +545,10 @@ NO_RE = NO_TYPING + ("re",)
     # report defines value types in the modules it loads, and the tree case
     # below loads qtree's, so between them they show that the constructors
     # Frozen generates need neither dataclasses nor inspect.  A value-only
-    # report or oracle builds no tree, so neither runs qtree.
+    # report or oracle builds no tree, so neither runs qtree, and report's
+    # sweeps play no game, so it runs no adversary.
     ("from macq.cli import dispatch; dispatch(['report', '--n-max', '3'])",
-     SLOW_IMPORTS + ARGPARSE + NO_RE + ("macq.qtree",)),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + ("macq.qtree", "macq.adversary")),
     # A value-only oracle checks its cap and solves: no strategy code runs.
     ("from macq.cli import dispatch; dispatch(['oracle', '--n', '4', '--d', '2'])",
      SLOW_IMPORTS + ARGPARSE + NO_RE + ("macq.qtree", "macq.strategies", "macq.adversary")),
@@ -555,9 +556,10 @@ NO_RE = NO_TYPING + ("re",)
     ("from macq.cli import dispatch; dispatch(['tree', '--strategy', 'tree', '--n', '4', '--d', '2'])",
      SLOW_IMPORTS + ARGPARSE + NO_RE + ("json", "macq.adversary", "macq.engine", "macq.oracle",
                                         "macq.report")),
-    # A text worst-case sweeps live sets with the engine alone and prints no JSON.
+    # A text worst-case sweeps live sets with the engine alone, plays no
+    # game, so runs no adversary, and prints no JSON.
     ("from macq.cli import dispatch; dispatch(['worst-case', '--strategy', 'tree', '--n', '4', '--d', '2'])",
-     SLOW_IMPORTS + ARGPARSE + NO_RE + NO_ANALYSIS + ("json",)),
+     SLOW_IMPORTS + ARGPARSE + NO_RE + NO_ANALYSIS + ("json", "macq.adversary")),
     # A game, fixed or against an adversary, builds no tree and solves nothing.
     ("from macq.cli import dispatch; dispatch(['simulate', '--strategy', 'tree', '--n', '4', '--d', '2', "
      "'--live', '1,3'])", SLOW_IMPORTS + ARGPARSE + NO_TYPING + NO_ANALYSIS),

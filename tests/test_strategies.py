@@ -216,7 +216,7 @@ def _foreign_transcripts(config, rng, tree_transcripts):
     n = config.n
     feedbacks = [SILENCE, COLLISION, single(1), single(n)]
     queries = [S([1]), S(range(1, n + 1)), S(range(1, (n + 1) // 2 + 1))]
-    for transcript in sorted(tree_transcripts, key=len):
+    for transcript in sorted(tree_transcripts, key=lambda t: len(t.rounds)):
         for query in queries:
             for feedback in feedbacks:
                 extended = transcript.extend(query, feedback)
