@@ -11,7 +11,7 @@ the game loop and the tree walk alike, and applies the fixed round cap of
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import adversary
 from .channel import (
@@ -29,11 +29,10 @@ from .strategies import Strategy, checked_query, fold_strategy
 
 
 class GameResult(Frozen):
-    """One finished game: its transcript plus summary fields."""
+    """One finished game: its transcript (``len(transcript.rounds)`` rounds) and outcome."""
 
-    __slots__ = ("transcript", "rounds_used", "completed", "witness_live")
+    __slots__ = ("transcript", "completed", "witness_live")
     transcript: Transcript
-    rounds_used: int
     completed: bool
     witness_live: StationSet
 
@@ -46,9 +45,9 @@ def run_fixed(strategy: Strategy, config: GameConfig, live: StationSet) -> GameR
 
 
 def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, StationSet]:
-    """Maximum rounds_used over every size-d live set, with a witness.
+    """Most rounds a game uses over every size-d live set, with a witness.
 
-    A live set's rounds_used is the depth of its leaf in the strategy's
+    A live set's game length is the depth of its leaf in the strategy's
     decision tree, so one fold of that tree, never built, gives the maximum.
     The fold keeps a memo, so a subtree below positions with the same
     strategy state and residual family is folded once.  Each subtree's
@@ -59,16 +58,17 @@ def worst_case_rounds(strategy: Strategy, config: GameConfig) -> tuple[int, Stat
     holds keeps that order.
     """
 
+    def first(lives: Iterable[int]) -> int:
+        return min(lives, key=lambda live: tuple(StationSet(live)))
+
     def leaf(family: Sequence[int], revealed: int) -> tuple[int, int]:
-        return 0, min(family, key=lambda live: tuple(StationSet(live))) & ~revealed
+        return 0, first(family) & ~revealed
 
     def node(
         query: StationSet, branches: list[tuple[Feedback, int, tuple[int, int]]]
     ) -> tuple[int, int]:
         deepest = max(depth for _, _, (depth, _) in branches)
-        return 1 + deepest, min(
-            (live | fresh for _, fresh, (depth, live) in branches if depth == deepest),
-            key=lambda live: tuple(StationSet(live)))
+        return 1 + deepest, first(live | fresh for _, fresh, (depth, live) in branches if depth == deepest)
 
     rounds, witness = fold_strategy(strategy, initial_state(config), Transcript(config),
                                     leaf, node, memo={})
@@ -79,8 +79,8 @@ def run_adversarial(strategy: Strategy, adversary: adversary.Adversary, config: 
     """Play one game with feedback chosen by an adversary.
 
     The witness is the least surviving candidate; replaying it as a fixed
-    live set reproduces the same transcript round for round.  An answer that
-    no candidate gives raises ``Inconsistent``.
+    live set reproduces the transcript, and so its length, round for round.
+    An answer that no candidate gives raises ``Inconsistent``.
     """
     return _play(strategy, adversary, config, initial_state(config))
 
@@ -98,8 +98,7 @@ def _play(strategy: Strategy, answer: adversary.Adversary, config: GameConfig,
         transcript = transcript.extend(action, feedback)
         memory = strategy.step(memory, action, feedback)
     witness = min(state.family)
-    return GameResult(transcript, len(transcript.rounds), state.revealed == witness,
-                      StationSet(witness))
+    return GameResult(transcript, state.revealed == witness, StationSet(witness))
 
 
 def game_result_to_doc(result: GameResult) -> dict[str, object]:
@@ -114,7 +113,7 @@ def game_result_to_doc(result: GameResult) -> dict[str, object]:
             {"query": list(query), "feedback": feedback_to_json(feedback)}
             for query, feedback in result.transcript.rounds
         ],
-        "rounds_used": result.rounds_used,
+        "rounds_used": len(result.transcript.rounds),
         "completed": result.completed,
         "witness_live": list(result.witness_live),
     }

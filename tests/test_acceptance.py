@@ -151,10 +151,10 @@ def test_criterion_2_strategy_correctness(capsys):
                     result = run_fixed(strategy, cfg, live)
                     if not result.completed:
                         failures.append(f"{strategy.name} n={n} d={d} live={ids}: incomplete")
-                    elif not low <= result.rounds_used <= limit:
+                    elif not low <= len(result.transcript.rounds) <= limit:
                         failures.append(
                             f"{strategy.name} n={n} d={d} live={ids}: "
-                            f"{result.rounds_used} rounds outside [{low}, {limit}]"
+                            f"{len(result.transcript.rounds)} rounds outside [{low}, {limit}]"
                         )
     _verdict(capsys, 2, "strategy-correctness", 30.0, started, failures)
 

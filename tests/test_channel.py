@@ -384,7 +384,7 @@ def test_game_result_doc_lists_every_round():
     t = t.extend(StationSet.from_ids([1, 2]), single(1))
     t = t.extend(StationSet.from_ids([3, 4]), single(3))
     live = StationSet.from_ids([1, 3])
-    doc = game_result_to_doc(GameResult(t, 3, True, live))
+    doc = game_result_to_doc(GameResult(t, True, live))
     assert doc == {
         "n": 4,
         "d": 2,
@@ -449,7 +449,7 @@ def test_value_types_are_immutable_values(monkeypatch):
         KnowledgeState: ("family", "revealed"),
         Transcript: ("config", "rounds"),
         Strategy: ("name", "query", "start", "step"),
-        GameResult: ("transcript", "rounds_used", "completed", "witness_live"),
+        GameResult: ("transcript", "completed", "witness_live"),
         QNode: ("query", "children", "resolved_live"),
         QTree: ("config", "root"),
         NormalFormReport: ("max_depth", "leaf_count", "black_per_path",

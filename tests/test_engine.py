@@ -55,7 +55,7 @@ S = StationSet.from_ids
 
 def test_linear_scan_finds_station_two():
     result = run_fixed(LINEAR_SCAN, GameConfig(2, 1), S([2]))
-    assert result.rounds_used == 2
+    assert len(result.transcript.rounds) == 2
     assert result.completed
     assert result.witness_live == S([2])
     assert [fb for _, fb in result.transcript.rounds] == [SILENCE, single(2)]
@@ -63,14 +63,14 @@ def test_linear_scan_finds_station_two():
 
 def test_tree_split_single_live_station_takes_one_round():
     result = run_fixed(TREE_SPLIT, GameConfig(4, 1), S([3]))
-    assert result.rounds_used == 1
+    assert len(result.transcript.rounds) == 1
     assert result.completed
     assert result.transcript.rounds == ((S([1, 2, 3, 4]), single(3)),)
 
 
 def test_tree_split_pair_run_is_three_rounds():
     result = run_fixed(TREE_SPLIT, GameConfig(4, 2), S([1, 3]))
-    assert result.rounds_used == 3
+    assert len(result.transcript.rounds) == 3
     assert result.completed
     assert result.transcript.rounds == (
         (S([1, 2, 3, 4]), COLLISION),
@@ -82,19 +82,19 @@ def test_tree_split_pair_run_is_three_rounds():
 def test_engine_stops_at_dth_single_even_if_strategy_would_continue():
     strat = scripted("eager", [S([1]), S([2]), S([3])])
     result = run_fixed(strat, GameConfig(3, 1), S([1]))
-    assert result.rounds_used == 1
+    assert len(result.transcript.rounds) == 1
     assert result.completed
 
 
 def test_early_stop_without_witness_is_incomplete():
     strat = scripted("quitter", [S([1])])
     result = run_fixed(strat, GameConfig(3, 1), S([2]))
-    assert result.rounds_used == 1
+    assert len(result.transcript.rounds) == 1
     assert not result.completed
     # Stopping with {2} and {3} still undistinguished is a short game, not an error.
     assert worst_case_rounds(strat, GameConfig(3, 1)) == (1, S([1]))
     forced = run_adversarial(strat, make_exact_adversary(strat), GameConfig(3, 1))
-    assert forced.rounds_used == 1
+    assert len(forced.transcript.rounds) == 1
     assert not forced.completed
     assert forced.witness_live == S([2])
 
@@ -197,7 +197,7 @@ def test_shared_fold_reuses_a_subtree_only_below_the_cap():
         # Reached again at round 11, the chain's last query comes at round 30.
         soon = _recurring(10, box)
         assert worst_case_rounds(soon, cfg) == (31, S([2, 3]))
-        assert run_adversarial(soon, make_exact_adversary(soon), cfg).rounds_used == 31
+        assert len(run_adversarial(soon, make_exact_adversary(soon), cfg).transcript.rounds) == 31
         # Reached again at round 16, it would query at round 32: the fold it
         # stored at round 1 must not stand in for that.
         late = _recurring(15, box)
@@ -225,7 +225,7 @@ def test_exact_adversary_keeps_each_config_apart():
 
     strategy = Strategy("by-n", query, lambda config: "first", step)
     adversary = make_exact_adversary(strategy)
-    assert run_adversarial(strategy, adversary, GameConfig(6, 2)).rounds_used == 2
+    assert len(run_adversarial(strategy, adversary, GameConfig(6, 2)).transcript.rounds) == 2
     with pytest.raises(CapExceeded) as raised:
         run_adversarial(strategy, adversary, GameConfig(3, 2))
     assert str(raised.value) == "strategy 'by-n' still querying after 28 rounds (n=3, d=2)"
@@ -337,7 +337,7 @@ def _reference_run_fixed(strategy, config, live):
         transcript = transcript.extend(action, feedback)
         memory = strategy.step(memory, action, feedback)
     completed = transmitted_set(transcript) == live
-    return GameResult(transcript, len(transcript.rounds), completed, live)
+    return GameResult(transcript, completed, live)
 
 
 def _game(run, *args, **kwargs):
@@ -379,7 +379,7 @@ def test_run_fixed_matches_its_own_loop():
 def _worst_by_enumeration(strategy, n, d):
     worst, witness = -1, None
     for ids in combinations(range(1, n + 1), d):
-        rounds = run_fixed(strategy, GameConfig(n, d), S(ids)).rounds_used
+        rounds = len(run_fixed(strategy, GameConfig(n, d), S(ids)).transcript.rounds)
         if rounds > worst:
             worst, witness = rounds, S(ids)
     return worst, witness
@@ -416,7 +416,7 @@ def test_worst_case_rounds_budget():
 
 def test_greedy_adversary_forces_full_linear_scan():
     result = run_adversarial(LINEAR_SCAN, greedy_adversary, GameConfig(3, 1))
-    assert result.rounds_used == 3
+    assert len(result.transcript.rounds) == 3
     assert result.completed
     assert result.witness_live == S([3])
 
@@ -451,7 +451,7 @@ def test_adversary_answering_impossible_feedback_is_refused():
 
 def test_exact_adversary_forces_tree_split_worst_case():
     result = run_adversarial(TREE_SPLIT, make_exact_adversary(TREE_SPLIT), GameConfig(3, 2))
-    assert result.rounds_used == 5
+    assert len(result.transcript.rounds) == 5
     assert result.witness_live == S([2, 3])
     assert result.completed
 
@@ -461,8 +461,8 @@ def test_exact_adversary_at_least_matches_greedy():
         for n in range(1, 5):
             for d in range(1, n + 1):
                 cfg = GameConfig(n, d)
-                greedy = run_adversarial(strategy, greedy_adversary, cfg).rounds_used
-                exact = run_adversarial(strategy, make_exact_adversary(strategy), cfg).rounds_used
+                greedy = len(run_adversarial(strategy, greedy_adversary, cfg).transcript.rounds)
+                exact = len(run_adversarial(strategy, make_exact_adversary(strategy), cfg).transcript.rounds)
                 worst, _ = worst_case_rounds(strategy, cfg)
                 assert greedy <= exact == worst
 
@@ -480,3 +480,10 @@ def test_game_result_doc_is_json_ready():
         {"query": [3, 4], "feedback": {"single": 3}},
     ]
     json.dumps(doc)  # must not raise
+    # The document's count is the transcript's length, which the result alone holds.
+    forced = run_adversarial(TREE_SPLIT, make_exact_adversary(TREE_SPLIT), GameConfig(4, 2))
+    for game in (result, forced):
+        assert game_result_to_doc(game)["rounds_used"] == len(game.transcript.rounds)
+    assert len(forced.transcript.rounds) == 5
+    with pytest.raises(TypeError):
+        GameResult(result.transcript, 3, True, result.witness_live)

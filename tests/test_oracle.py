@@ -329,7 +329,7 @@ def test_exact_adversary_cannot_push_optimal_play_past_the_value():
         cfg = GameConfig(n, d)
         strat = optimal_strategy()
         result = run_adversarial(strat, make_exact_adversary(strat), cfg)
-        assert result.rounds_used == OPTIMAL_ROUNDS[(n, d)]
+        assert len(result.transcript.rounds) == OPTIMAL_ROUNDS[(n, d)]
         assert result.completed
 
 
@@ -350,7 +350,7 @@ def test_optimal_strategy_recovers_from_any_opening():
         for live in [(1, 2), (2, 3), (3, 4)]:
             result = run_fixed(strat, cfg, S(live))
             assert result.completed
-            assert result.rounds_used <= 1 + OPTIMAL_ROUNDS[(4, 2)]
+            assert len(result.transcript.rounds) <= 1 + OPTIMAL_ROUNDS[(4, 2)]
 
 
 def test_optimal_strategy_state_is_the_residual_family():

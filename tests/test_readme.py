@@ -35,7 +35,7 @@ def _played(result) -> str:
     rounds = [f"{format_station_set(query)} collides" if feedback.station is None
               else f"{format_station_set(query)} -> single({feedback.station})"
               for query, feedback in result.transcript.rounds]
-    return f"{result.rounds_used} rounds: {', '.join(rounds)}"
+    return f"{len(result.transcript.rounds)} rounds: {', '.join(rounds)}"
 
 
 def test_readme_examples_run_and_state_their_results(capsys, monkeypatch, tmp_path):

@@ -355,7 +355,7 @@ def test_worst_case_sweep_shares_transposed_subtrees():
         assert calls["query"] == asked, (strategy.name, calls)
         calls["query"] = 0
         assert run_adversarial(counted, adversary, cfg) == game
-        assert calls["query"] == game.rounds_used == rounds, (strategy.name, calls)
+        assert calls["query"] == len(game.transcript.rounds) == rounds, (strategy.name, calls)
     # A transcript-form strategy's state is its transcript, which hashes like
     # any other state, so the memo is kept for it too.  Within one game no
     # transcript recurs, but a second game with the same adversary replays the
@@ -376,7 +376,7 @@ def test_worst_case_sweep_shares_transposed_subtrees():
         assert calls["query"] == asked, (fn.__name__, calls)
         calls["query"] = 0
         assert run_adversarial(strategy, adversary, cfg) == game
-        assert calls["query"] == game.rounds_used == rounds, (fn.__name__, calls)
+        assert calls["query"] == len(game.transcript.rounds) == rounds, (fn.__name__, calls)
 
 
 def test_transcript_strategies_keep_the_transcript_as_state():
