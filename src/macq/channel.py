@@ -42,17 +42,15 @@ class Frozen:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__``, and the class gets an
-    ``__init__`` that takes them in that order, by position or by keyword;
-    ``class Transcript(Frozen, defaults={"rounds": ()})`` gives trailing
-    fields their defaults (a default that names no field or a field followed
-    by one without, or one given to a class with its own ``__init__``, is a
-    ``TypeError``).  The ``__init__`` is compiled once per class from
-    source, as ``collections.namedtuple`` does, so it costs no more per call
-    than a hand-written one.  Only a type that does more than store its
-    fields writes its own ``__init__`` and sets each field once through
+    ``__init__`` that takes every field, required, in that order, by
+    position or by keyword.  It is compiled once per class from source, as
+    ``collections.namedtuple`` does, so it costs no more per call than a
+    hand-written one.  A type writes its own ``__init__`` when it checks its
+    arguments or defaults a field, and sets each field once through
     ``set_field``: ``StationSet``, ``GameConfig`` and ``Feedback`` check
-    their arguments, and ``qtree.QNode`` gives each node a fresh
-    ``children`` dict.
+    their arguments; ``StationSet``, ``Feedback``, ``Transcript``,
+    ``strategies.Strategy`` and ``qtree.QNode`` default fields (each node
+    gets a fresh ``children`` dict).
 
     Instances compare and hash by their fields in slot order, print as
     ``Name(field=value, ...)``, refuse assignment, and copy their fields in
@@ -67,27 +65,14 @@ class Frozen:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, defaults: dict[str, object] | None = None) -> None:
+    def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         names = cls.__slots__
         cls._fields = attrgetter(*names)
-        if defaults is not None:
-            if "__init__" in cls.__dict__:
-                raise TypeError(f"{cls.__name__} writes its own __init__, so it takes no defaults")
-            unknown = set(defaults).difference(names)
-            if unknown:
-                raise TypeError(f"defaults name no field of {cls.__name__}: {sorted(unknown)}")
-            if set(names[len(names) - len(defaults):]) != set(defaults):
-                raise TypeError(f"defaults of {cls.__name__} must be its last fields, "
-                                f"got {sorted(defaults)}")
         if "__init__" not in cls.__dict__:
-            defaults = defaults or {}
-            params = ", ".join(f"{name}=_default_{name}" if name in defaults else name
-                               for name in names)
             body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
-            namespace = {"__name__": cls.__module__, "_set": set_field,
-                         **{f"_default_{name}": value for name, value in defaults.items()}}
-            exec(f"def __init__(self, {params}):{body}\n", namespace)
+            namespace = {"__name__": cls.__module__, "_set": set_field}
+            exec(f"def __init__(self, {', '.join(names)}):{body}\n", namespace)
             init = namespace["__init__"]
             init.__qualname__ = f"{cls.__qualname__}.__init__"
             cls.__init__ = init
@@ -419,12 +404,16 @@ def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, K
             for outcome, group in split_by_feedback(state.family, query.mask)]
 
 
-class Transcript(Frozen, defaults={"rounds": ()}):
+class Transcript(Frozen):
     """Ordered record of (query, feedback) rounds for one game."""
 
     __slots__ = ("config", "rounds")
     config: GameConfig
     rounds: tuple[tuple[StationSet, Feedback], ...]
+
+    def __init__(self, config: GameConfig, rounds: tuple[tuple[StationSet, Feedback], ...] = ()) -> None:
+        set_field(self, "config", config)
+        set_field(self, "rounds", rounds)
 
     def extend(self, query: StationSet, feedback: Feedback) -> Transcript:
         return Transcript(self.config, self.rounds + ((query, feedback),))

@@ -36,6 +36,7 @@ from .channel import (
     _shown,
     branches,
     evaluate_query,
+    set_field,
     transmitted_set,
 )
 from .errors import CapExceeded, DomainError, InvalidQuery
@@ -43,7 +44,7 @@ from .errors import CapExceeded, DomainError, InvalidQuery
 NextAction = StationSet | None
 
 
-class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}):
+class Strategy(Frozen):
     """A named strategy as a state machine.
 
     ``start(config)`` is the state before any round, ``step(state, query,
@@ -58,6 +59,14 @@ class Strategy(Frozen, defaults={"start": Transcript, "step": Transcript.extend}
     query: Callable[[GameConfig, object], NextAction]
     start: Callable[[GameConfig], object]
     step: Callable[[object, StationSet, Feedback], object]
+
+    def __init__(self, name: str, query: Callable[[GameConfig, object], NextAction],
+                 start: Callable[[GameConfig], object] = Transcript,
+                 step: Callable[[object, StationSet, Feedback], object] = Transcript.extend) -> None:
+        set_field(self, "name", name)
+        set_field(self, "query", query)
+        set_field(self, "start", start)
+        set_field(self, "step", step)
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have
