@@ -47,10 +47,9 @@ class Frozen:
     ``collections.namedtuple`` does, so it costs no more per call than a
     hand-written one.  A type writes its own ``__init__`` when it checks its
     arguments or defaults a field, and sets each field once through
-    ``set_field``: ``StationSet``, ``GameConfig`` and ``Feedback`` check
-    their arguments; ``StationSet``, ``Feedback``, ``Transcript``,
-    ``strategies.Strategy`` and ``qtree.QNode`` default fields (each node
-    gets a fresh ``children`` dict).
+    ``set_field``.  Five do: ``StationSet``, ``GameConfig`` and ``Feedback``
+    check their arguments; ``StationSet``, ``Feedback``, ``Transcript`` and
+    ``qtree.QNode`` default fields (each node gets a fresh ``children`` dict).
 
     Instances compare and hash by their fields in slot order, print as
     ``Name(field=value, ...)``, refuse assignment, and copy their fields in

@@ -4,8 +4,10 @@ A strategy is a small state machine: ``start(config)`` gives its state before
 any round, ``step(state, query, feedback)`` its state after one more round,
 and ``query(config, state)`` the next query, or None once it has nothing
 further to ask.  Each query depends only on the feedback so far, because the
-state is built from nothing else.  A strategy given as a function of
-(config, transcript) alone is the machine whose state is the transcript.
+state is built from nothing else.  A strategy that decides from the whole
+transcript is ``Strategy(name, fn, Transcript, Transcript.extend)``.
+``next_action``, ``linear_scan`` and ``tree_split`` keep the transcript
+form only because the benchmark's trace looks them up by name.
 A state need not count reveals to end the game: every game stops once d
 stations have transmitted alone, and ``query`` is never asked past that.
 
@@ -36,7 +38,6 @@ from .channel import (
     _shown,
     branches,
     evaluate_query,
-    set_field,
     transmitted_set,
 )
 from .errors import CapExceeded, DomainError, InvalidQuery
@@ -49,9 +50,8 @@ class Strategy(Frozen):
 
     ``start(config)`` is the state before any round, ``step(state, query,
     feedback)`` the state after one more round, and ``query(config, state)``
-    the next query or None.  By default the state is the transcript itself:
-    ``start`` gives an empty ``Transcript`` and ``step`` is
-    ``Transcript.extend``, so ``query`` is a function of the whole transcript.
+    the next query or None.  Every field is required: a strategy whose state
+    is the whole transcript passes ``Transcript`` and ``Transcript.extend``.
     """
 
     __slots__ = ("name", "query", "start", "step")
@@ -59,14 +59,6 @@ class Strategy(Frozen):
     query: Callable[[GameConfig, object], NextAction]
     start: Callable[[GameConfig], object]
     step: Callable[[object, StationSet, Feedback], object]
-
-    def __init__(self, name: str, query: Callable[[GameConfig, object], NextAction],
-                 start: Callable[[GameConfig], object] = Transcript,
-                 step: Callable[[object, StationSet, Feedback], object] = Transcript.extend) -> None:
-        set_field(self, "name", name)
-        set_field(self, "query", query)
-        set_field(self, "start", start)
-        set_field(self, "step", step)
 
     def next_action(self, config: GameConfig, transcript: Transcript) -> NextAction:
         """The query after ``transcript``, or None once d stations have
@@ -148,9 +140,9 @@ def fold_strategy(
     revealed at either position, so each member draws the same feedback and
     ``normal`` reduces nothing, and where its deepest query still comes before
     the round cap, so ``CapExceeded`` is raised as without the memo.  One
-    recursion serves both cases, the memo its only switch.  A transcript-form
-    strategy's state is its transcript, which never repeats within one walk,
-    so only a later walk over the same memo hits.  Below a state with no hash
+    recursion serves both cases, the memo its only switch.  A strategy whose
+    state is the transcript never repeats a state within one walk, so only a
+    later walk over the same memo hits.  Below a state with no hash
     (a ``tree_strategy`` node) the subtree is folded unshared, while the
     positions above it are still stored.
     """

@@ -4,7 +4,7 @@ for the built-in state machines, and random strategies for sweeps; also
 
 import random
 
-from macq import COLLISION, TREE_SPLIT, DomainError, StationSet, Strategy
+from macq import COLLISION, TREE_SPLIT, DomainError, StationSet, Strategy, Transcript
 
 S = StationSet.from_ids
 
@@ -26,7 +26,7 @@ def reference_scripted(queries):
         played = len(transcript.rounds)
         return queries[played] if played < len(queries) else None
 
-    return Strategy("script", next_action)
+    return Strategy("script", next_action, Transcript, Transcript.extend)
 
 
 def reference_tree_strategy(tree):
@@ -43,7 +43,7 @@ def reference_tree_strategy(tree):
             node = child
         return node.query
 
-    return Strategy("tree-replay", next_action)
+    return Strategy("tree-replay", next_action, Transcript, Transcript.extend)
 
 
 def random_subset(rng, n):
@@ -61,7 +61,7 @@ def random_adaptive(seed, n):
             return None
         return random_subset(rng, n)
 
-    return Strategy(f"adaptive-{seed}", next_action)
+    return Strategy(f"adaptive-{seed}", next_action, Transcript, Transcript.extend)
 
 
 def _unboxed(state):

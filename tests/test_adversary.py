@@ -191,7 +191,7 @@ def test_exact_answer_breaks_dead_ties_by_preference():
 
 def test_exact_answer_caps_non_terminating_strategies():
     cfg = GameConfig(2, 1)
-    stall = Strategy("stall", lambda c, t: StationSet())
+    stall = Strategy("stall", lambda c, t: StationSet(), Transcript, Transcript.extend)
     with pytest.raises(CapExceeded):
         exact_answer(initial_state(cfg), StationSet(), stall, Transcript(cfg))
 

@@ -459,8 +459,8 @@ def test_value_types_are_immutable_values(monkeypatch):
     }
     values = [
         live, cfg, single(2), initial_state(cfg), Transcript(cfg, ((live, COLLISION),)),
-        Strategy("replay", linear_scan), run_fixed(TREE_SPLIT, cfg, live), root,
-        QTree(cfg, root), check_normal_form(build_tree(TREE_SPLIT, cfg)), generate_report(2, 1)[0],
+        Strategy("replay", linear_scan, Transcript, Transcript.extend), run_fixed(TREE_SPLIT, cfg, live),
+        root, QTree(cfg, root), check_normal_form(build_tree(TREE_SPLIT, cfg)), generate_report(2, 1)[0],
     ]
     assert sorted(type(v).__name__ for v in values) == sorted(t.__name__ for t in fields)
     for value in values:
@@ -494,13 +494,13 @@ def test_value_types_are_immutable_values(monkeypatch):
             compare(StationSet(1), StationSet(2))
     assert QNode().children == {} and QNode().children is not QNode().children
     # Frozen writes the constructor of every type that only stores its fields;
-    # the six that check their arguments or default a field write their own.
+    # the five that check their arguments or default a field write their own.
     written = {kind for kind in fields if kind.__init__.__code__.co_filename.endswith(".py")}
-    assert written == {StationSet, GameConfig, Feedback, QNode, Transcript, Strategy}
+    assert written == {StationSet, GameConfig, Feedback, QNode, Transcript}
     assert all(kind.__init__.__module__ == kind.__module__ for kind in fields)
     assert StationSet().mask == 0 and Transcript(cfg).rounds == ()
-    plain = Strategy("s", linear_scan)
-    assert plain.start is Transcript and plain.step is Transcript.extend
+    with pytest.raises(TypeError):  # no field of a strategy has a default
+        Strategy("s", linear_scan)
     # A copy or a load restores the fields; it does not rerun the checks of
     # __init__, so a config made under a raised cap loads under the default.
     monkeypatch.setenv("MACQ_MAX_N", "128")

@@ -125,7 +125,8 @@ def test_query_that_is_not_a_station_set_is_refused():
     # on a missing mask, in the game, the sweep and the tree alike.
     cfg = GameConfig(3, 1)
     for value in ({1}, 1, [1], (1,)):
-        bad = Strategy("bad", lambda config, transcript, value=value: value)
+        bad = Strategy("bad", lambda config, transcript, value=value: value,
+                       Transcript, Transcript.extend)
         for run in (lambda: run_fixed(bad, cfg, S([1])), lambda: worst_case_rounds(bad, cfg),
                     lambda: build_tree(bad, cfg)):
             with pytest.raises(InvalidQuery) as raised:
@@ -134,7 +135,7 @@ def test_query_that_is_not_a_station_set_is_refused():
 
 
 # Queries the empty set forever: every game hits the round cap.
-STALL = Strategy("stall", lambda config, transcript: StationSet())
+STALL = Strategy("stall", lambda config, transcript: StationSet(), Transcript, Transcript.extend)
 
 
 def test_round_cap_turns_livelock_into_error():
@@ -158,7 +159,8 @@ def test_negative_query_mask_is_refused():
     # A negative mask is no set, so a strategy cannot build it as its query:
     # the construction is refused, in the transcript and machine forms.
     cfg = GameConfig(3, 1)
-    for neg in (Strategy("neg", lambda config, transcript: StationSet(-1)),
+    for neg in (Strategy("neg", lambda config, transcript: StationSet(-1),
+                         Transcript, Transcript.extend),
                 Strategy("neg", lambda config, state: StationSet(-1), lambda config: 0,
                          lambda state, query, feedback: state)):
         for run in (lambda: run_fixed(neg, cfg, S([1])), lambda: worst_case_rounds(neg, cfg),

@@ -346,7 +346,7 @@ def test_optimal_strategy_recovers_from_any_opening():
                 return _first
             return continuation.next_action(config, transcript)
 
-        strat = Strategy(f"opening-{len(opening)}", with_opening)
+        strat = Strategy(f"opening-{len(opening)}", with_opening, Transcript, Transcript.extend)
         for live in [(1, 2), (2, 3), (3, 4)]:
             result = run_fixed(strat, cfg, S(live))
             assert result.completed

@@ -261,7 +261,7 @@ def reference_normalized_strategy(base):
             return None
         return base_action - revealed
 
-    return Strategy(f"{base.name}-normal", next_action)
+    return Strategy(f"{base.name}-normal", next_action, Transcript, Transcript.extend)
 
 
 def random_scripted(rng, n):
@@ -271,7 +271,7 @@ def random_scripted(rng, n):
 
 # Probes station 1 forever: once it is revealed, or if it is not live, every
 # path runs into the round cap.
-STALL = Strategy("stall", lambda config, transcript: S([1]))
+STALL = Strategy("stall", lambda config, transcript: S([1]), Transcript, Transcript.extend)
 
 
 def _outcome(build):
@@ -315,7 +315,8 @@ def test_normalize_calls_the_strategy_once_per_node():
                 calls += 1
                 return base.next_action(config, transcript)
 
-            tree = build_tree(Strategy(base.name, counted), GameConfig(n, d), normal=True)
+            strategy = Strategy(base.name, counted, Transcript, Transcript.extend)
+            tree = build_tree(strategy, GameConfig(n, d), normal=True)
             nodes = 0
             todo = [tree.root]
             while todo:

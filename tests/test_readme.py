@@ -4,7 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
-from macq import format_station_set, generate_report, report_to_csv
+from macq import LINEAR_SCAN, format_station_set, generate_report, report_to_csv, worst_case_rounds
 from macq.cli import dispatch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,6 +61,12 @@ def test_readme_examples_run_and_state_their_results(capsys, monkeypatch, tmp_pa
     assert shown == "property_holds=True, leaf_count=6, black_per_path=(2,2,2,2,2,2)"
     call = "normal_form_report(TREE_SPLIT, cfg, normal=True) == report"
     assert eval(call, names) is True and stated[call].startswith("True,")
+    # A function of the whole transcript is a strategy once it names the
+    # transcript as its state; asked from the round count, it scans as linear.
+    call = "worst_case_rounds(by_transcript, cfg)"
+    rounds, witness = eval(call, names)
+    assert stated[call] == f"({rounds}, {format_station_set(witness)})" == "(4, {1,4})"
+    assert (rounds, witness) == worst_case_rounds(LINEAR_SCAN, names["cfg"])
 
     # Every CLI example, run where `--out report.csv` writes its file.
     monkeypatch.chdir(tmp_path)

@@ -369,7 +369,7 @@ def test_worst_case_sweep_shares_transposed_subtrees():
             calls["query"] += 1
             return fn(config, transcript)
 
-        strategy = Strategy(fn.__name__, counted_fn)
+        strategy = Strategy(fn.__name__, counted_fn, Transcript, Transcript.extend)
         assert strategy.step is Transcript.extend
         adversary = make_exact_adversary(strategy)
         game = run_adversarial(strategy, adversary, cfg)
@@ -383,7 +383,7 @@ def test_transcript_strategies_keep_the_transcript_as_state():
     def fn(config, transcript):
         return (S([1, 2]), S([3]))[len(transcript.rounds)]  # IndexError if asked a third time
 
-    strat = Strategy("fixed", fn)
+    strat = Strategy("fixed", fn, Transcript, Transcript.extend)
     cfg = GameConfig(3, 1)
     assert strat.start(cfg) == Transcript(cfg)
     t = strat.step(strat.start(cfg), S([1, 2]), COLLISION)
