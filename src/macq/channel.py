@@ -45,11 +45,10 @@ class Frozen:
     ``__init__`` that takes every field, required, in that order, by
     position or by keyword.  It is compiled once per class from source, as
     ``collections.namedtuple`` does, so it costs no more per call than a
-    hand-written one.  A type writes its own ``__init__`` when it checks its
-    arguments or defaults a field, and sets each field once through
-    ``set_field``.  Five do: ``StationSet``, ``GameConfig`` and ``Feedback``
-    check their arguments; ``StationSet``, ``Feedback``, ``Transcript`` and
-    ``qtree.QNode`` default fields (each node gets a fresh ``children`` dict).
+    hand-written one.  A type writes its own ``__init__`` only to check its
+    arguments (``StationSet``, ``GameConfig`` and ``Feedback``) or, for
+    ``Transcript``, to start empty as a strategy's ``start``, and sets each
+    field once through ``set_field``.
 
     Instances compare and hash by their fields in slot order, print as
     ``Name(field=value, ...)``, refuse assignment, and copy their fields in
@@ -178,7 +177,7 @@ class StationSet(Frozen):
     def __init__(self, mask: int = 0) -> None:
         mask = _integer("station set mask", mask)
         if mask < 0:  # its bits never run out, so it is no set
-            raise DomainError(f"station set has the negative mask {mask}")
+            raise DomainError(f"station set has the negative mask {_shown(mask)}")
         set_field(self, "mask", mask)
 
     @classmethod

@@ -30,31 +30,23 @@ from .channel import (
     GameConfig,
     StationSet,
     Transcript,
+    _shown,
     format_station_set,
     initial_state,
-    set_field,
 )
 from .errors import AmbiguousLeaf, DomainError
 from .strategies import Strategy, fold_strategy
 
 
 class QNode(Frozen):
-    """Internal nodes carry a query and children; leaves carry the live set.
-
-    Each node owns its ``children`` dict, so a node cannot be hashed.
-    """
+    """A query and its children, or a leaf's live set: ``QNode(query,
+    children, None)`` or ``QNode(None, {}, live)``.  Each node owns its
+    ``children`` dict, so a node cannot be hashed."""
 
     __slots__ = ("query", "children", "resolved_live")
     query: StationSet | None
     children: dict[Feedback, QNode]
     resolved_live: StationSet | None
-
-    def __init__(self, query: StationSet | None = None,
-                 children: dict[Feedback, QNode] | None = None,
-                 resolved_live: StationSet | None = None) -> None:
-        set_field(self, "query", query)
-        set_field(self, "children", {} if children is None else children)
-        set_field(self, "resolved_live", resolved_live)
 
     @property
     def is_leaf(self) -> bool:
@@ -77,7 +69,7 @@ def _fold_tree(strategy: Strategy, config: GameConfig, normal: bool, leaf: Calla
     def resolved(family: Sequence[int], revealed: int) -> object:
         if len(family) > 1:
             raise AmbiguousLeaf(
-                f"strategy {strategy.name!r} stopped with {len(family)} live sets "
+                f"strategy {_shown(strategy.name)} stopped with {len(family)} live sets "
                 f"sharing the transcript, e.g. {format_station_set(StationSet(family[0]))} and "
                 f"{format_station_set(StationSet(family[1]))}"
             )
@@ -104,10 +96,10 @@ def build_tree(
     """
 
     def node(query: StationSet, branches: list[tuple[Feedback, int, QNode]]) -> QNode:
-        return QNode(query=query, children={feedback: child for feedback, _, child in branches})
+        return QNode(query, {feedback: child for feedback, _, child in branches}, None)
 
     return QTree(config, _fold_tree(strategy, config, normal,
-                                    lambda live, _: QNode(resolved_live=StationSet(live)), node))
+                                    lambda live, _: QNode(None, {}, StationSet(live)), node))
 
 
 # ---------------------------------------------------------------------------

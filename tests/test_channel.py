@@ -245,9 +245,9 @@ LONG_TEXT = "9" * 100_000
 WIDE_SET = StationSet((1 << 10**5) - 1)  # stations 1..100000
 
 
-def _querying(action):
-    """A strategy whose every query is ``action``."""
-    return Strategy("s", lambda config, state: action, lambda config: 0, lambda *step: 0)
+def _querying(action, name="s"):
+    """A strategy named ``name`` whose every query is ``action``."""
+    return Strategy(name, lambda config, state: action, lambda config: 0, lambda *step: 0)
 
 
 @pytest.mark.parametrize("refuse", [
@@ -262,9 +262,11 @@ def _querying(action):
     lambda: run_fixed(_querying(WIDE_SET), GameConfig(4, 2), StationSet(3)),
     lambda: refine(initial_state(GameConfig(4, 2)), WIDE_SET, single(3)),
     lambda: refine(initial_state(GameConfig(4, 2)), StationSet(15), single(10**5000)),
+    lambda: StationSet(-(10**5000)),
+    lambda: build_tree(_querying(None, LONG_TEXT), GameConfig(2, 1)),
 ], ids=["integer", "feedback-tag", "branches-query", "refine-feedback", "growth-factor",
         "oracle-cap", "query-type", "live-set", "query-beyond-n", "inconsistent",
-        "inconsistent-sender"])
+        "inconsistent-sender", "negative-mask", "ambiguous-leaf-name"])
 def test_every_refusal_echoes_a_long_value_short(refuse):
     # Each refusal echoes the refused value through channel._shown: a text
     # past 40 characters or a set past 40 characters of listing is cut short,
@@ -440,8 +442,8 @@ def test_value_types_are_immutable_values(monkeypatch):
     # Each of the package's value types, with its fields in order.
     cfg = GameConfig(3, 2)
     live = StationSet.from_ids([1, 3])
-    leaf = QNode(resolved_live=live)
-    root = QNode(query=StationSet.from_ids([1]), children={single(1): leaf})
+    leaf = QNode(None, {}, live)
+    root = QNode(StationSet.from_ids([1]), {single(1): leaf}, None)
     fields = {
         StationSet: ("mask",),
         GameConfig: ("n", "d"),
@@ -473,7 +475,7 @@ def test_value_types_are_immutable_values(monkeypatch):
         assert kind(**{name: getattr(value, name) for name in names}) == value
         with pytest.raises(TypeError):
             kind(*(getattr(value, name) for name in names), unknown=None)
-        if kind not in (StationSet, QNode):  # every field of these two has a default
+        if kind is not StationSet:  # a set's one field has a default
             with pytest.raises(TypeError, match=f"{kind.__name__}.__init__"):
                 kind(**{name: getattr(value, name) for name in names[1:]})
         if kind in (QNode, QTree):  # a node holds its children in a dict
@@ -492,11 +494,12 @@ def test_value_types_are_immutable_values(monkeypatch):
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
             compare(StationSet(1), StationSet(2))
-    assert QNode().children == {} and QNode().children is not QNode().children
+    with pytest.raises(TypeError):  # a node states all three fields
+        QNode()
     # Frozen writes the constructor of every type that only stores its fields;
-    # the five that check their arguments or default a field write their own.
+    # the three that check their arguments, and Transcript, write their own.
     written = {kind for kind in fields if kind.__init__.__code__.co_filename.endswith(".py")}
-    assert written == {StationSet, GameConfig, Feedback, QNode, Transcript}
+    assert written == {StationSet, GameConfig, Feedback, Transcript}
     assert all(kind.__init__.__module__ == kind.__module__ for kind in fields)
     assert StationSet().mask == 0 and Transcript(cfg).rounds == ()
     with pytest.raises(TypeError):  # no field of a strategy has a default

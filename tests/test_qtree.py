@@ -159,31 +159,31 @@ def test_normal_form_needs_one_leaf_per_live_set():
     # (3,2): three leaves, each reached through two distinct black edges,
     # but {1,2} twice and {2,3} nowhere.
     def leaf(*ids):
-        return QNode(resolved_live=S(ids))
+        return QNode(None, {}, S(ids))
 
     def probe(station, child):
-        return QNode(query=S([station]), children={single(station): child})
+        return QNode(S([station]), {single(station): child}, None)
 
-    root = QNode(query=S([1]), children={
-        single(1): QNode(query=S([2]), children={
+    root = QNode(S([1]), {
+        single(1): QNode(S([2]), {
             single(2): leaf(1, 2),
             SILENCE: probe(3, leaf(1, 3)),
-        }),
+        }, None),
         SILENCE: probe(2, probe(1, leaf(1, 2))),
-    })
+    }, None)
     report = check_normal_form(QTree(GameConfig(3, 2), root))
     assert (report.leaf_count, report.black_per_path, report.repeated_transmitter_paths) == \
         (3, (2, 2, 2), 0)
     assert not report.property_holds
     # A leaf whose black senders are not its live set breaks the form too.
-    wrong = QNode(query=S([1]), children={single(1): leaf(2), SILENCE: probe(2, leaf(1))})
+    wrong = QNode(S([1]), {single(1): leaf(2), SILENCE: probe(2, leaf(1))}, None)
     assert not check_normal_form(QTree(GameConfig(2, 1), wrong)).property_holds
 
 
 def test_normal_form_refuses_a_sender_beyond_the_station_cap(monkeypatch):
     # A sender's bit is set by StationSet.from_ids, which refuses one beyond the cap.
     monkeypatch.setenv("MACQ_MAX_N", "8")
-    root = QNode(query=S([1]), children={single(9): QNode(resolved_live=S([1]))})
+    root = QNode(S([1]), {single(9): QNode(None, {}, S([1]))}, None)
     with pytest.raises(DomainError, match="at most 8 .*got 9"):
         check_normal_form(QTree(GameConfig(2, 1), root))
 
@@ -336,7 +336,7 @@ def test_export_graph_is_deterministic():
     assert ids == sorted(ids)
     # Edges print in the order the node holds them; build_tree holds them in
     # feedback order, and a hand-built node keeps its own.
-    root = QNode(S([1]), {single(1): QNode(resolved_live=S([1])), SILENCE: QNode(resolved_live=S([2]))})
+    root = QNode(S([1]), {single(1): QNode(None, {}, S([1])), SILENCE: QNode(None, {}, S([2]))}, None)
     assert export_graph(QTree(GameConfig(2, 1), root)) == (
         "node 0 query={1}\n"
         "edge 0 1 label=single:1 color=black\n"
