@@ -19,17 +19,17 @@ from .channel import (
     KnowledgeState,
     StationSet,
     Transcript,
+    _of_type,
     _shown,
     branches,
 )
-from .errors import DomainError, Inconsistent
+from .errors import Inconsistent
 from .strategies import Strategy, fold_strategy
 
 
 def refine(state: KnowledgeState, query: StationSet, feedback: Feedback) -> KnowledgeState:
     """Filter the candidate family by one observed round, keeping its order."""
-    if feedback.__class__ is not Feedback:
-        raise DomainError(f"feedback must be a Feedback, got {_shown(feedback)}")
+    _of_type("feedback", feedback, Feedback)
     for drawn, child in branches(state, query):
         if drawn == feedback:
             return child

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .channel import _at_least, _instance, _integer, _round_cap, _shown, _within_cap
+from .channel import _at_least, _instance, _integer, _of_type, _round_cap, _shown, _within_cap
 from .errors import DomainError
 
 
@@ -64,8 +64,7 @@ def claimed_bound_combinatorial(n: int, d: int, factor: GrowthFactor) -> int:
     is nondecreasing in x, so the first hit is the threshold.
     """
     n, d = _instance(n, d)
-    if not isinstance(factor, GrowthFactor):
-        raise DomainError(f"factor must be a GrowthFactor, got {_shown(factor)}")
+    _of_type("factor", factor, GrowthFactor)
     scale = math.factorial(d) if factor is GrowthFactor.FACTORIAL else d**d
     target = math.comb(n, d)
     x = d

@@ -259,6 +259,13 @@ def _instance(n: int, d: int) -> tuple[int, int]:
     return n, d
 
 
+def _of_type(name: str, value: object, cls: type) -> object:
+    """``value``, whose class must be exactly ``cls``: the one wording of every type refusal."""
+    if value.__class__ is not cls:
+        raise DomainError(f"{name} must be a {cls.__name__}, got {_shown(value)}")
+    return value
+
+
 class GameConfig(Frozen):
     """Instance parameters: n stations, exactly d of them live."""
 
@@ -273,9 +280,7 @@ class GameConfig(Frozen):
 
     def check_live_set(self, live: StationSet) -> None:
         """Refuse a live set that is no ``StationSet``, has ids beyond n or other than d stations."""
-        if live.__class__ is not StationSet:
-            raise DomainError(f"live set must be a StationSet, got {type(live).__name__}")
-        if live.mask >> self.n:
+        if _of_type("live set", live, StationSet).mask >> self.n:
             raise DomainError(f"live set {_shown(live)} exceeds n={self.n}")
         if len(live) != self.d:
             raise DomainError(f"live set must have exactly d={self.d} stations, got {len(live)}")
@@ -295,9 +300,7 @@ class Feedback(Frozen):
     station: int | None
 
     def __init__(self, tag: FeedbackTag, station: int | None = None) -> None:
-        if tag.__class__ is not FeedbackTag:
-            raise DomainError(f"feedback tag must be a FeedbackTag, got {_shown(tag)}")
-        if tag is FeedbackTag.SINGLE:
+        if _of_type("feedback tag", tag, FeedbackTag) is FeedbackTag.SINGLE:
             if station is None:
                 raise DomainError("single feedback needs a station id")
             station = _at_least("station id", station, 1)
@@ -373,7 +376,7 @@ def check_enumeration_budget(config: GameConfig) -> None:
     total, budget = math.comb(config.n, config.d), DEFAULT_ENUMERATION_BUDGET
     if total > budget:
         raise BudgetExceeded(
-            f"C({config.n},{config.d}) = {total} candidate live sets exceed budget {budget}"
+            f"C({config.n},{config.d}) = {_shown(total)} candidate live sets exceed budget {budget}"
         )
 
 
@@ -391,15 +394,12 @@ def branches(state: KnowledgeState, query: StationSet) -> list[tuple[Feedback, K
     order, one per ``split_by_feedback`` group; a single reveals its sender.
     A state that is no ``KnowledgeState`` or a query that is no ``StationSet``
     is a ``DomainError``."""
-    if state.__class__ is not KnowledgeState:
-        raise DomainError(f"state must be a KnowledgeState, got {type(state).__name__}")
-    if query.__class__ is not StationSet:
-        raise DomainError(f"query must be a StationSet, got {_shown(query)}")
-    revealed = state.revealed
+    revealed = _of_type("state", state, KnowledgeState).revealed
+    mask = _of_type("query", query, StationSet).mask
     return [(single(outcome.bit_length()), KnowledgeState(tuple(group), revealed | outcome))
             if outcome > 0 else
             (SILENCE if outcome == -1 else COLLISION, KnowledgeState(tuple(group), revealed))
-            for outcome, group in split_by_feedback(state.family, query.mask)]
+            for outcome, group in split_by_feedback(state.family, mask)]
 
 
 class Transcript(Frozen):

@@ -70,8 +70,8 @@ def _fold_tree(strategy: Strategy, config: GameConfig, normal: bool, leaf: Calla
         if len(family) > 1:
             raise AmbiguousLeaf(
                 f"strategy {_shown(strategy.name)} stopped with {len(family)} live sets "
-                f"sharing the transcript, e.g. {format_station_set(StationSet(family[0]))} and "
-                f"{format_station_set(StationSet(family[1]))}"
+                f"sharing the transcript, e.g. {_shown(StationSet(family[0]))} and "
+                f"{_shown(StationSet(family[1]))}"
             )
         # One live set is left: the strategy stopped on it, or all d are revealed.
         return leaf(family[0], revealed)

@@ -122,7 +122,7 @@ def test_state_that_is_not_a_knowledge_state_is_refused_by_name():
                    lambda: channel.branches(family, S([1]))):
         with pytest.raises(DomainError) as raised:
             answer()
-        assert str(raised.value) == "state must be a KnowledgeState, got tuple"
+        assert str(raised.value) == "state must be a KnowledgeState, got (1, 2, 4)"
 
 
 def _greedy_oracle(state: KnowledgeState, query: StationSet):

@@ -398,6 +398,16 @@ def test_n_beyond_the_station_cap_names_the_cap(capsys, monkeypatch):
     assert err == "error: DomainError: n must be at most 64 (raise MACQ_MAX_N for more), got 65\n"
 
 
+def test_a_count_past_the_int_digit_limit_is_echoed_short(capsys, monkeypatch):
+    # C(20000,10000) has 6019 digits, more than str() converts by default;
+    # the budget refusal echoes it through channel._shown, one error line.
+    monkeypatch.setenv("MACQ_MAX_N", "20000")
+    code, out, err = run_cli(capsys, "worst-case", "--strategy", "tree", "--n", "20000", "--d", "10000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: BudgetExceeded: C(20000,10000) = ")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_recorded_command_stdout_is_byte_identical(capsys, monkeypatch, command):
     monkeypatch.delenv("MACQ_MAX_N", raising=False)

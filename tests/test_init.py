@@ -136,6 +136,27 @@ def test_no_module_imports_typing_or_pathlib():
     assert found == []
 
 
+def _names_a_type(node):
+    """True iff ``node`` is ``raise DomainError(...)`` whose message calls ``type(...)``."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "DomainError"):
+        return False
+    return any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "type"
+               for arg in node.exc.args for call in ast.walk(arg))
+
+
+def test_no_domain_error_names_a_refused_value_by_its_type():
+    # A value of the wrong class is refused by channel._of_type, which echoes
+    # the value itself through _shown; "got list" would name only its type.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _names_a_type(node)
+    ]
+    assert found == []
+
+
 def test_package_parses_under_the_declared_python_floor():
     # pyproject.toml declares requires-python >= 3.10.  Parsing with 3.10's
     # grammar refuses newer syntax such as except*; it checks grammar only,
